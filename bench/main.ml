@@ -39,16 +39,6 @@
                                             (N from CM_JOBS, default 4);
                                             JSON with a speedup field per
                                             experiment (default BENCH_pr4.json)
-     dune exec bench/main.exe -- shards [NAME[,NAME...]] [f]
-                                            paired A/B of sequential vs
-                                            CM_SHARDS-way (default 2) sharded
-                                            runs: interleaved repetitions,
-                                            median-of-8 comparison, a run
-                                            digest cross-check (mismatch
-                                            fails), and per-shard fired
-                                            counts (default specs fig2 +
-                                            dht_zipf + social_graph, JSON
-                                            BENCH_pr9.json)
      dune exec bench/main.exe -- sites [f]  paired A/B of the fused per-object
                                             method-site tables vs the generic
                                             scope/call composition (both on
@@ -196,9 +186,6 @@ let json_float name v = Printf.sprintf "%S: %.6e" name v
 
 let json_int name v = Printf.sprintf "%S: %d" name v
 
-let json_int_array name vs =
-  Printf.sprintf "%S: [%s]" name (String.concat ", " (List.map string_of_int (Array.to_list vs)))
-
 let write_json ~mode path records =
   let oc = open_out path in
   let record fields = "    {" ^ String.concat ", " fields ^ "}" in
@@ -218,8 +205,6 @@ type result = {
   sim_ops : int option;  (* completed requests inside the probe run's window *)
   minor_words_per_run : float;
   major_words_per_run : float;
-  shards : int;  (* shard count the runs executed under — provenance *)
-  shard_fired : int array;  (* per-shard fired events, from the probe run; [||] without a probe *)
 }
 
 (* GC cost of one run, measured directly (not via Bechamel's allocation
@@ -249,7 +234,6 @@ let alloc_of_run thunk =
 
 let measure ~quota ~limit spec =
   let open Bechamel in
-  let shard_counts = ref [||] in
   let test = Test.make ~name:spec.name (Staged.stage spec.thunk) in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) () in
@@ -268,7 +252,6 @@ let measure ~quota ~limit spec =
     | None -> (None, None, None)
     | Some probe ->
       let machine, metrics = probe () in
-      shard_counts := Cm_machine.Machine.shard_fired machine;
       ( Some (Cm_machine.Machine.now machine),
         Some (Cm_machine.Machine.events_fired machine),
         Some metrics.Cm_workload.Metrics.ops )
@@ -293,8 +276,6 @@ let measure ~quota ~limit spec =
     sim_ops;
     minor_words_per_run;
     major_words_per_run;
-    shards = Cm_machine.Machine.default_shards ();
-    shard_fired = !shard_counts;
   }
 
 let result_fields r =
@@ -317,12 +298,11 @@ let result_fields r =
       [ json_float "minor_words_per_op" (r.minor_words_per_run /. float_of_int ops) ]
     | Some _ | None -> []
   in
-  [ json_str "name" r.r_name; json_int "shards" r.shards ]
+  [ json_str "name" r.r_name ]
   @ opt (json_float "ns_per_run") r.ns_per_run
   @ opt (json_int "sim_cycles") r.sim_cycles
   @ opt (json_int "events_fired") r.events_fired
   @ opt (json_int "sim_ops") r.sim_ops
-  @ (if r.shard_fired = [||] then [] else [ json_int_array "shard_fired" r.shard_fired ])
   @ [
       json_float "minor_words_per_run" r.minor_words_per_run;
       json_float "major_words_per_run" r.major_words_per_run;
@@ -442,94 +422,6 @@ let run_ab ~names ~json () =
       selected
   in
   match json with Some path -> write_json ~mode:"ab" path records | None -> ()
-
-(* --- shards mode: paired sequential vs sharded-PDES comparison ----- *)
-
-(* One timed run at shard count [k]: wall-clock ns and minor words. *)
-let shards_sample k thunk =
-  Cm_machine.Machine.set_default_shards k;
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  thunk ();
-  let t1 = Unix.gettimeofday () in
-  ((t1 -. t0) *. 1e9, Gc.minor_words () -. m0)
-
-(* Paired A/B of the sequential (shards=1) and windowed K-shard runs in
-   one process, same discipline as {!run_ab}: interleaved repetitions,
-   median-of-8 comparison, and — where the spec exposes its machine — a
-   digest cross-check plus the sharded run's per-shard fired counts.
-   Equal digests are this mode's acceptance gate: the K-shard run must
-   be bit-identical to the sequential one (see DESIGN.md §17), so a
-   mismatch fails the whole pass.  Wall-clock is reported honestly; on
-   a single hardware core the windowed run adds barrier/merge work for
-   no concurrency, so speedups below 1.0x are the expected reading
-   there (the DESIGN.md §12 precedent). *)
-let run_shards ~k ~names ~json () =
-  Printf.printf "\n=== Paired A/B: sequential vs %d-shard windowed runs (interleaved, median of 8) ===\n%!"
-    k;
-  let reps = 8 in
-  let selected =
-    List.map
-      (fun name ->
-        match List.find_opt (fun s -> s.name = name) (specs ~full:false) with
-        | Some s -> s
-        | None ->
-          List.iter (fun s -> prerr_endline s.name) (specs ~full:false);
-          failwith ("no such spec: " ^ name))
-      names
-  in
-  let records =
-    List.map
-      (fun spec ->
-        (* Warm both variants before sampling. *)
-        ignore (shards_sample 1 spec.thunk);
-        ignore (shards_sample k spec.thunk);
-        let s1_ns = Array.make reps 0. and sk_ns = Array.make reps 0. in
-        for r = 0 to reps - 1 do
-          let ns, _ = shards_sample 1 spec.thunk in
-          s1_ns.(r) <- ns;
-          let ns, _ = shards_sample k spec.thunk in
-          sk_ns.(r) <- ns
-        done;
-        let digests_equal, shard_fired =
-          match spec.probe with
-          | None -> (None, [||])
-          | Some probe ->
-            Cm_machine.Machine.set_default_shards 1;
-            let d1 = Cm_machine.Machine.digest (fst (probe ())) in
-            Cm_machine.Machine.set_default_shards k;
-            let mk = fst (probe ()) in
-            let dk = Cm_machine.Machine.digest mk in
-            (Some (d1 = dk), Cm_machine.Machine.shard_fired mk)
-        in
-        Cm_machine.Machine.set_default_shards 1;
-        let s1_med = median s1_ns and sk_med = median sk_ns in
-        let speedup = s1_med /. sk_med in
-        Printf.printf "%-28s seq %10.0f ns | %d shards %10.0f ns | %5.2fx%s\n%!" spec.name s1_med
-          k sk_med speedup
-          (match digests_equal with
-          | Some true -> "  digests equal"
-          | Some false -> "  DIGEST MISMATCH"
-          | None -> "");
-        (match digests_equal with
-        | Some false -> failwith ("shards: sequential vs sharded digests differ for " ^ spec.name)
-        | Some true | None -> ());
-        [
-          json_str "name" spec.name;
-          json_int "reps" reps;
-          json_int "shards" k;
-          json_float "seq_ns_median" s1_med;
-          json_float "sharded_ns_median" sk_med;
-          json_float "speedup" speedup;
-        ]
-        @ (if shard_fired = [||] then [] else [ json_int_array "shard_fired" shard_fired ])
-        @
-        match digests_equal with
-        | Some b -> [ json_str "digests_equal" (string_of_bool b) ]
-        | None -> [])
-      selected
-  in
-  match json with Some path -> write_json ~mode:"shards" path records | None -> ()
 
 (* --- sites mode: paired fused vs generic method-site comparison ---- *)
 
@@ -970,7 +862,7 @@ let () =
   let quick = mode = "quick" in
   if
     mode <> "bench" && mode <> "smoke" && mode <> "one" && mode <> "sweep" && mode <> "ab"
-    && mode <> "big" && mode <> "shards" && mode <> "sites"
+    && mode <> "big" && mode <> "sites"
   then begin
     print_endline "Reproduction of every table and figure (see EXPERIMENTS.md for discussion):";
     Registry.run_all ~quick ()
@@ -988,18 +880,6 @@ let () =
     in
     let json = if Array.length Sys.argv > 3 then Some Sys.argv.(3) else None in
     run_ab ~names ~json ()
-  | "shards" ->
-    let names =
-      String.split_on_char ','
-        (json_arg "fig2:counting-throughput,dht_zipf:hot-keys,social_graph:walks")
-    in
-    let json = Some (if Array.length Sys.argv > 3 then Sys.argv.(3) else "BENCH_pr9.json") in
-    let k =
-      match Option.bind (Sys.getenv_opt "CM_SHARDS") int_of_string_opt with
-      | Some n when n >= 2 -> n
-      | Some _ | None -> 2
-    in
-    run_shards ~k ~names ~json ()
   | "sites" -> run_sites ~json:(Some (json_arg "BENCH_pr10.json")) ()
   | "smoke" ->
     (* Fast pass for CI: enough to catch gross hot-path regressions and

@@ -36,26 +36,6 @@ let effective_jobs = function
       match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | Some _ | None -> 1)
     | None -> 1)
 
-let shards_arg =
-  let doc =
-    "Partition every machine's processors across $(docv) conservative PDES shards (default: \
-     the $(b,CM_SHARDS) environment variable, or 1).  Digests and printed output are \
-     identical at any shard count; experiments whose subsystems serialize on machine-global \
-     state (shared memory, adaptive estimators, object migration, contention, faults) pin \
-     themselves to one shard."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
-
-let effective_shards = function
-  | Some n -> max 1 n
-  | None -> (
-    match Sys.getenv_opt "CM_SHARDS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | Some _ | None -> 1)
-    | None -> 1)
-
-let apply_shards shards = Cm_machine.Machine.set_default_shards (effective_shards shards)
-
 (* Run [f] with a pool of [jobs] domains (none when sequential), always
    shut down afterwards. *)
 let with_pool jobs f =
@@ -70,19 +50,17 @@ let experiment_cmd entry =
   Cmd.v
     (Cmd.info entry.Registry.id ~doc)
     Term.(
-      const (fun quick jobs shards ->
-          apply_shards shards;
+      const (fun quick jobs ->
           with_pool (effective_jobs jobs) (fun pool -> Registry.run ~quick ?pool entry))
-      $ quick_arg $ jobs_arg $ shards_arg)
+      $ quick_arg $ jobs_arg)
 
 let all_cmd =
   let doc = "Run every table and figure in paper order." in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const (fun quick jobs shards ->
-          apply_shards shards;
+      const (fun quick jobs ->
           with_pool (effective_jobs jobs) (fun pool -> Registry.run_all ~quick ?pool ()))
-      $ quick_arg $ jobs_arg $ shards_arg)
+      $ quick_arg $ jobs_arg)
 
 let list_cmd =
   let doc = "List available experiments." in
@@ -121,8 +99,7 @@ let custom_cmd =
     let doc = "Print a post-run machine report (utilizations, traffic by kind)." in
     Arg.(value & flag & info [ "detail" ] ~doc)
   in
-  let run scheme app think requesters horizon fanout detail shards =
-    apply_shards shards;
+  let run scheme app think requesters horizon fanout detail =
     match Scheme.of_string scheme with
     | Error e -> `Error (false, e)
     | Ok s ->
@@ -147,7 +124,7 @@ let custom_cmd =
     Term.(
       ret
         (const run $ scheme_arg $ app_arg $ think_arg $ requesters_arg $ horizon_arg
-       $ fanout_arg $ detail_arg $ shards_arg))
+       $ fanout_arg $ detail_arg))
 
 (* --- selfcheck: same-seed determinism proof ----------------------- *)
 
@@ -188,8 +165,7 @@ let rec first_diff i a b =
   | x :: a', y :: b' -> if String.equal x y then first_diff (i + 1) a' b' else Some i
   | _, [] | [], _ -> Some i
 
-let selfcheck full jobs shards =
-  apply_shards shards;
+let selfcheck full jobs =
   let quick = not full in
   let failures = ref 0 in
   with_pool (effective_jobs jobs) (fun pool ->
@@ -244,7 +220,7 @@ let selfcheck_cmd =
     "Run every registered experiment twice with the same seed, all sanitizers enabled, and \
      fail unless the two runs are bit-identical (machine digests and printed reports)."
   in
-  Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg $ shards_arg)
+  Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg)
 
 let () =
   let doc = "Reproduce the evaluation of Hsieh/Wang/Weihl, PPoPP 1993" in

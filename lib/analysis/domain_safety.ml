@@ -1,8 +1,8 @@
 (* Domain-safety (shard-escape) pass.
 
-   ROADMAP item 1 shards one machine's processors across domains; that
-   is only sound if every mutable location in the libraries is owned by
-   exactly one shard, domain-local (DLS), atomic, or explicitly
+   The sweep pool ([repro -j N]) runs machines on several domains at
+   once; that is only sound if every mutable location in the libraries
+   is owned by one machine, domain-local (DLS), atomic, or explicitly
    synchronized.  This pass classifies every mutable location it can see
    in the .cmt files and flags the ones that escape:
 

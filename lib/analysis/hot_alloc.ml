@@ -41,16 +41,7 @@ let default =
       s_unit = "Cm_engine.Sim";
       s_names =
         [ "alloc"; "schedule"; "extract"; "fire"; "post"; "post_after"; "cancel";
-          "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf";
-          (* The sharded coordinator's splice points: seq draws and
-             barrier-merged arrivals run once per network message. *)
-          "take_send_seq"; "post_arrival"; "push_bucket_sorted"; "peek_slot"; "peek_time" ];
-    };
-    (* The shard mailbox/barrier path: every network send crosses [push]
-       once and [merge_one]'s sort once per window. *)
-    {
-      s_unit = "Cm_engine.Shard";
-      s_names = [ "push"; "mbox_grow"; "entry_less"; "sift_down"; "sort_idx"; "merge_one" ];
+          "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf" ];
     };
     {
       s_unit = "Cm_machine.Transport";
@@ -123,6 +114,51 @@ let default =
 
 let in_hot_set specs (b : Cmt_index.binding) (ui : Cmt_index.unit_info) =
   List.exists (fun s -> s.s_unit = ui.ui_canon && List.mem b.b_name s.s_names) specs
+
+(* A hot-set name with no binding behind it (deleted or renamed) would
+   silently leave the zero-allocation floor, so it is a finding: one per
+   unit, at line 0, listing the stale names.  A unit absent from the
+   index is stale only when its library was indexed (a sibling unit is
+   loaded) — linting part of the tree does not flag the rest of the set;
+   the finding then points where the unit's source would be. *)
+let stale_names (idx : Cmt_index.t) specs =
+  (* "Cm_engine.Sim" -> ("Cm_engine", "Sim") *)
+  let split u =
+    match String.rindex_opt u '.' with
+    | Some i -> (String.sub u 0 i, String.sub u (i + 1) (String.length u - i - 1))
+    | None -> ("", u)
+  in
+  List.filter_map
+    (fun s ->
+      let stale file names what =
+        if names = [] then None
+        else
+          Some
+            (Finding.v ~file ~line:0 ~rule ~context:s.s_unit ~detail:"stale-name"
+               (Printf.sprintf "hot set names %s in %s, which %s; remove or rename the entry"
+                  (String.concat ", " names) s.s_unit what))
+      in
+      match List.find_opt (fun (ui : Cmt_index.unit_info) -> ui.ui_canon = s.s_unit) idx.units with
+      | Some ui ->
+        let bound name =
+          List.exists (fun (b : Cmt_index.binding) -> b.b_name = name) ui.ui_bindings
+        in
+        stale ui.ui_source (List.filter (fun n -> not (bound n)) s.s_names) "has no such binding"
+      | None -> (
+        let lib, base = split s.s_unit in
+        match
+          List.find_opt
+            (fun (ui : Cmt_index.unit_info) -> lib <> "" && fst (split ui.ui_canon) = lib)
+            idx.units
+        with
+        | None -> None
+        | Some sibling ->
+          let file =
+            Filename.concat (Filename.dirname sibling.ui_source)
+              (String.uncapitalize_ascii base ^ ".ml")
+          in
+          stale file s.s_names "is not a unit of its library"))
+    specs
 
 let is_float ty =
   match Types.get_desc ty with
@@ -299,4 +335,4 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
           end)
         ui.ui_bindings)
     idx.units;
-  !findings
+  stale_names idx hot @ !findings

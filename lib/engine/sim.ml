@@ -75,32 +75,6 @@ let f_next = 6 (* bucket FIFO / free-list link, -1 end *)
    closure field needs no clearing (and no write barrier) on recycle. *)
 let no_fn : unit -> unit = ignore
 
-(* A handler table shared between simulators.  Normally each sim owns a
-   private registry; the sharded coordinator (see {!Shard}) gives all of
-   one machine's sims a single registry, so a handler id registered at
-   construction time on any shard is valid for posting on every shard —
-   cross-shard deliveries stay pure ints, no per-shard rebinding.
-
-   The [next_seq] counter lives here too: it numbers scheduling actions
-   in execution order, and with one registry spanning all of a
-   machine's shards it is a single machine-global stream.  The sharded
-   coordinator fires same-window events across shards in exact
-   (time, seq) order (the in-window tournament, see {!Shard}), so every
-   draw happens at the same point of the computation as in a sequential
-   run and carries the same value — which is what lets a network send's
-   seq, captured on the source shard ({!take_send_seq}), splice its
-   arrival into the destination shard's queue ({!post_arrival}) at
-   exactly the position the sequential schedule would have given it.
-   For a sim with a private registry this is the plain dense counter it
-   always had. *)
-type registry = {
-  mutable handlers : (int -> unit) array;
-  mutable n_handlers : int;
-  mutable next_seq : int;
-}
-
-let registry () = { handlers = [||]; n_handlers = 0; next_seq = 0 }
-
 type t = {
   mutable clock : int;
   mutable fired : int;
@@ -121,8 +95,12 @@ type t = {
   mutable ev_fn : (unit -> unit) array;  (* payload when hid = -1, else [no_fn] *)
   mutable pool_size : int;
   mutable free : int;  (* free-list head slot, -1 when empty *)
-  (* handler table, possibly shared with sibling shards *)
-  reg : registry;
+  (* handler table *)
+  mutable handlers : (int -> unit) array;
+  mutable n_handlers : int;
+  (* scheduling counter: numbers schedules in execution order, the
+     tie-break among same-time events *)
+  mutable next_seq : int;
 }
 
 let[@inline always] ev t s f = Array.unsafe_get t.evs ((s lsl stride_bits) + f)
@@ -138,7 +116,7 @@ exception Stop
    old all-heap queue paid for every event. *)
 let default_wheel_bits = 8
 
-let create ?(wheel_bits = default_wheel_bits) ?registry:reg () =
+let create ?(wheel_bits = default_wheel_bits) () =
   if wheel_bits < 1 || wheel_bits > 22 then
     invalid_arg "Sim.create: wheel_bits out of range [1,22]";
   let nbuckets = 1 lsl wheel_bits in
@@ -159,7 +137,9 @@ let create ?(wheel_bits = default_wheel_bits) ?registry:reg () =
     ev_fn = [||];
     pool_size = 0;
     free = -1;
-    reg = (match reg with Some r -> r | None -> registry ());
+    handlers = [||];
+    n_handlers = 0;
+    next_seq = 0;
   }
 
 let now t = t.clock
@@ -172,19 +152,16 @@ let events_fired t = t.fired
 
 let nil_handler = -1
 
-let hid_index (h : hid) : int = h
-
 let handler t f =
-  let r = t.reg in
-  if r.n_handlers = Array.length r.handlers then begin
-    let cap = max 8 (2 * Array.length r.handlers) in
+  if t.n_handlers = Array.length t.handlers then begin
+    let cap = max 8 (2 * Array.length t.handlers) in
     let hs = Array.make cap (fun (_ : int) -> ()) in
-    Array.blit r.handlers 0 hs 0 r.n_handlers;
-    r.handlers <- hs
+    Array.blit t.handlers 0 hs 0 t.n_handlers;
+    t.handlers <- hs
   end;
-  r.handlers.(r.n_handlers) <- f;
-  r.n_handlers <- r.n_handlers + 1;
-  r.n_handlers - 1
+  t.handlers.(t.n_handlers) <- f;
+  t.n_handlers <- t.n_handlers + 1;
+  t.n_handlers - 1
 
 (* --- event pool ----------------------------------------------------- *)
 
@@ -286,49 +263,6 @@ let[@inline always] push_bucket t s =
   end
   else set_ev t tl f_next s;
   Array.unsafe_set t.tails b s;
-  t.wheel_count <- t.wheel_count + 1
-
-(* Insert slot [s] into its bucket by seq position rather than at the
-   tail — the barrier-merge path ({!post_arrival}): a merged
-   cross-shard arrival's seq was drawn at its send, so it can precede
-   seqs already in the destination bucket (scheduled later, globally).
-   Every event in a bucket shares one fire time (window invariant), so
-   the seq alone orders the walk; seqs are globally unique, so there
-   are no ties.  Local schedules never need this: the machine-global
-   counter only ascends, so a fresh schedule's seq is its bucket's
-   maximum and the plain tail append is already sorted. *)
-let push_bucket_sorted t s =
-  let b = ev t s f_time land t.bmask in
-  let hd = Array.unsafe_get t.heads b in
-  if hd < 0 then begin
-    Array.unsafe_set t.heads b s;
-    Array.unsafe_set t.tails b s;
-    let w = b lsr 5 in
-    Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (b land 31)))
-  end
-  else begin
-    let seq = ev t s f_seq in
-    let tl = Array.unsafe_get t.tails b in
-    if seq > ev t tl f_seq then begin
-      set_ev t tl f_next s;
-      Array.unsafe_set t.tails b s
-    end
-    else if seq < ev t hd f_seq then begin
-      set_ev t s f_next hd;
-      Array.unsafe_set t.heads b s
-    end
-    else begin
-      let prev = ref hd in
-      let cur = ref (ev t hd f_next) in
-      while !cur >= 0 && seq > ev t !cur f_seq do
-        prev := !cur;
-        cur := ev t !cur f_next
-      done;
-      set_ev t s f_next !cur;
-      set_ev t !prev f_next s;
-      if !cur < 0 then Array.unsafe_set t.tails b s
-    end
-  end;
   t.wheel_count <- t.wheel_count + 1
 
 (* Precondition: t.heads.(b) >= 0. *)
@@ -451,35 +385,11 @@ let[@inline always] fill_slot t s ~time ~seq ~hid ~arg fn =
 
 let schedule t ~time ~hid ~arg fn =
   let s = alloc t in
-  let r = t.reg in
-  let seq = r.next_seq in
-  r.next_seq <- seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   fill_slot t s ~time ~seq ~hid ~arg fn;
   if time - t.wheel_start < t.nbuckets then push_bucket t s else ovf_push t s;
   s
-
-(* The seq of a network send leaving this sim: one draw from the
-   machine-global counter, exactly the draw the local [Sim.after] it
-   replaces would have made — so every later action's seq, and with it
-   the whole event order, is invariant under the partition. *)
-let take_send_seq t =
-  let r = t.reg in
-  let seq = r.next_seq in
-  r.next_seq <- seq + 1;
-  seq
-
-(* Barrier-merged cross-shard arrival (see {!Shard}): scheduled with
-   the seq its send drew via {!take_send_seq} on the source shard — the
-   position its schedule held in the sequential run — and spliced into
-   its (same-fire-time) bucket at that position. *)
-let post_arrival t ~time ~seq ~hid ~arg fn =
-  if time < t.clock then
-    invalid_arg (Printf.sprintf "Sim.post_arrival: time %d is before now (%d)" time t.clock);
-  if seq < 0 || seq >= t.reg.next_seq then invalid_arg "Sim.post_arrival: seq never drawn";
-  if hid >= t.reg.n_handlers then invalid_arg "Sim.post_arrival: handler not registered here";
-  let s = alloc t in
-  fill_slot t s ~time ~seq ~hid ~arg fn;
-  if time - t.wheel_start < t.nbuckets then push_bucket_sorted t s else ovf_push t s
 
 let at t time fn =
   if time < t.clock then
@@ -493,7 +403,7 @@ let after t delay fn =
 let post t ~time h arg =
   if time < t.clock then
     invalid_arg (Printf.sprintf "Sim.post: time %d is before now (%d)" time t.clock);
-  if h < 0 || h >= t.reg.n_handlers then invalid_arg "Sim.post: handler not registered here";
+  if h < 0 || h >= t.n_handlers then invalid_arg "Sim.post: handler not registered here";
   ignore (schedule t ~time ~hid:h ~arg no_fn : int)
 
 let post_after t ~delay h arg =
@@ -534,7 +444,7 @@ let fire t s =
      just-vacated slot keeps the pool's working set at the live-event
      count. *)
   recycle t s;
-  if hid >= 0 then t.reg.handlers.(hid) arg else fn ()
+  if hid >= 0 then t.handlers.(hid) arg else fn ()
 
 let step t =
   if t.pending = 0 then false
@@ -556,58 +466,3 @@ let run ?until t =
     end
   in
   try loop () with Stop -> ()
-
-(* --- windowed execution (the sharded coordinator's view) ------------ *)
-
-(* Earliest live event's slot without extracting it (tombstones are
-   swept as they surface, as in [extract]); [-1] when none is pending.
-   The wheel min is <= the overflow min by the window invariant, so a
-   live wheel head answers directly. *)
-let rec peek_slot t =
-  if t.pending = 0 then -1
-  else if t.wheel_count = 0 then begin
-    prune_ovf t;
-    t.ovf.(0)
-  end
-  else begin
-    let b = ref (next_occupied t (t.wheel_start land t.bmask)) in
-    let s = ref (Array.unsafe_get t.heads !b) in
-    while !s >= 0 && ev t !s f_live = 0 do
-      recycle t (pop_head t !b);
-      if t.wheel_count = 0 then s := -1
-      else begin
-        b := next_occupied t !b;
-        s := Array.unsafe_get t.heads !b
-      end
-    done;
-    if !s < 0 then peek_slot t else !s
-  end
-
-let peek_time t =
-  let s = peek_slot t in
-  if s < 0 then max_int else ev t s f_time
-
-(* The head's (time, seq), for the coordinator's in-window tournament;
-   (max_int, max_int) when nothing is pending.  The caller compares
-   lexicographically — seqs are globally unique, so the order is
-   total across a machine's shards. *)
-let peek_key t =
-  let s = peek_slot t in
-  if s < 0 then (max_int, max_int) else (ev t s f_time, ev t s f_seq)
-
-(* Fire every event with time <= [stop], leaving the clock at the last
-   fired event (NOT bumped to [stop]): the coordinator computes the
-   machine-global clock itself, matching [run ~until]'s "horizon only
-   when work remains" rule across all shards.  {!Stop} propagates to the
-   caller. *)
-let drain_until t ~stop =
-  let rec loop () =
-    if t.pending > 0 then begin
-      let s = extract t ~horizon:stop in
-      if s >= 0 then begin
-        fire t s;
-        loop ()
-      end
-    end
-  in
-  loop ()

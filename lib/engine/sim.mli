@@ -18,26 +18,12 @@
 type t
 (** A simulator instance. *)
 
-type registry
-(** A handler table and scheduling counter, normally private to one
-    sim.  The sharded coordinator ({!Shard}) passes one registry to all
-    of a machine's sims, so handler ids registered anywhere are
-    postable everywhere and all shards draw seqs from one
-    machine-global counter — the foundation of the coordinator's exact
-    event ordering (see {!Shard}). *)
-
-val registry : unit -> registry
-(** A fresh, empty shared handler table. *)
-
-val create : ?wheel_bits:int -> ?registry:registry -> unit -> t
+val create : ?wheel_bits:int -> unit -> t
 (** [create ()] is a fresh simulator with the clock at cycle 0 and no
     pending events.  [wheel_bits] (default 8) sizes the calendar wheel at
     [2^wheel_bits] one-cycle buckets; events scheduled further than that
     past the last extraction point go to the overflow rung until the wheel
-    rotates forward.  Raises [Invalid_argument] outside [1..22].
-    [registry] shares a handler table and the scheduling counter with
-    sibling sims (sharded machines); by default the sim gets a private
-    one, which is the classic dense per-sim counter. *)
+    rotates forward.  Raises [Invalid_argument] outside [1..22]. *)
 
 val now : t -> int
 (** [now t] is the current cycle. *)
@@ -71,11 +57,6 @@ val nil_handler : hid
 (** A handler id registered with no simulator, for initializing slots
     before the real registration happens (knot-tying constructors).
     Posting it raises [Invalid_argument]. *)
-
-val hid_index : hid -> int
-(** [hid_index h] is the raw registry index of [h] ([-1] for
-    {!nil_handler}) — for packing into the shard mailbox's int lanes;
-    {!post_arrival} accepts it back. *)
 
 val post : t -> time:int -> hid -> int -> unit
 (** [post t ~time h arg] schedules handler [h] to run with [arg] at
@@ -122,46 +103,3 @@ val step : t -> bool
 
 val events_fired : t -> int
 (** [events_fired t] is the total number of events executed so far. *)
-
-(** {1 Windowed execution}
-
-    The sharded coordinator's interface (see {!Shard}): peek the next
-    event time to compute a conservative window, drain a shard up to the
-    window's end, and splice barrier-merged cross-shard arrivals in at
-    the seq position their sequential schedule would have had. *)
-
-val peek_time : t -> int
-(** [peek_time t] is the earliest pending event's time, or [max_int]
-    when nothing is pending.  Does not advance the clock (cancelled
-    events surfacing at the queue head are swept, as in extraction). *)
-
-val peek_key : t -> int * int
-(** [peek_key t] is the earliest pending event's [(time, seq)], or
-    [(max_int, max_int)] when nothing is pending — the coordinator's
-    in-window tournament compares these lexicographically across a
-    machine's shards (seqs from a shared registry are globally unique,
-    so the order is total). *)
-
-val drain_until : t -> stop:int -> unit
-(** [drain_until t ~stop] fires every event with time [<= stop] in
-    order.  Unlike {!run} [~until], the clock is left at the last fired
-    event — the coordinator owns the machine-global clock.  {!Stop}
-    propagates to the caller. *)
-
-val take_send_seq : t -> int
-(** [take_send_seq t] draws one seq from the scheduling counter — the
-    draw the local schedule a network send replaces would have made, so
-    every later action's seq is invariant under the partition.  The
-    send's arrival carries it back in through {!post_arrival} on the
-    destination shard. *)
-
-val post_arrival : t -> time:int -> seq:int -> hid:int -> arg:int -> (unit -> unit) -> unit
-(** [post_arrival t ~time ~seq ~hid ~arg fn] schedules a barrier-merged
-    cross-shard arrival: it fires at [time], ordered among same-time
-    events by [seq] — the value its send drew with {!take_send_seq} on
-    the source shard, which (with the shared counter and the
-    coordinator's exact in-window order) is precisely the seq the
-    sequential run's schedule carried.  [hid >= 0] posts the registered
-    handler with [arg] (allocation-free); [hid = -1] runs [fn].  Raises
-    [Invalid_argument] for a past [time], a seq the shared counter
-    never produced, or an unregistered handler. *)

@@ -165,7 +165,7 @@ let hardware_ablation () =
 let sm_sync_ablation () =
   let run ~sm_sync ~lock_backoff =
     let machine =
-      Machine.create ~seed:42 ~shards:1 ~n_procs:(24 + 32) ~costs:Costs.software ()
+      Machine.create ~seed:42 ~n_procs:(24 + 32) ~costs:Costs.software ()
     in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env ~sm_sync ~lock_backoff Counting_network.Shared_memory in
@@ -197,8 +197,7 @@ let btree_read_mode_ablation () =
   let run read_mode =
     let node_procs = 24 and requesters = 16 in
     let machine =
-      Machine.create ~seed:42 ~shards:1 ~n_procs:(node_procs + requesters)
-        ~costs:Costs.software ()
+      Machine.create ~seed:42 ~n_procs:(node_procs + requesters) ~costs:Costs.software ()
     in
     let env = Sysenv.make machine in
     let tree =
@@ -311,9 +310,7 @@ let partial_migration_ablation () =
 let contention_ablation () =
   let run ~net_contention scheme =
     let machine =
-      (* The A/B must hold everything but [net_contention] fixed, and
-         the contended half cannot shard — pin both halves. *)
-      Machine.create ~seed:42 ~shards:1 ~net_contention ~n_procs:(24 + 32)
+      Machine.create ~seed:42 ~net_contention ~n_procs:(24 + 32)
         ~costs:(Scheme.costs scheme) ()
     in
     let env = Sysenv.make machine in

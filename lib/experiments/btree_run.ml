@@ -53,9 +53,7 @@ let preload_keys config =
 
 let run_with_machine scheme config =
   let machine =
-    Machine.create ~seed:config.seed
-      ?shards:(if Scheme.shardable scheme then None else Some 1)
-      ~n_procs:(config.node_procs + config.requesters)
+    Machine.create ~seed:config.seed ~n_procs:(config.node_procs + config.requesters)
       ~costs:(Scheme.costs scheme) ()
   in
   let env = Sysenv.make machine in

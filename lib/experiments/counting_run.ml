@@ -9,9 +9,7 @@ let balancer_procs = 24
 
 let run_with_machine scheme config =
   let machine =
-    Machine.create ~seed:config.seed
-      ?shards:(if Scheme.shardable scheme then None else Some 1)
-      ~n_procs:(balancer_procs + config.requesters)
+    Machine.create ~seed:config.seed ~n_procs:(balancer_procs + config.requesters)
       ~costs:(Scheme.costs scheme) ()
   in
   let env = Sysenv.make machine in

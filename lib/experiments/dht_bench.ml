@@ -41,12 +41,7 @@ let request table workload _i =
 let measure ~quick mode workload =
   let horizon = if quick then 120_000 else 400_000 in
   let machine =
-    Machine.create ~seed:42
-      (* Shared-memory and adaptive tables serialize on machine-global
-         state and refuse sharded machines; pin them to one shard so a
-         global CM_SHARDS default still runs the whole sweep. *)
-      ?shards:(match mode with Dht.Messaging _ -> None | _ -> Some 1)
-      ~n_procs:(node_procs + requesters) ~costs:Costs.software ()
+    Machine.create ~seed:42 ~n_procs:(node_procs + requesters) ~costs:Costs.software ()
   in
   let env = Sysenv.make machine in
   let table =

@@ -62,11 +62,7 @@ let request table zipf _i =
 let measure_sim_words ~quick ~fused mode skew =
   let sz = size ~quick in
   let machine =
-    Machine.create ~seed:42
-      (* The adaptive table learns from machine-global call order and
-         refuses sharded machines (see Adaptive.create). *)
-      ?shards:(match mode with Dht.Messaging _ -> None | _ -> Some 1)
-      ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
+    Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
   in
   let env = Sysenv.make machine in
   let table =

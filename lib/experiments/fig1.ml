@@ -26,7 +26,7 @@ let run_messaging ~access ~n ~m =
   Network.total_messages machine.Machine.net
 
 let run_shmem ~n ~m =
-  let machine = Machine.create ~seed:1 ~shards:1 ~n_procs:(m + 1) ~costs:Costs.software () in
+  let machine = Machine.create ~seed:1 ~n_procs:(m + 1) ~costs:Costs.software () in
   let mem = Cm_memory.Shmem.create machine in
   let addrs = List.init m (fun i -> Cm_memory.Shmem.alloc mem ~home:(i + 1) ~words:1) in
   Machine.spawn machine ~on:0

@@ -23,8 +23,7 @@ let report label machine finished =
     finished
 
 let with_run ~n_procs f =
-  (* Migrating objects are machine-global state (see Objmig.create). *)
-  let machine = Machine.create ~seed:42 ~shards:1 ~n_procs ~costs:Costs.software () in
+  let machine = Machine.create ~seed:42 ~n_procs ~costs:Costs.software () in
   let rt = Runtime.create machine in
   let space = Objspace.create machine in
   let om = Objmig.create rt space ~words_of:(fun (_ : int ref) -> obj_words) in
@@ -75,7 +74,7 @@ let private_hot policy =
    alternating threads. *)
 let write_shared policy =
   let threads = 4 and rounds = 6 in
-  let machine = Machine.create ~seed:42 ~shards:1 ~n_procs:8 ~costs:Costs.software () in
+  let machine = Machine.create ~seed:42 ~n_procs:8 ~costs:Costs.software () in
   let rt = Runtime.create machine in
   let space = Objspace.create machine in
   let om = Objmig.create rt space ~words_of:(fun (_ : int ref) -> obj_words) in

@@ -29,12 +29,6 @@ let counting_mode = function
 
 let replicated = function Sm -> false | Rpc { repl; _ } | Cp { repl; _ } -> repl
 
-(* Shared memory walks a machine-global directory (Shmem refuses sharded
-   machines); the message-passing schemes only touch per-processor state
-   between transport messages, which is exactly what the conservative
-   windows preserve. *)
-let shardable = function Sm -> false | Rpc _ | Cp _ -> true
-
 let of_string s =
   match String.lowercase_ascii s with
   | "sm" -> Ok Sm

@@ -27,11 +27,5 @@ val counting_mode : t -> Cm_apps.Counting_network.mode
 val replicated : t -> bool
 (** Whether the scheme replicates the B-tree root in software. *)
 
-val shardable : t -> bool
-(** Whether machines running this scheme may be shard-partitioned
-    ([Sm] may not — coherent shared memory refuses sharded machines).
-    Runners pin [~shards:1] when false so a global [CM_SHARDS] default
-    leaves shared-memory cells untouched. *)
-
 val of_string : string -> (t, string) result
 (** Parse a CLI label like ["sm"], ["rpc"], ["cp+hw"], ["cp+repl+hw"]. *)

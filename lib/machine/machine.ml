@@ -14,21 +14,12 @@ let default_engine () = Atomic.get default_engine_cell
 
 let engine_name = function Frames -> "frames" | Cps -> "cps"
 
-(* The process-wide shard-count default, same contract as the engine
-   cell above: [repro --shards N] / [CM_SHARDS] set it once at startup,
-   and the paired A/B bench mode flips it between interleaved reps. *)
-let default_shards_cell : int Atomic.t = Atomic.make 1 (* lint: allow global-state — cross-domain shards default, vetted *)
-
-let set_default_shards k =
-  if k <= 0 then invalid_arg "Machine.set_default_shards: shards must be positive";
-  Atomic.set default_shards_cell k
-
-let default_shards () = Atomic.get default_shards_cell
+(* Machines run on one scheduler.  perfbench records this in its
+   environment block, so it stays as a constant. *)
+let default_shards () = 1
 
 type t = {
   sim : Sim.t;
-  sims : Sim.t array;
-  shard_ : Shard.t option;
   costs : Costs.t;
   topo : Topology.t;
   net : Network.t;
@@ -42,18 +33,8 @@ type t = {
 }
 
 let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bits = 12) ?engine
-    ?shards ~n_procs ~costs () =
+    ~n_procs ~costs () =
   if n_procs <= 0 then invalid_arg "Machine.create: n_procs must be positive";
-  let k = match shards with Some k -> k | None -> default_shards () in
-  if k <= 0 then invalid_arg "Machine.create: shards must be positive";
-  (* More shards than processors would leave empty shards paying barrier
-     costs for nothing; digests are shard-count-invariant, so clamping
-     is observationally free. *)
-  let k = min k n_procs in
-  if k > 1 && net_contention then
-    invalid_arg
-      "Machine.create: net_contention serializes on global link state and is not shardable; \
-       use ~shards:1";
   let stats = Stats.create () in
   let topo =
     match topology with
@@ -65,32 +46,16 @@ let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bi
      spilling onto the overflow heap; 4096 one-cycle buckets keep nearly every
      machine event on the O(1) direct path.  Extraction order (and hence every
      digest) is wheel-size-invariant. *)
-  let sims, shard_of, shard_ =
-    if k = 1 then ([| Sim.create ~wheel_bits () |], [||], None)
-    else begin
-      (* Computed first so an un-shardable cost table (no positive
-         lookahead) is refused before any state exists. *)
-      let lookahead = Topology.min_positive_latency topo costs in
-      let reg = Sim.registry () in
-      let sims = Array.init k (fun _ -> Sim.create ~wheel_bits ~registry:reg ()) in
-      let shard_of = Array.init n_procs (fun p -> p * k / n_procs) in
-      (sims, shard_of, Some (Shard.create ~sims ~lookahead ~shard_of))
-    end
-  in
-  let sim = sims.(0) in
+  let sim = Sim.create ~wheel_bits () in
   let net = Network.create ~contention:net_contention ~sim ~topo ~costs ~stats () in
-  (match shard_ with None -> () | Some sh -> Network.set_shard net sh);
   let procs =
     Array.init n_procs (fun id ->
-        let psim = match shard_ with None -> sim | Some _ -> sims.(shard_of.(id)) in
-        Processor.create ~sim:psim ~stats ~scheduler_cost:costs.Costs.scheduler ~id)
+        Processor.create ~sim ~stats ~scheduler_cost:costs.Costs.scheduler ~id)
   in
   let engine = match engine with Some e -> e | None -> default_engine () in
   let eng = match engine with Frames -> Thread.frames_engine () | Cps -> Thread.cps_engine () in
   {
     sim;
-    sims;
-    shard_;
     costs;
     topo;
     net;
@@ -102,8 +67,6 @@ let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bi
     next_tid = 0;
     transport_ = None;
   }
-
-let shards t = match t.shard_ with None -> 1 | Some sh -> Shard.shards sh
 
 let n_procs t = Array.length t.procs
 
@@ -122,26 +85,18 @@ let transport t =
   | Some tr -> tr
   | None ->
     let tr =
-      Transport.create ~sharded:(t.shard_ <> None) ~sim:t.sim ~costs:t.costs ~net:t.net
-        ~procs:t.procs ~eng:t.eng
+      Transport.create ~sim:t.sim ~costs:t.costs ~net:t.net ~procs:t.procs ~eng:t.eng
         ~spawn:(fun ~on body -> spawn t ~on body)
     in
     t.transport_ <- Some tr;
     tr
 
-let now t = match t.shard_ with None -> Sim.now t.sim | Some sh -> Shard.clock sh
+let now t = Sim.now t.sim
 
-let events_fired t =
-  match t.shard_ with None -> Sim.events_fired t.sim | Some sh -> Shard.fired sh
-
-let shard_fired t =
-  match t.shard_ with None -> [| Sim.events_fired t.sim |] | Some sh -> Shard.shard_fired sh
-
-let at_global t time fn =
-  match t.shard_ with None -> Sim.at t.sim time fn | Some sh -> Shard.at_global sh time fn
+let events_fired t = Sim.events_fired t.sim
 
 let run ?until t =
-  (match t.shard_ with None -> Sim.run ?until t.sim | Some sh -> Shard.run ?until sh);
+  Sim.run ?until t.sim;
   Check.Trail.record_run ~clock:(now t) ~fired:(events_fired t) ~stats:t.stats
 
 let digest t = Check.Trail.digest_of_run ~clock:(now t) ~fired:(events_fired t) ~stats:t.stats

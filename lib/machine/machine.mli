@@ -23,21 +23,12 @@ val default_engine : unit -> engine
 
 val engine_name : engine -> string
 
-val set_default_shards : int -> unit
-(** Set the process-wide shard-count default for machines created
-    without an explicit [shards] (atomic, same contract as
-    {!set_default_engine}; [repro --shards] / [CM_SHARDS] set it at
-    startup).  Raises [Invalid_argument] unless positive. *)
-
 val default_shards : unit -> int
+(** Always 1: every machine runs on one scheduler.  Kept for callers
+    that record the configuration. *)
 
 type t = {
   sim : Sim.t;
-      (** shard 0's simulator when sharded — registration-valid
-          everywhere (shared handler registry), but schedule on a
-          processor's own sim ({!Processor.sim}) or use {!at_global} *)
-  sims : Sim.t array;  (** internal: one per shard *)
-  shard_ : Shard.t option;  (** internal: the windowed coordinator *)
   costs : Costs.t;
   topo : Topology.t;
   net : Network.t;
@@ -56,7 +47,6 @@ val create :
   ?net_contention:bool ->
   ?wheel_bits:int ->
   ?engine:engine ->
-  ?shards:int ->
   n_procs:int ->
   costs:Costs.t ->
   unit ->
@@ -70,19 +60,7 @@ val create :
     performance only — extraction order, and therefore every statistic
     and digest, is identical at any size.  [engine] picks the thread
     engine (defaults to {!default_engine}, normally [Frames]); digests
-    are engine-invariant.
-
-    [shards] (defaults to {!default_shards}, normally 1; clamped to
-    [n_procs]) partitions the processors across that many conservative
-    PDES shards (see {!Cm_engine.Shard} and DESIGN.md §17).  Digests
-    are shard-count-invariant.  Sharding composes with message-passing
-    workloads; subsystems serializing on machine-global state refuse it
-    at construction ([net_contention] here, coherent shared memory,
-    transport fault injection, object migration — each raises
-    [Invalid_argument] telling you to use [~shards:1]). *)
-
-val shards : t -> int
-(** [shards t] is the machine's shard count (1 when sequential). *)
+    are engine-invariant. *)
 
 val n_procs : t -> int
 (** Number of processors. *)
@@ -113,20 +91,7 @@ val digest : t -> string
     deterministic workload must produce equal digests. *)
 
 val now : t -> int
-(** Current cycle (the machine-global clock when sharded). *)
+(** Current cycle. *)
 
 val events_fired : t -> int
-(** [events_fired t] is the total events executed so far, summed across
-    shards. *)
-
-val shard_fired : t -> int array
-(** [shard_fired t] is the per-shard fired-event counts (a singleton for
-    a sequential machine) — bench provenance. *)
-
-val at_global : t -> int -> (unit -> unit) -> unit
-(** [at_global t time fn] schedules a machine-global callback at
-    absolute cycle [time]: plain [Sim.at] on a sequential machine, the
-    coordinator's barrier agenda on a sharded one — in both cases it
-    runs after every event before [time] and before any event at or
-    after it, provided it is registered at setup (before {!run}).  The
-    workload driver's warmup snapshot goes through here. *)
+(** [events_fired t] is the total events executed so far. *)

@@ -29,12 +29,6 @@ type t = {
   words_c : Stats.counter;
   messages_c : Stats.counter;
   contended_c : Stats.counter;
-  (* When set, every send is queued into the coordinator's mailboxes for
-     the barrier merge instead of being scheduled on [sim] — same-shard
-     sends included, so event ordering keys do not depend on the
-     partition (see {!Cm_engine.Shard}).  [sim] is then shard 0's and is
-     only used for handler registration. *)
-  mutable shard_ : Shard.t option;
 }
 
 let create ?(contention = false) ?(link_bandwidth = 1) ~sim ~topo ~costs ~stats () =
@@ -63,12 +57,7 @@ let create ?(contention = false) ?(link_bandwidth = 1) ~sim ~topo ~costs ~stats 
     words_c = Stats.counter stats "net.words";
     messages_c = Stats.counter stats "net.messages";
     contended_c = Stats.counter stats "net.contended_cycles";
-    shard_ = None;
   }
-
-let set_shard t sh =
-  if t.contention then invalid_arg "Network.set_shard: contention model is not shardable";
-  t.shard_ <- Some sh
 
 let kind t name =
   match Hashtbl.find_opt t.kinds name with
@@ -134,33 +123,14 @@ let accounted_latency t ~now ~src ~dst ~words ~kind =
   latency
 
 let send_k t ~src ~dst ~words ~kind deliver =
-  match t.shard_ with
-  | None ->
-    let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
-    Sim.after t.sim latency deliver;
-    latency
-  | Some sh ->
-    let sim = Shard.sim_of_proc sh src in
-    let send = Sim.now sim in
-    let latency = accounted_latency t ~now:send ~src ~dst ~words ~kind in
-    let seq = Sim.take_send_seq sim in
-    Shard.push sh ~time:(send + latency) ~send ~seq ~src ~dst ~hid:(-1) ~arg:0 deliver;
-    latency
+  let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
+  Sim.after t.sim latency deliver;
+  latency
 
 let post_k t ~src ~dst ~words ~kind ~hid ~arg =
-  match t.shard_ with
-  | None ->
-    let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
-    Sim.post_after t.sim ~delay:latency hid arg;
-    latency
-  | Some sh ->
-    let sim = Shard.sim_of_proc sh src in
-    let send = Sim.now sim in
-    let latency = accounted_latency t ~now:send ~src ~dst ~words ~kind in
-    let seq = Sim.take_send_seq sim in
-    Shard.push sh ~time:(send + latency) ~send ~seq ~src ~dst ~hid:(Sim.hid_index hid) ~arg
-      Shard.no_fn;
-    latency
+  let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
+  Sim.post_after t.sim ~delay:latency hid arg;
+  latency
 
 let send t ~src ~dst ~words ~kind:name deliver = send_k t ~src ~dst ~words ~kind:(kind t name) deliver
 

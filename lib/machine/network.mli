@@ -67,13 +67,6 @@ val send_k :
   t -> src:int -> dst:int -> words:int -> kind:kind -> (unit -> unit) -> int
 (** [send_k] is {!send} with a pre-interned kind. *)
 
-val accounted_latency : t -> now:int -> src:int -> dst:int -> words:int -> kind:kind -> int
-(** [accounted_latency t ~now ~src ~dst ~words ~kind] is the latency a
-    message sent now would be assigned, {e with} its traffic accounted
-    (both send entry points call this; tests use it to cross-check
-    {!Topology.min_positive_latency}).  [now] only timestamps the trace
-    line. *)
-
 val post_k :
   t -> src:int -> dst:int -> words:int -> kind:kind -> hid:Sim.hid -> arg:int -> int
 (** [post_k] is {!send_k} with the delivery routed through a handler
@@ -82,14 +75,6 @@ val post_k :
     nothing — the event record is pooled and the handler receives [arg]
     (conventionally the destination processor).  The zero-allocation path
     for per-message hot senders such as the coherence controllers. *)
-
-val set_shard : t -> Shard.t -> unit
-(** [set_shard t sh] routes every subsequent send — same-shard ones
-    included, so ordering keys are partition-invariant — into [sh]'s
-    mailboxes for the barrier merge instead of scheduling on the
-    construction sim.  Called once by {!Machine.create} when sharding;
-    raises [Invalid_argument] if [t] models contention (store-and-forward
-    link state is inherently cross-shard). *)
 
 val total_words : t -> int
 (** [total_words t] is the number of words (payload + headers) injected so

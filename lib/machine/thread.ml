@@ -382,11 +382,10 @@ let while_ cond body =
     let rec again () = if cond () then body c again else k () in
     body c again
 
-(* Same loop, but the condition sees the thread's context: on a sharded
-   machine "the current cycle" is the executing processor's shard clock
-   ([Processor.sim (Frame.proc c)]), which a [unit -> bool] condition
-   cannot reach.  The continuation structure is identical to [while_] —
-   no suspension added or removed, digests unchanged. *)
+(* Same loop, but the condition sees the thread's context (for example
+   its current processor, [Frame.proc c]), which a [unit -> bool]
+   condition cannot reach.  The continuation structure is identical to
+   [while_] — no suspension added or removed, digests unchanged. *)
 let while_ctx cond body c k =
   let rec again () = if cond c then body c again else k () in
   body c again

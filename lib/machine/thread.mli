@@ -163,10 +163,8 @@ val while_ : (unit -> bool) -> unit t -> unit t
 val while_ctx : (ctx -> bool) -> unit t -> unit t
 (** [while_ctx cond body] is {!while_} with the condition given the
     thread's context, so it can consult the thread's current processor
-    ({!Frame.proc}) — on a sharded machine that processor's simulator
-    holds the thread's current cycle, where the machine-global clock is
-    only advanced at run end.  As with a [while_] whose condition held
-    at construction, the first iteration runs unconditionally. *)
+    ({!Frame.proc}).  As with a [while_] whose condition held at
+    construction, the first iteration runs unconditionally. *)
 
 val ignore_m : 'a t -> unit t
 (** [ignore_m m] runs [m] and discards its result. *)

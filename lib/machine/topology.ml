@@ -91,27 +91,3 @@ let mean_hops t =
 
 let kind_name t =
   match t.shape with Mesh -> "mesh" | Torus -> "torus" | Crossbar -> "crossbar"
-
-(* Out of line: a non-positive bound means conservative parallel windows
-   cannot make progress, and the caller must refuse sharding rather than
-   deadlock or corrupt digests. *)
-let[@inline never] raise_non_positive t l =
-  invalid_arg
-    (Printf.sprintf
-       "Topology.min_positive_latency: %s of %d has minimum link latency %d <= 0 — no \
-        conservative lookahead exists; run with --shards 1"
-       (kind_name t) t.size l)
-
-let min_positive_latency t costs =
-  (* The smallest delay any message between two processors can have.
-     Latency is monotone in hops and payload words, and loopback sends
-     (src = dst, 0 hops) do occur — always-migrate policies travel to
-     the local processor — so the minimum over all ordered pairs is the
-     zero-hop, zero-payload transit: header words only.  [hops] is 0 for
-     every shape at src = dst, making the bound shape-independent today;
-     it is still computed through [Costs.transit] so a cost table with
-     zero header and zero base is caught here rather than corrupting a
-     sharded run. *)
-  let l = Costs.transit costs ~hops:0 ~words:0 in
-  if l <= 0 then raise_non_positive t l;
-  l

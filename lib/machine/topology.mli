@@ -36,12 +36,3 @@ val mean_hops : t -> float
 
 val kind_name : t -> string
 (** [kind_name t] is ["mesh"], ["torus"] or ["crossbar"]. *)
-
-val min_positive_latency : t -> Costs.t -> int
-(** [min_positive_latency t costs] is the conservative lookahead bound
-    for parallel simulation: no message between any two processors
-    (loopback included) arrives in fewer cycles than this.  Equal to the
-    minimum of {!Network.accounted_latency} over all ordered (src, dst)
-    pairs at zero payload words.  Raises [Invalid_argument] when the
-    bound is not positive (a lookahead-free cost table cannot be sharded
-    — see {!Cm_engine.Shard}). *)

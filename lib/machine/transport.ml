@@ -44,7 +44,6 @@ type t = {
   costs : Costs.t;
   net : Network.t;
   n_procs : int;
-  sharded : bool;  (* fault injection draws/timers are single-sim only *)
   spawn : on:int -> unit Thread.t -> unit;
   eng : Thread.engine;  (* the owning machine's engine: faults force CPS *)
   xstats : Stats.t;
@@ -146,11 +145,6 @@ end
    and the original per-suspension closures reproduce that behavior
    exactly, where a shared frame slot would misdirect the second call. *)
 let configure_faults t ~seed specs =
-  (* The fault path draws from one rng in global send order and parks
-     delayed deliveries on one sim's timers — both meaningless when
-     sends fan out over shards. *)
-  if t.sharded && specs <> [] then
-    invalid_arg "Transport.configure_faults: fault injection is not shardable; use ~shards:1";
   t.fault_specs <- specs;
   t.faults_on <- specs <> [];
   t.fault_gen <- t.fault_gen + 1;
@@ -323,7 +317,7 @@ let af_arrive t slot =
   else if code = 1 then (Obj.obj fn : Obj.t -> unit) arg
   else deliver_payload t k ~dst ~words arg
 
-let create ~sharded ~sim ~costs ~net ~procs ~spawn ~eng =
+let create ~sim ~costs ~net ~procs ~spawn ~eng =
   let self = ref None in
   let t =
     {
@@ -331,7 +325,6 @@ let create ~sharded ~sim ~costs ~net ~procs ~spawn ~eng =
       costs;
       net;
       n_procs = Array.length procs;
-      sharded;
       spawn;
       eng;
       xstats = Stats.create ();

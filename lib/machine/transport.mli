@@ -32,7 +32,6 @@ type t
     (see [Machine.transport]). *)
 
 val create :
-  sharded:bool ->
   sim:Sim.t ->
   costs:Costs.t ->
   net:Network.t ->
@@ -47,10 +46,7 @@ val create :
     machine's thread engine: arming fault injection forces its threads
     onto the CPS reference paths (a duplicated delivery may fire a
     resumption twice, which shared frame slots cannot represent), and
-    disarming restores them.  [sharded] marks the owning machine as
-    shard-partitioned: fault injection then refuses to arm
-    (its rng draws in global send order and its delay timers live on one
-    sim). *)
+    disarming restores them. *)
 
 (** {1 Message kinds and endpoints} *)
 
@@ -222,8 +218,7 @@ val configure_faults : t -> seed:int -> (string * fault) list -> unit
     named in [specs] (by label; kinds not listed are unaffected).
     Decisions are drawn from a fresh generator seeded with [seed], in
     send order — same seed, same workload ⇒ same faults.  Replaces any
-    previous configuration.  Raises [Invalid_argument] on a sharded
-    machine (non-empty [specs] only). *)
+    previous configuration. *)
 
 val clear_faults : t -> unit
 (** Disarm fault injection (restores the zero-overhead path). *)

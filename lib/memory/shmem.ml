@@ -117,13 +117,6 @@ let wp_alloc wp =
 let unallocated = { home = -1; dstate = Uncached; mem = [||]; busy_until = 0 }
 
 let create ?(config = default_config) machine =
-  (* Every miss walks the global directory (lines/caches) synchronously
-     from the faulting processor's event — cross-shard windows would
-     interleave those walks differently at different shard counts. *)
-  if Machine.shards machine > 1 then
-    invalid_arg
-      "Shmem.create: coherent shared memory serializes on a machine-global directory and is \
-       not shardable; create the machine with ~shards:1";
   let caches =
     Array.init (Machine.n_procs machine) (fun _ ->
         Cache.create ~n_slots:config.cache_slots ~line_words:config.line_words

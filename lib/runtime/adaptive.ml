@@ -28,13 +28,6 @@ type t = {
 }
 
 let create rt ?(threshold = 1.0) ?(explore = 6) () =
-  (* Site estimates update in global call order and steer later
-     decisions — cross-shard calls would sample in window order, not
-     event order, shifting decisions with the shard count. *)
-  if Machine.shards (Runtime.machine rt) > 1 then
-    invalid_arg
-      "Adaptive.create: online estimators learn from machine-global call order and are not \
-       shardable; create the machine with ~shards:1";
   { rt; threshold; explore; sites = []; next_site = 0; logs = Hashtbl.create 16;
     migrations = 0; rpcs = 0 }
 

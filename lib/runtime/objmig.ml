@@ -53,12 +53,6 @@ let rs_release t slot =
   t.rs_free_top <- t.rs_free_top + 1
 
 let create rt space ~words_of =
-  (* The object space and its location table are machine-global mutable
-     state read synchronously from every caller's event. *)
-  if Machine.shards (Runtime.machine rt) > 1 then
-    invalid_arg
-      "Objmig.create: the migrating-object space is machine-global mutable state and is not \
-       shardable; create the machine with ~shards:1";
   let tp = Runtime.transport rt in
   (* Requests, forwards and state transfers all carry the computation to
      run at the destination as their payload; any processor can host an

@@ -21,15 +21,12 @@ let run machine spec request =
   let misses_at_warmup = ref 0 in
   let net = machine.Machine.net in
   let stats = machine.Machine.stats in
-  Machine.at_global machine spec.warmup (fun () ->
+  Sim.at machine.Machine.sim spec.warmup (fun () ->
       words_at_warmup := Network.total_words net;
       messages_at_warmup := Network.total_messages net;
       hits_at_warmup := Stats.get stats "cache.hits";
       misses_at_warmup := Stats.get stats "cache.misses");
-  (* "Now" for a running thread is its current processor's clock: the
-     same value [Machine.now] reads sequentially, and the only correct
-     one on a sharded machine (the thread may have migrated into a
-     shard whose window is ahead of the global clock). *)
+  (* "Now" for a running thread: its current processor's clock. *)
   let tnow c = Sim.now (Processor.sim (Thread.Frame.proc c)) in
   for i = 0 to spec.requesters - 1 do
     let req = request i in

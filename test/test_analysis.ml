@@ -206,6 +206,35 @@ let test_hot_alloc () =
   check_absent "closure indexed out of an array" ~rule:"hot-alloc" ~detail:"partial-apply"
     ~context:"spin_fn_read" fs
 
+(* A hot set naming a binding that does not exist (deleted or renamed)
+   must be reported, not silently ignored: otherwise the function falls
+   out of the zero-allocation floor unnoticed.  The same goes for a unit
+   of an indexed library that is gone.  Units of libraries outside the
+   linted roots are not flagged. *)
+let test_hot_alloc_stale_names () =
+  check_absent "every declared fixture name is bound" ~rule:"hot-alloc" ~detail:"stale-name"
+    (findings ());
+  let stale_hot =
+    hot_spec
+    @ [
+        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_hot"; s_names = [ "spin_closure"; "spin_gone" ] };
+        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_gone"; s_names = [ "spin" ] };
+        { Hot_alloc.s_unit = "Cm_elsewhere.Unit"; s_names = [ "spin" ] };
+      ]
+  in
+  let fs = (Driver.run { config with Driver.hot = stale_hot }).Driver.findings in
+  (match find_all ~rule:"hot-alloc" ~detail:"stale-name" ~context:"Fixture_hot" fs with
+  | [ f ] ->
+    Alcotest.(check string) "reported in the unit's source" "fixture_hot.ml"
+      (Filename.basename f.Finding.file);
+    Alcotest.(check bool) "names the missing binding" true (contains f.Finding.msg "spin_gone");
+    Alcotest.(check bool) "bound names are not stale" false (contains f.Finding.msg "spin_closure")
+  | fs' -> Alcotest.failf "expected one stale-name finding for Fixture_hot, got %d" (List.length fs'));
+  check_found "missing unit of an indexed library" ~file:"fixture_gone.ml" ~rule:"hot-alloc"
+    ~detail:"stale-name" ~context:"Lint_fixtures.Fixture_gone" fs;
+  check_absent "library outside the roots" ~rule:"hot-alloc" ~detail:"stale-name"
+    ~context:"Cm_elsewhere" fs
+
 (* ------------------------------------------------------------------ *)
 (* Output order, JSON, baseline                                       *)
 (* ------------------------------------------------------------------ *)
@@ -283,7 +312,11 @@ let () =
           Alcotest.test_case "escape hatches" `Quick test_suppressions;
           Alcotest.test_case "misuse audit" `Quick test_suppression_audit;
         ] );
-      ("hot-alloc", [ Alcotest.test_case "custom hot-set" `Quick test_hot_alloc ]);
+      ( "hot-alloc",
+        [
+          Alcotest.test_case "custom hot-set" `Quick test_hot_alloc;
+          Alcotest.test_case "stale hot-set names" `Quick test_hot_alloc_stale_names;
+        ] );
       ( "output",
         [
           Alcotest.test_case "stable sort" `Quick test_sorted;
