@@ -21,20 +21,20 @@ let quick_arg =
   let doc = "Run with reduced horizons and fewer sweep points (for smoke tests)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Run sweep points on $(docv) domains (default: the $(b,CM_JOBS) environment variable, \
-     or 1).  Output is byte-identical to -j 1."
+(* A job count is an integer >= 1, from -j or CM_JOBS alike: anything
+   else is a usage error naming that range, not a silent 1. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid job count %S: expected an integer >= 1" s))
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-let effective_jobs = function
-  | Some n -> max 1 n
-  | None -> (
-    match Sys.getenv_opt "CM_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | Some _ | None -> 1)
-    | None -> 1)
+let jobs_arg =
+  let doc = "Run sweep points on $(docv) >= 1 domains.  Output is byte-identical to -j 1." in
+  let env = Cmd.Env.info "CM_JOBS" ~doc:"Job count used when $(b,-j) is not given." in
+  Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)
 
 (* Run [f] with a pool of [jobs] domains (none when sequential), always
    shut down afterwards. *)
@@ -51,7 +51,7 @@ let experiment_cmd entry =
     (Cmd.info entry.Registry.id ~doc)
     Term.(
       const (fun quick jobs ->
-          with_pool (effective_jobs jobs) (fun pool -> Registry.run ~quick ?pool entry))
+          with_pool jobs (fun pool -> Registry.run ~quick ?pool entry))
       $ quick_arg $ jobs_arg)
 
 let all_cmd =
@@ -59,7 +59,7 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
       const (fun quick jobs ->
-          with_pool (effective_jobs jobs) (fun pool -> Registry.run_all ~quick ?pool ()))
+          with_pool jobs (fun pool -> Registry.run_all ~quick ?pool ()))
       $ quick_arg $ jobs_arg)
 
 let list_cmd =
@@ -168,7 +168,7 @@ let rec first_diff i a b =
 let selfcheck full jobs =
   let quick = not full in
   let failures = ref 0 in
-  with_pool (effective_jobs jobs) (fun pool ->
+  with_pool jobs (fun pool ->
       List.iter
         (fun entry ->
           let id = entry.Registry.id in
@@ -222,12 +222,21 @@ let selfcheck_cmd =
   in
   Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg)
 
+(* Cmdliner reads "-j -3" as two options; glue a negative count to its
+   flag so it reaches [jobs_conv] and is refused with the valid range. *)
+let rec glue_negative_jobs = function
+  | ("-j" | "--jobs") :: v :: rest when String.length v > 1 && v.[0] = '-' && v.[1] <> '-' ->
+    ("--jobs=" ^ v) :: glue_negative_jobs rest
+  | a :: rest -> a :: glue_negative_jobs rest
+  | [] -> []
+
 let () =
   let doc = "Reproduce the evaluation of Hsieh/Wang/Weihl, PPoPP 1993" in
   let info = Cmd.info "repro" ~version:"1.0" ~doc in
   let default = Term.(ret (const (fun _ -> `Help (`Pager, None)) $ const ())) in
+  let argv = Array.of_list (glue_negative_jobs (Array.to_list Sys.argv)) in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv
        (Cmd.group ~default info
           ([ all_cmd; list_cmd; custom_cmd; selfcheck_cmd ]
           @ List.map experiment_cmd Registry.all)))

@@ -55,12 +55,15 @@ let default =
        injection, where their per-step closures are accepted — so they
        left the declared hot set when the per-object consumers migrated
        to frames (PR 10).  What is hot now is the frame machinery
-       itself: the travel steps and the m-lane register accessors the
-       fused method sites write through. *)
+       itself: the travel steps, the m-lane register accessors the
+       fused method sites write through, and context recycling — every
+       RPC's server thread exits into [recycle] and the next one is
+       spawned through [reuse]. *)
     {
       s_unit = "Cm_machine.Thread";
       s_names =
         [ "return"; "travel_k"; "travel"; "frame_travel"; "yield"; "sleep"; "compute";
+          "recycling"; "recycle"; "reuse";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
           "setms"; "getms"; "setmv"; "getmv" ];
@@ -108,7 +111,8 @@ let default =
     (* The per-op samplers both bench arms share: a boxed draw here taxes
        fused and generic alike and masks the A/B ratio (the PR 10 limb
        rewrite of Rng exists precisely to keep these clean). *)
-    { s_unit = "Cm_engine.Rng"; s_names = [ "step"; "int"; "bits53"; "float"; "bool" ] };
+    { s_unit = "Cm_engine.Rng";
+      s_names = [ "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };
   ]
 

@@ -74,6 +74,13 @@ let split t =
   step t;
   { hi = t.z_hi; lo = t.z_lo; z_hi = 0; z_lo = 0 }
 
+let split_into t dst =
+  step t;
+  dst.hi <- t.z_hi;
+  dst.lo <- t.z_lo;
+  dst.z_hi <- 0;
+  dst.z_lo <- 0
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Take the high 62 bits (they fit a non-negative OCaml int) modulo the

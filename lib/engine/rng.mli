@@ -16,6 +16,12 @@ val split : t -> t
     Used to give each simulated thread its own stream so that adding a
     consumer does not perturb the draws seen by others. *)
 
+val split_into : t -> t -> unit
+(** [split_into t dst] reseeds [dst] in place as [split t] would seed a
+    fresh generator, advancing [t] identically: afterwards [dst] draws
+    exactly the stream [split t] would have returned.  Allocates
+    nothing (a recycled thread context reuses its stream record). *)
+
 val int64 : t -> int64
 (** [int64 t] is the next raw 64-bit output. *)
 

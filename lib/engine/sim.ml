@@ -163,6 +163,8 @@ let handler t f =
   t.n_handlers <- t.n_handlers + 1;
   t.n_handlers - 1
 
+let handler_count t = t.n_handlers
+
 (* --- event pool ----------------------------------------------------- *)
 
 let grow_pool t =

@@ -53,6 +53,10 @@ val handler : t -> (int -> unit) -> hid
 (** [handler t f] registers [f] in [t]'s handler table (typically once,
     at subsystem construction) and returns its id. *)
 
+val handler_count : t -> int
+(** [handler_count t] is the number of handlers ever registered with [t]
+    (slots are never freed, so this is also the table's size). *)
+
 val nil_handler : hid
 (** A handler id registered with no simulator, for initializing slots
     before the real registration happens (knot-tying constructors).

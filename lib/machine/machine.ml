@@ -78,7 +78,7 @@ let proc t i =
 let spawn t ~on ?on_exit body =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  Thread.spawn ~tid ~rng:(Rng.split t.rng) ?on_exit ~engine:t.eng (proc t on) body
+  Thread.spawn ~tid ~split:t.rng ?on_exit ~engine:t.eng (proc t on) body
 
 let transport t =
   match t.transport_ with

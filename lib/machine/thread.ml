@@ -30,21 +30,24 @@ open Cm_engine
      misdirect the second call at whatever the thread blocked on next —
      the CPS closures reproduce the original (per-suspension) behavior
      exactly.  [Transport.configure_faults] flips the machine's engine
-     off and [clear_faults] restores it. *)
-
-type engine = { mutable frames_ok : bool; frames_wanted : bool }
-
-let cps_engine () = { frames_ok = false; frames_wanted = false }
-
-let frames_engine () = { frames_ok = true; frames_wanted = true }
-
-let disable_frames e = e.frames_ok <- false
-
-let restore_frames e = e.frames_ok <- e.frames_wanted
-
-let frames_enabled e = e.frames_ok
+     off and [clear_faults] restores it (but not context recycling,
+     which stays off for the machine's life: see [recycle]). *)
 
 let obj_unit : Obj.t = Obj.repr 0
+
+type engine = {
+  mutable frames_ok : bool;
+  frames_wanted : bool;
+  (* Sticky: set the first time faults are armed.  A duplicated or late
+     CPS delivery may still reach the context of a thread that has
+     exited, so from then on no context of this machine is recycled. *)
+  mutable tainted : bool;
+  (* Contexts of exited threads, ready for reuse: a stack in
+     [free.(0 .. n_free - 1)] (see [recycle]/[reuse]). *)
+  mutable free : ctx array;
+  mutable n_free : int;
+  mutable created : int;  (* contexts allocated, recycled or not *)
+}
 
 (* Field order is load-bearing for performance only: OCaml lays record
    fields out in declaration order, and a steady-state suspension touches
@@ -52,7 +55,7 @@ let obj_unit : Obj.t = Obj.repr 0
    scheduler closures — putting those first packs the whole hot set into
    the record's leading cache lines.  Cold identity/bookkeeping fields
    trail. *)
-type ctx = {
+and ctx = {
   mutable location : Processor.t;
   eng : engine;
   (* Defunctionalized continuation frame.  A thread is sequential, so at
@@ -100,11 +103,41 @@ type ctx = {
   mutable f_mi4 : int;
   mutable f_ms : Obj.t;
   mutable f_mv : Obj.t;
-  thread_id : int;
-  stream : Rng.t;
-  exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
+  mutable thread_id : int;
+  mutable stream : Rng.t;
+  mutable exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
   mutable run_exit : Obj.t -> unit;
 }
+
+let new_engine frames =
+  { frames_ok = frames; frames_wanted = frames; tainted = false; free = [||]; n_free = 0;
+    created = 0 }
+
+let cps_engine () = new_engine false
+
+let frames_engine () = new_engine true
+
+(* Arming faults taints the engine for good and drops its pool: see the
+   [tainted] field. *)
+let disable_frames e =
+  e.frames_ok <- false;
+  e.tainted <- true;
+  e.free <- [||];
+  e.n_free <- 0
+
+let restore_frames e = e.frames_ok <- e.frames_wanted
+
+let frames_enabled e = e.frames_ok
+
+let contexts_created e = e.created
+
+let contexts_pooled e = e.n_free
+
+(* A context may be recycled (at exit) or reused (at spawn) only on the
+   frame engine of a machine that never armed faults, with the
+   sanitizers off: under [Check] the CPS reference paths and their
+   one-shot tokens run exactly as before. *)
+let recycling e = e.frames_ok && (not e.tainted) && not (Check.enabled ())
 
 let nop_op (_ : ctx) = ()
 
@@ -271,24 +304,77 @@ let start_step c =
   c.f_k <- obj_unit;
   body c fin
 
-(* Tid assignment belongs to the machine instance (Machine.spawn numbers
-   threads from a per-machine counter): a process-global fallback here
-   used to bleed tids — and with them the default RNG seeds — from one
-   run into the next within a process, and would race across pool
-   domains.  Callers now always say which tid they mean. *)
-let spawn ~tid ?rng ?on_exit ?engine p body =
-  let thread_id = tid in
-  let stream = match rng with Some r -> r | None -> Rng.create ~seed:(thread_id + 1) in
-  let eng = match engine with Some e -> e | None -> frames_engine () in
-  let exit_fn =
-    match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
-  in
+(* --- context recycling ------------------------------------------------
+
+   A thread's context outlives the thread only as garbage: once its
+   final continuation has run, nothing may resume it (a thread is
+   sequential, and on the frame engine without faults every resumption
+   it handed out has fired exactly once).  So the context goes on its
+   engine's free stack at exit, and the next spawn on the same machine
+   rebinds it instead of allocating a record, three closures and a
+   [Sim] handler.  Handler ids never enter event ordering, tids still
+   come from the caller and streams from [Rng.split], so recycling is
+   invisible to every digest. *)
+
+let grow_free e c =
+  let a = Array.make (max 8 (2 * Array.length e.free)) c in
+  Array.blit e.free 0 a 0 e.n_free;
+  e.free <- a
+
+(* Exit side: clear every slot that could keep garbage alive, then push. *)
+let recycle c =
+  let e = c.eng in
+  if recycling e then begin
+    c.f_op <- nop_op;
+    c.f_kop <- nop_kop;
+    c.f_k <- obj_unit;
+    c.f_v0 <- obj_unit;
+    c.f_v1 <- obj_unit;
+    c.f_v2 <- obj_unit;
+    c.f_v3 <- obj_unit;
+    c.f_after <- nop_op;
+    c.f_after2 <- nop_op;
+    c.f_ms <- obj_unit;
+    c.f_mv <- obj_unit;
+    (* The int slots too, so a reused context is field for field a fresh
+       one apart from its identity, closures and handler id. *)
+    c.f_i0 <- 0;
+    c.f_i1 <- 0;
+    c.f_i2 <- 0;
+    c.f_i3 <- 0;
+    c.f_mi0 <- 0;
+    c.f_mi1 <- 0;
+    c.f_mi2 <- 0;
+    c.f_mi3 <- 0;
+    c.f_mi4 <- 0;
+    c.exit_fn <- default_exit;
+    if e.n_free = Array.length e.free then grow_free e c;
+    Array.unsafe_set e.free e.n_free c;
+    e.n_free <- e.n_free + 1
+  end
+
+(* Spawn side: pop the newest recycled context and rebind its identity.
+   The preallocated closures and the handler id stay.  Precondition:
+   [e.n_free > 0]. *)
+let reuse e ~tid ~split ~exit_fn p =
+  let i = e.n_free - 1 in
+  let c = Array.unsafe_get e.free i in
+  e.n_free <- i;
+  c.thread_id <- tid;
+  c.location <- p;
+  c.f_dst <- p;
+  Rng.split_into split c.stream;
+  c.exit_fn <- exit_fn;
+  c
+
+let fresh e ~tid ~split ~exit_fn p =
+  e.created <- e.created + 1;
   let c =
     {
-      thread_id;
+      thread_id = tid;
       location = p;
-      stream;
-      eng;
+      stream = Rng.split split;
+      eng = e;
       exit_fn;
       f_op = nop_op;
       f_kop = nop_kop;
@@ -323,7 +409,24 @@ let spawn ~tid ?rng ?on_exit ?engine p body =
   c.run_exit <-
     (fun v ->
       c.exit_fn v;
-      Processor.release c.location);
+      Processor.release c.location;
+      recycle c);
+  c
+
+(* Tid assignment belongs to the machine instance (Machine.spawn numbers
+   threads from a per-machine counter): a process-global fallback here
+   used to bleed tids — and with them the default RNG seeds — from one
+   run into the next within a process, and would race across pool
+   domains.  Callers now always say which tid they mean. *)
+let spawn ~tid ~split ?on_exit ?engine p body =
+  let e = match engine with Some e -> e | None -> frames_engine () in
+  let exit_fn =
+    match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
+  in
+  let c =
+    if e.n_free > 0 && recycling e then reuse e ~tid ~split ~exit_fn p
+    else fresh e ~tid ~split ~exit_fn p
+  in
   let finish : Obj.t -> unit =
     if Check.enabled () then
       guard "Thread.spawn exit" c (fun v ->

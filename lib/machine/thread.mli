@@ -39,12 +39,24 @@ val cps_engine : unit -> engine
 (** A fresh engine forcing the CPS reference paths. *)
 
 val disable_frames : engine -> unit
-(** Dynamically force the CPS paths (used while faults are armed). *)
+(** Dynamically force the CPS paths (used while faults are armed).  It
+    also stops context recycling for good: a duplicated or late CPS
+    delivery may still reach an exited thread's context, which therefore
+    must never be rebound to a new thread. *)
 
 val restore_frames : engine -> unit
 (** Undo {!disable_frames}, restoring the engine's configured variant. *)
 
 val frames_enabled : engine -> bool
+
+val contexts_created : engine -> int
+(** Thread contexts allocated so far by spawns on this engine.  An
+    exited thread's context is recycled for the next spawn on the same
+    machine (frame engine, sanitizers off, faults never armed), so after
+    warm-up this stays at the peak number of live threads. *)
+
+val contexts_pooled : engine -> int
+(** Recycled contexts currently waiting for a spawn. *)
 
 type 'a t = ctx -> ('a -> unit) -> unit
 (** A computation producing an ['a], parameterized by the thread context
@@ -71,7 +83,9 @@ val proc : Processor.t t
 (** The processor the thread is currently running on. *)
 
 val rng : Rng.t t
-(** The thread's private random stream. *)
+(** The thread's private random stream.  It belongs to the thread: an
+    exited thread's context, stream included, is reseeded for a later
+    thread, so the stream must not be used after its thread exits. *)
 
 (** {1 Time and scheduling} *)
 
@@ -129,7 +143,7 @@ val travel_k :
 
 val spawn :
   tid:int ->
-  ?rng:Rng.t ->
+  split:Rng.t ->
   ?on_exit:('a -> unit) ->
   ?engine:engine ->
   Processor.t ->
@@ -142,10 +156,13 @@ val spawn :
     per-machine counter), never by process-global state, so tids — and
     the default per-thread RNG seeds derived from them — restart at
     every [Machine.create] and cannot bleed across runs or domains.
-    When [rng] is omitted the stream is seeded with [tid + 1].  [engine]
-    selects the execution engine (a fresh frame engine when omitted);
+    The thread's stream is the next [Rng.split split].  [engine] selects
+    the execution engine (a fresh frame engine when omitted);
     [Machine.spawn] passes its machine's engine so fault gating applies
-    to every thread of the machine. *)
+    to every thread of the machine, and so exited threads' contexts are
+    recycled per machine (see {!contexts_created}).  An engine belongs
+    to one machine: its recycled contexts hold handler ids of that
+    machine's simulator. *)
 
 (** {1 Combinators} *)
 

@@ -52,10 +52,11 @@ type t = {
   mutable fault_specs : (string * fault) list;
   mutable fault_gen : int;
   mutable frng : Rng.t;
-  (* Timers of fault-delayed deliveries still pending, newest first,
-     with the owning kind's dropped counter (a cancelled delivery counts
-     as dropped so the in-flight accounting stays closed). *)
-  mutable delay_timers : (Sim.token * Stats.counter) list;
+  (* Timers of fault-delayed deliveries still pending, with the owning
+     kind's dropped counter (a cancelled delivery counts as dropped so
+     the in-flight accounting stays closed).  A timer removes its own
+     entry when it fires, so only pending delays are held. *)
+  delay_timers : (Sim.token, Stats.counter) Hashtbl.t;
   (* Pooled arrival frames: with faults off, every dispatch/signal
      arrival is an int slot posted through [arrive_hid] — the per-message
      arrive closure of the original path, defunctionalized.  [af_code]
@@ -174,6 +175,19 @@ let fault_hits t p = p > 0.0 && Rng.float t.frng 1.0 < p
 (* Transmission                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The extra delay leg of a fault-delayed delivery is a cancellable
+   timer, so timeout and retry logic (and tests) can revoke a delivery
+   that is still stuck in the delay stage. *)
+let delay_leg t ~extra ~dropped_c arrive =
+  let tok = ref None in
+  let fire () =
+    Option.iter (Hashtbl.remove t.delay_timers) !tok;
+    arrive ()
+  in
+  let token = Sim.timer t.sim ~delay:extra fire in
+  tok := Some token;
+  Hashtbl.replace t.delay_timers token dropped_c
+
 (* Send one [k] message; [deliver] runs at arrival, after the delivery
    counters are bumped.  Returns the wire latency ([0] for a dropped
    message).  This is the fault/general path — the fault-free senders
@@ -200,12 +214,7 @@ let transmit t (k : _ kind) ~src ~dst ~words deliver =
             Stats.Counter.incr k.ctrs.delayed_c;
             let extra = f.delay_cycles in
             let dropped_c = k.ctrs.dropped_c in
-            (* The extra delay leg is a cancellable timer, so timeout and
-               retry logic (and tests) can revoke a delivery that is
-               still stuck in the delay stage. *)
-            fun () ->
-              let tok = Sim.timer t.sim ~delay:extra arrive in
-              t.delay_timers <- (tok, dropped_c) :: t.delay_timers
+            fun () -> delay_leg t ~extra ~dropped_c arrive
           end
           else arrive
         in
@@ -333,7 +342,7 @@ let create ~sim ~costs ~net ~procs ~spawn ~eng =
       fault_specs = [];
       fault_gen = 0;
       frng = Rng.create ~seed:0;
-      delay_timers = [];
+      delay_timers = Hashtbl.create 8;
       af_kind = Array.make 16 obj_unit;
       af_fn = Array.make 16 obj_unit;
       af_arg = Array.make 16 obj_unit;
@@ -402,10 +411,13 @@ let inject t k ~src ~dst ~words =
   end
   else transmit t k ~src ~dst ~words ignore
 
+let pending_delays t = Hashtbl.length t.delay_timers
+
+(* Order-free: each entry cancels its own timer and bumps a counter. *)
 let cancel_pending_delays t =
   let cancelled =
-    List.fold_left
-      (fun acc (tok, dropped_c) ->
+    Hashtbl.fold (* lint: allow hashtbl-order *)
+      (fun tok dropped_c acc ->
         if Sim.cancel t.sim tok then begin
           (* The delivery will never happen: account it as dropped so
              [inflight]/[check_all_delivered] stay closed. *)
@@ -413,9 +425,9 @@ let cancel_pending_delays t =
           acc + 1
         end
         else acc)
-      0 t.delay_timers
+      t.delay_timers 0
   in
-  t.delay_timers <- [];
+  Hashtbl.reset t.delay_timers;
   cancelled
 
 (* ------------------------------------------------------------------ *)

@@ -233,6 +233,11 @@ val cancel_pending_delays : t -> int
     {!check_all_delivered} consistent — the hook timeout/retry logic
     builds on. *)
 
+val pending_delays : t -> int
+(** Fault-delayed deliveries still waiting out their extra delay: a
+    delay timer forgets itself when it fires, so once every delayed
+    delivery has arrived this is 0. *)
+
 (** {1 Delivery accounting}
 
     Counters live in a transport-owned {!Stats.t} registry under

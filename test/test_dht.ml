@@ -211,6 +211,54 @@ let prop_dht_matches_hashtbl =
       && Dht.contents table
          = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
 
+(* ------------------------------------------------------------------ *)
+(* Retention floor on the RPC path                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every RPC is served by a fresh thread.  Run the quick-size Zipf
+   table in RPC mode to two horizons and compare the live heap with each
+   machine still reachable: the longer run may hold only what its
+   pools grew to, not a thread context per served request. *)
+let live_words_after_rpc_run ~horizon =
+  let machine = Machine.create ~seed:42 ~n_procs:24 ~costs:Costs.software () in
+  let e = Sysenv.make machine in
+  let keys = 20_000 in
+  let table =
+    Dht.create e ~buckets:1_024 ~mode:(Dht.Messaging Cm_core.Prelude.Rpc)
+      ~node_procs:(Array.init 16 Fun.id) ()
+  in
+  for k = 0 to keys - 1 do
+    Dht.preload table ~key:k ~value:k
+  done;
+  let zipf = Cm_engine.Zipf.create ~s:1.3 ~n:keys in
+  let requests = ref 0 in
+  let request _i =
+    let* r = Thread.rng in
+    incr requests;
+    let key = Cm_engine.Zipf.sample zipf r in
+    if Cm_engine.Rng.int r 10 < 8 then Thread.ignore_m (Dht.get table key)
+    else Dht.put table ~key ~value:key
+  in
+  let (_ : Cm_workload.Metrics.t) =
+    Cm_workload.Driver.run machine
+      { Cm_workload.Driver.requesters = 8; first_proc = 16; think = 0; warmup = horizon / 5;
+        horizon }
+      request
+  in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity (machine, table));
+  (live, !requests)
+
+let test_rpc_retention_floor () =
+  let live1, req1 = live_words_after_rpc_run ~horizon:100_000 in
+  let live2, req2 = live_words_after_rpc_run ~horizon:400_000 in
+  Alcotest.(check bool) "the longer run served more requests" true (req2 > req1 + 1_000);
+  let per_request = float_of_int (live2 - live1) /. float_of_int (req2 - req1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f live words per extra request < 1" per_request)
+    true (per_request < 1.0)
+
 let () =
   Alcotest.run "cm_dht"
     [
@@ -230,4 +278,6 @@ let () =
           Alcotest.test_case "traffic near best" `Quick test_adaptive_traffic_between_static_extremes;
           Alcotest.test_case "sm warm gets free" `Quick test_sm_gets_use_no_bucket_cpu_after_warm;
         ] );
+      ( "retention",
+        [ Alcotest.test_case "rpc retention floor" `Quick test_rpc_retention_floor ] );
     ]

@@ -128,6 +128,23 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 5)
 
+let test_rng_split_into_matches_split () =
+  (* Reseeding a used record in place must equal a fresh split, draw for
+     draw, and advance the parent identically. *)
+  let a = Rng.create ~seed:19 and b = Rng.create ~seed:19 in
+  let reused = Rng.create ~seed:999 in
+  for _ = 1 to 37 do
+    ignore (Rng.int64 reused)
+  done;
+  for round = 1 to 100 do
+    let fresh = Rng.split a in
+    Rng.split_into b reused;
+    for _ = 1 to 100 do
+      Alcotest.(check int64) (Printf.sprintf "round %d" round) (Rng.int64 fresh) (Rng.int64 reused)
+    done
+  done;
+  Alcotest.(check int64) "parents advanced alike" (Rng.int64 a) (Rng.int64 b)
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create ~seed:13 in
   let a = Array.init 50 (fun i -> i) in
@@ -717,6 +734,7 @@ let () =
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "split_into matches split" `Quick test_rng_split_into_matches_split;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick member" `Quick test_rng_pick;
           Alcotest.test_case "limbs match Int64 reference" `Quick

@@ -685,6 +685,90 @@ let test_machine_proc_bounds () =
     (fun () -> ignore (Machine.proc m 4))
 
 (* ------------------------------------------------------------------ *)
+(* Context recycling                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Lift a side effect into a thread, between two suspensions. *)
+let lift f : unit Thread.t = fun _ k -> f (); k ()
+
+let test_recycled_tids_and_streams () =
+  (* A parent spawns 50 children one at a time, each exiting before the
+     next is spawned: every child after the first runs in a recycled
+     context, yet gets a fresh tid and exactly the stream a fresh
+     context would have had — the machine stream's next split. *)
+  let m = Machine.create ~seed:5 ~n_procs:2 ~costs:Costs.software () in
+  let mirror = Rng.create ~seed:5 in
+  let seen = ref [] in
+  let child =
+    let* tid = Thread.tid in
+    let* r = Thread.rng in
+    let draws = List.init 4 (fun _ -> Rng.int r 1_000_000) in
+    seen := (tid, draws) :: !seen;
+    Thread.compute 10
+  in
+  Machine.spawn m ~on:0
+    (Thread.repeat 50 (fun i ->
+         let* () = lift (fun () -> Machine.spawn m ~on:(i mod 2) child) in
+         Thread.sleep 1_000));
+  Machine.run m;
+  let _parent = Rng.split mirror in
+  let expected =
+    List.init 50 (fun i ->
+        let r = Rng.split mirror in
+        (i + 1, List.init 4 (fun _ -> Rng.int r 1_000_000)))
+  in
+  Alcotest.(check (list (pair int (list int)))) "fresh tids, split streams" expected
+    (List.rev !seen);
+  Alcotest.(check int) "parent + one child context" 2 (Thread.contexts_created m.Machine.eng);
+  Alcotest.(check int) "both pooled once drained" 2 (Thread.contexts_pooled m.Machine.eng)
+
+let test_recycled_on_exit () =
+  (* The second thread runs in the first one's context: its exit must
+     run its own callback, and the first callback must not run again. *)
+  let m = machine () in
+  let log = ref [] in
+  Machine.spawn m ~on:0 ~on_exit:(fun () -> log := "a" :: !log) (Thread.compute 5);
+  Machine.run m;
+  Machine.spawn m ~on:1 ~on_exit:(fun () -> log := "b" :: !log) (Thread.compute 5);
+  Machine.run m;
+  Machine.spawn m ~on:2 (Thread.compute 5);
+  Machine.run m;
+  Alcotest.(check (list string)) "each exit its own callback" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check int) "one context for three threads" 1 (Thread.contexts_created m.Machine.eng)
+
+let contexts_after_two_sequential_threads m =
+  Machine.spawn m ~on:0 (Thread.compute 5);
+  Machine.run m;
+  Machine.spawn m ~on:0 (Thread.compute 5);
+  Machine.run m;
+  Thread.contexts_created m.Machine.eng
+
+let test_no_recycling_after_faults () =
+  (* Arming faults taints the machine for good: clearing them restores
+     the frame engine but never context reuse. *)
+  let m = machine () in
+  let tp = Machine.transport m in
+  Transport.configure_faults tp ~seed:1 [ ("x", { Transport.no_fault with drop = 0.5 }) ];
+  Transport.clear_faults tp;
+  Alcotest.(check bool) "frames restored" true (Thread.frames_enabled m.Machine.eng);
+  Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads m);
+  Alcotest.(check int) "nothing pooled" 0 (Thread.contexts_pooled m.Machine.eng)
+
+let test_no_recycling_under_check () =
+  Check.set_enabled true;
+  Check.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Check.set_enabled false;
+      Check.reset ())
+    (fun () ->
+      Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads (machine ())))
+
+let test_no_recycling_on_cps () =
+  let m = Machine.create ~seed:1 ~engine:Machine.Cps ~n_procs:2 ~costs:Costs.software () in
+  Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads m)
+
+(* ------------------------------------------------------------------ *)
 (* Engine oracle: frames vs CPS                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -693,9 +777,18 @@ let test_machine_proc_bounds () =
    shape — compute, yield, sleep, await on an external event, travel —
    across several threads and processors, run once per engine, must
    produce equal machine digests (final clock, events fired, every
-   statistic). *)
+   statistic).  Spawning children mid-run and RPCs (each served by a
+   fresh thread) make threads exit and later spawns run in recycled
+   contexts on the frame engine, which the CPS engine never does. *)
 
-type oracle_op = O_compute of int | O_yield | O_sleep of int | O_travel of int | O_await of int
+type oracle_op =
+  | O_compute of int
+  | O_yield
+  | O_sleep of int
+  | O_travel of int
+  | O_await of int
+  | O_spawn of int * int  (* on, work *)
+  | O_rpc of int * int  (* dst, work *)
 
 let oracle_op_gen =
   QCheck.Gen.(
@@ -706,6 +799,8 @@ let oracle_op_gen =
         map (fun n -> O_sleep n) (int_range 1 100);
         map (fun d -> O_travel d) (int_range 0 3);
         map (fun d -> O_await d) (int_range 1 80);
+        map2 (fun on n -> O_spawn (on, n)) (int_range 0 3) (int_range 1 60);
+        map2 (fun d n -> O_rpc (d, n)) (int_range 0 3) (int_range 0 100);
       ])
 
 let oracle_op_print = function
@@ -714,6 +809,8 @@ let oracle_op_print = function
   | O_sleep n -> Printf.sprintf "sleep %d" n
   | O_travel d -> Printf.sprintf "travel %d" d
   | O_await d -> Printf.sprintf "await %d" d
+  | O_spawn (on, n) -> Printf.sprintf "spawn on %d work %d" on n
+  | O_rpc (d, n) -> Printf.sprintf "rpc %d work %d" d n
 
 let oracle_script_gen =
   QCheck.Gen.(list_size (int_range 1 5) (pair (int_range 0 3) (list_size (int_range 0 8) oracle_op_gen)))
@@ -727,6 +824,16 @@ let oracle_script_print script =
 
 let oracle_digest engine script =
   let m = Machine.create ~seed:11 ~engine ~n_procs:4 ~costs:Costs.software () in
+  let tp = Machine.transport m in
+  let req = Transport.kind tp "oracle_rpc" in
+  Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
+  let reply = Transport.kind tp "oracle_reply" in
+  let child n =
+    let* r = Thread.rng in
+    let* () = Thread.compute (n + Rng.int r 10) in
+    let* () = Thread.yield in
+    Thread.sleep n
+  in
   let rec body ops =
     match ops with
     | [] -> Thread.return ()
@@ -741,6 +848,12 @@ let oracle_digest engine script =
             ~recv_work:20
         | O_await d ->
           Thread.await (fun ~resume -> Sim.after m.Machine.sim d (fun () -> resume ()))
+        | O_spawn (on, n) -> lift (fun () -> Machine.spawn m ~on (child n))
+        | O_rpc (d, n) ->
+          Thread.ignore_m
+            (Transport.call tp ~req ~reply ~dst:d ~args_words:4 ~result_words:2
+               (let* () = Thread.compute n in
+                Thread.return n))
       in
       body rest
   in
@@ -833,6 +946,11 @@ let () =
           Alcotest.test_case "spawn on_exit" `Quick test_machine_spawn_on_exit;
           Alcotest.test_case "determinism" `Quick test_machine_determinism;
           Alcotest.test_case "proc bounds" `Quick test_machine_proc_bounds;
+          Alcotest.test_case "recycled tids and streams" `Quick test_recycled_tids_and_streams;
+          Alcotest.test_case "recycled on_exit" `Quick test_recycled_on_exit;
+          Alcotest.test_case "no recycling after faults" `Quick test_no_recycling_after_faults;
+          Alcotest.test_case "no recycling under check" `Quick test_no_recycling_under_check;
+          Alcotest.test_case "no recycling on cps" `Quick test_no_recycling_on_cps;
         ]
         @ qsuite [ prop_engine_oracle ] );
     ]

@@ -283,6 +283,7 @@ let test_cancel_pending_delays () =
   Machine.run ~until:5_000 m;
   Alcotest.(check int) "all posted" 5 (Transport.posted tp "flaky");
   Alcotest.(check int) "all stuck in the delay stage" 5 (Transport.inflight tp "flaky");
+  Alcotest.(check int) "five timers pending" 5 (Transport.pending_delays tp);
   Alcotest.(check int) "five timers revoked" 5 (Transport.cancel_pending_delays tp);
   Alcotest.(check int) "revoked deliveries count as dropped" 5 (Transport.dropped tp "flaky");
   Transport.check_all_delivered tp;
@@ -291,6 +292,20 @@ let test_cancel_pending_delays () =
   Machine.run m;
   Alcotest.(check int) "no handler ever ran" 0 !handled;
   Alcotest.(check int) "second sweep finds nothing" 0 (Transport.cancel_pending_delays tp)
+
+let test_delay_timers_forget_fired () =
+  (* A delay timer forgets itself when it fires: once every delayed
+     delivery has arrived, the transport holds none of them. *)
+  let _, posted, delivered, _, handled, tp =
+    run_flaky ~seed:9
+      ~spec:{ Transport.no_fault with delay = 1.0; delay_cycles = 300 }
+      ~n:200 ()
+  in
+  Alcotest.(check int) "all posted" 200 posted;
+  Alcotest.(check int) "all delivered" 200 delivered;
+  Alcotest.(check int) "handler ran for each" 200 handled;
+  Alcotest.(check int) "no delay timer retained" 0 (Transport.pending_delays tp);
+  Alcotest.(check int) "nothing left to cancel" 0 (Transport.cancel_pending_delays tp)
 
 let test_sanitizer_catches_lost_message () =
   (* Stop the run before the message can arrive: it is posted, not
@@ -321,6 +336,37 @@ let test_endpoint_counters () =
   Alcotest.(check int) "proc 1 delivered" 0 (Transport.Endpoint.delivered ~kind:k ~proc:1);
   Alcotest.(check int) "kind delivered" 3 (Transport.delivered tp "counted")
 
+(* ------------------------------------------------------------------ *)
+(* Server threads recycle their contexts                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_sequential_rpcs_bounded () =
+  (* Every RPC is served by a fresh thread, but sequential calls never
+     have more than two threads alive (caller and server), so after 10^4
+     calls the machine holds two contexts and registered two thread
+     handlers — not one of each per call. *)
+  let m = Machine.create ~seed:11 ~n_procs:2 ~costs () in
+  let tp = Machine.transport m in
+  let req = Transport.kind tp "rpc" in
+  Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
+  let reply = Transport.kind tp "rpc_reply" in
+  let handlers0 = Cm_engine.Sim.handler_count m.Machine.sim in
+  let calls = 10_000 in
+  let sum = ref 0 in
+  Machine.spawn m ~on:0
+    (Thread.repeat calls (fun i ->
+         let+ r =
+           Transport.call tp ~req ~reply ~dst:1 ~args_words:4 ~result_words:2
+             (Thread.return i)
+         in
+         sum := !sum + r));
+  Machine.run m;
+  Alcotest.(check int) "every call answered" (calls * (calls - 1) / 2) !sum;
+  Alcotest.(check int) "every request delivered" calls (Transport.delivered tp "rpc");
+  Alcotest.(check int) "two contexts" 2 (Thread.contexts_created m.Machine.eng);
+  Alcotest.(check int) "two thread handlers" 2
+    (Cm_engine.Sim.handler_count m.Machine.sim - handlers0)
+
 let test_unregistered_endpoint_raises () =
   let m = machine () in
   let tp = Machine.transport m in
@@ -345,9 +391,13 @@ let () =
           Alcotest.test_case "duplicate everything" `Quick test_duplicate_all;
           Alcotest.test_case "delay everything" `Quick test_delay_all;
           Alcotest.test_case "cancel pending delays" `Quick test_cancel_pending_delays;
+          Alcotest.test_case "fired delay timers forgotten" `Quick
+            test_delay_timers_forget_fired;
           Alcotest.test_case "sanitizer catches a lost message" `Quick
             test_sanitizer_catches_lost_message;
         ] );
+      ( "recycling",
+        [ Alcotest.test_case "sequential rpcs bounded" `Quick test_sequential_rpcs_bounded ] );
       ( "endpoints",
         [
           Alcotest.test_case "per-endpoint delivery counters" `Quick test_endpoint_counters;
