@@ -36,7 +36,8 @@
                                             JSON
      dune exec bench/main.exe -- sweep [f]  wall-clock of the full fig2 and
                                             table1 sweeps at -j 1 vs -j N
-                                            (N from CM_JOBS, default 4);
+                                            (N from CM_JOBS, an integer >= 1,
+                                            default 4; other values exit 124);
                                             JSON with a speedup field per
                                             experiment (default BENCH_pr4.json)
      dune exec bench/main.exe -- sites [f]  paired A/B of the fused per-object
@@ -538,6 +539,20 @@ let timed_run ?pool entry =
   with_discarded_stdout (fun () -> Registry.run ?pool entry);
   (Unix.gettimeofday () -. t0) *. 1e3
 
+(* The sweep's job count: 4 unless CM_JOBS is set, and then an integer
+   >= 1, as for repro's -j/CM_JOBS.  Any other value is a usage error
+   (exit 124, repro's message) before any work starts, not a silent 4. *)
+let sweep_jobs () =
+  match Sys.getenv_opt "CM_JOBS" with
+  | None -> 4
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> n
+    | _ ->
+      Printf.eprintf
+        "bench: environment variable 'CM_JOBS': invalid job count %S: expected an integer >= 1\n" s;
+      exit 124)
+
 let run_sweep ~jobs ~json () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "\n=== Sweep wall-clock: -j 1 vs -j %d (full fig2 + table1) ===\n%!" jobs;
@@ -896,10 +911,5 @@ let () =
     run_bechamel ~only:names ~mode ~quota:3.0 ~limit:500 ~full:true ~json ()
   | "big" -> run_big ~json:(json_arg "BENCH_pr8.json") ()
   | "sweep" ->
-    let jobs =
-      match Option.bind (Sys.getenv_opt "CM_JOBS") int_of_string_opt with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 4
-    in
-    run_sweep ~jobs ~json:(json_arg "BENCH_pr4.json") ()
+    run_sweep ~jobs:(sweep_jobs ()) ~json:(json_arg "BENCH_pr4.json") ()
   | _ -> run_bechamel ~mode ~quota:0.5 ~limit:200 ~full:false ~json:None ()

@@ -1,8 +1,15 @@
-type t = { cdf : float array }
+(* [guide.(j)] is the first rank whose CDF value is >= j/2^b (else
+   n - 1), for j = 0..2^b: the Chen-Asau cutpoint index.  A draw's top b
+   bits name the bucket [j/2^b, (j+1)/2^b) its deviate falls in, and the
+   answer lies in [guide.(j), guide.(j+1)]. *)
+type t = { cdf : float array; guide : int array; shift : int (* 53 - b *) }
 
 let create ~s ~n =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-  if s < 0. then invalid_arg "Zipf.create: negative exponent";
+  (* Written so that nan fails too: it would build an all-nan CDF that
+     returns rank 0 on every draw. *)
+  if not (s >= 0.) then
+    invalid_arg (Printf.sprintf "Zipf.create: exponent must be s >= 0, got %g" s);
   let cdf = Array.make n 0. in
   let acc = ref 0. in
   for k = 0 to n - 1 do
@@ -13,7 +20,25 @@ let create ~s ~n =
   for k = 0 to n - 1 do
     cdf.(k) <- cdf.(k) /. total
   done;
-  { cdf }
+  (* b = min 16 (ceil (log2 n)): about one bucket per rank, capped at
+     2^16 + 1 words. *)
+  let b = ref 0 in
+  while !b < 16 && 1 lsl !b < n do
+    incr b
+  done;
+  let b = !b in
+  let buckets = 1 lsl b in
+  let guide = Array.make (buckets + 1) 0 in
+  let i = ref 0 in
+  for j = 0 to buckets do
+    (* j / 2^b is exact: j < 2^17 and the scale is a power of two. *)
+    let threshold = Float.ldexp (float_of_int j) (-b) in
+    while !i < n - 1 && cdf.(!i) < threshold do
+      incr i
+    done;
+    guide.(j) <- !i
+  done;
+  { cdf; guide; shift = 53 - b }
 
 let n t = Array.length t.cdf
 
@@ -21,10 +46,18 @@ let n t = Array.length t.cdf
    here, so [u] lives and dies unboxed inside this frame; the binary
    search runs in place (non-escaping refs compile to mutable locals).
    A sample on the per-op path therefore allocates nothing.  The value
-   of [u] is bit-identical to the [Rng.float rng 1.0] this replaces. *)
+   of [u] is bit-identical to the [Rng.float rng 1.0] this replaces.
+
+   Exactness: with j = bits lsr shift, j/2^b <= u < (j+1)/2^b holds
+   exactly (both sides are dyadic rationals that floats represent).  So
+   the first rank in [0, n - 1] with cdf >= u (else n - 1) is at least
+   guide.(j) and at most guide.(j+1), and searching that slice with the
+   same predicate finds it. *)
 let sample t rng =
-  let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 (* 2^53 *) in
-  let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
+  let bits = Rng.bits53 rng in
+  let u = float_of_int bits /. 9007199254740992.0 (* 2^53 *) in
+  let j = bits lsr t.shift in
+  let lo = ref t.guide.(j) and hi = ref t.guide.(j + 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if t.cdf.(mid) < u then lo := mid + 1 else hi := mid

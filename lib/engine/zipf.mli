@@ -5,15 +5,25 @@
     single hottest rank; [s > 1] is a hot-key regime where a handful of
     ranks dominate.
 
-    The inverse-CDF table is precomputed once ([O(n)] floats), and each
-    draw is one uniform deviate plus a binary search — deterministic for
-    a given generator stream, like every other stochastic choice in the
+    The inverse-CDF table is precomputed once ([O(n)] floats), together
+    with a guide table (Chen and Asau's cutpoint index): for
+    [b = min 16 (ceil (log2 n))], entry [j] is the first rank whose CDF
+    value is [>= j/2^b], so the guide holds at most [2^16 + 1] words.
+    Each draw takes one 53-bit uniform deviate [u], uses its top [b] bits
+    to pick a guide bucket, and binary-searches only the ranks between
+    that entry and the next.  Because [u] and every [j/2^b] are exact in
+    floating point, a draw returns the same rank as a binary search over
+    the whole table (the first rank whose CDF value is [>= u]), so the
+    stream of ranks is unchanged by the guide — deterministic for a
+    given generator stream, like every other stochastic choice in the
     simulator. *)
 
 type t
 
 val create : s:float -> n:int -> t
-(** [create ~s ~n] precomputes the distribution over ranks [0, n). *)
+(** [create ~s ~n] precomputes the distribution over ranks [0, n).
+    @raise Invalid_argument unless [n >= 1] and [s >= 0] (so a nan
+    exponent is rejected). *)
 
 val n : t -> int
 

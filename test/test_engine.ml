@@ -1,4 +1,4 @@
-(* Tests for the discrete-event simulation core: Heap, Rng, Stats, Sim. *)
+(* Tests for the discrete-event simulation core: Heap, Rng, Zipf, Stats, Sim. *)
 
 open Cm_engine
 
@@ -215,6 +215,93 @@ let test_rng_matches_int64_reference () =
     Alcotest.(check int) "int draw" (Rng_ref.int boxed (i + 1)) (Rng.int limb (i + 1));
     Alcotest.(check (float 0.)) "float draw" (Rng_ref.float boxed 1.0) (Rng.float limb 1.0)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Zipf                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The pre-guide-table sampler, verbatim: one binary search over the
+   whole CDF.  The guided sampler must return the same rank for every
+   draw — every digest in the repo depends on it. *)
+module Zipf_ref = struct
+  type t = { cdf : float array }
+
+  let create ~s ~n =
+    if n <= 0 then invalid_arg "Zipf.create: n must be positive";
+    if s < 0. then invalid_arg "Zipf.create: negative exponent";
+    let cdf = Array.make n 0. in
+    let acc = ref 0. in
+    for k = 0 to n - 1 do
+      acc := !acc +. (1. /. (float_of_int (k + 1) ** s));
+      cdf.(k) <- !acc
+    done;
+    let total = !acc in
+    for k = 0 to n - 1 do
+      cdf.(k) <- cdf.(k) /. total
+    done;
+    { cdf }
+
+  let sample t rng =
+    let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 (* 2^53 *) in
+    let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.cdf.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
+end
+
+(* n = 1 (a one-word guide span), the smallest guides, and both sides of
+   the 2^16 cap on the guide size. *)
+let zipf_sizes = [ 1; 2; 3; 1000; 65_536; 65_537; 200_000 ]
+
+let zipf_draws_agree ~s ~n ~seed ~draws =
+  let z = Zipf.create ~s ~n and r = Zipf_ref.create ~s ~n in
+  let a = Rng.create ~seed and b = Rng.create ~seed in
+  let ok = ref true in
+  for _ = 1 to draws do
+    if Zipf.sample z a <> Zipf_ref.sample r b then ok := false
+  done;
+  !ok
+
+let prop_zipf_matches_full_search =
+  QCheck.Test.make ~name:"zipf guided draws = full-range binary search" ~count:60
+    (QCheck.make
+       ~print:(fun (s, n, seed) -> Printf.sprintf "s=%.17g n=%d seed=%d" s n seed)
+       QCheck.Gen.(
+         triple (frequency [ (1, return 0.); (4, float_range 0. 2.) ]) (oneofl zipf_sizes) int))
+    (fun (s, n, seed) -> zipf_draws_agree ~s ~n ~seed ~draws:2_000)
+
+let test_zipf_every_size () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "s=%g n=%d" s n)
+            true
+            (zipf_draws_agree ~s ~n ~seed:(n + 42) ~draws:5_000))
+        [ 0.; 0.99; 1.3; 2. ])
+    zipf_sizes
+
+let test_zipf_mass_sums_to_one () =
+  List.iter
+    (fun (s, n) ->
+      let z = Zipf.create ~s ~n in
+      let sum = ref 0. in
+      for k = 0 to Zipf.n z - 1 do
+        sum := !sum +. Zipf.mass z k
+      done;
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "s=%g n=%d" s n) 1. !sum)
+    [ (0., 1); (0., 1000); (0.99, 65_537); (1.3, 200_000); (2., 3) ]
+
+let test_zipf_rejects_bad_exponent () =
+  Alcotest.check_raises "nan" (Invalid_argument "Zipf.create: exponent must be s >= 0, got nan")
+    (fun () -> ignore (Zipf.create ~s:Float.nan ~n:10));
+  Alcotest.check_raises "negative" (Invalid_argument "Zipf.create: exponent must be s >= 0, got -1")
+    (fun () -> ignore (Zipf.create ~s:(-1.) ~n:10));
+  Alcotest.check_raises "empty" (Invalid_argument "Zipf.create: n must be positive") (fun () ->
+      ignore (Zipf.create ~s:1. ~n:0))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -741,6 +828,14 @@ let () =
             test_rng_matches_int64_reference;
         ]
         @ qsuite [ prop_rng_int_uniformish ] );
+      ( "zipf",
+        [
+          Alcotest.test_case "matches full search at every size" `Quick test_zipf_every_size;
+          Alcotest.test_case "mass sums to one" `Quick test_zipf_mass_sums_to_one;
+          Alcotest.test_case "rejects nan and negative exponent" `Quick
+            test_zipf_rejects_bad_exponent;
+        ]
+        @ qsuite [ prop_zipf_matches_full_search ] );
       ( "stats",
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
