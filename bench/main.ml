@@ -18,13 +18,6 @@
      dune exec bench/main.exe               reproduction rows + bechamel
      dune exec bench/main.exe -- rows       reproduction rows only
      dune exec bench/main.exe -- bench [f]  bechamel + JSON (default BENCH_pr7.json)
-     dune exec bench/main.exe -- ab [NAME[,NAME...]] [f]
-                                            paired A/B of the frames vs cps
-                                            thread engines: interleaved
-                                            repetitions in one process,
-                                            median-of-8 comparison, and a
-                                            whole-run digest cross-check
-                                            (default specs fig2 + table1)
      dune exec bench/main.exe -- quick      reduced-horizon rows + bechamel
      dune exec bench/main.exe -- smoke [f]  fast bechamel pass for CI
                                             (default BENCH_smoke.json)
@@ -40,16 +33,6 @@
                                             default 4; other values exit 124);
                                             JSON with a speedup field per
                                             experiment (default BENCH_pr4.json)
-     dune exec bench/main.exe -- sites [f]  paired A/B of the fused per-object
-                                            method-site tables vs the generic
-                                            scope/call composition (both on
-                                            the frames engine): interleaved
-                                            reps, median-of-8 minor words per
-                                            op over the simulation only, a
-                                            digest cross-check, and a >=10x
-                                            words/op gate on the migrate-mode
-                                            dht_zipf row (default
-                                            BENCH_pr10.json)
      dune exec bench/main.exe -- big [f]    the million-object scale probes:
                                             10^6 registrations into the flat
                                             vs boxed object store, full-size
@@ -292,8 +275,7 @@ let result_fields r =
   in
   let words_per_op =
     (* Whole-run minor words over completed requests — construction
-       included, so an upper bound on the steady-state figure ([sites]
-       mode isolates the simulation-only number). *)
+       included, so an upper bound on the steady-state figure. *)
     match r.sim_ops with
     | Some ops when ops > 0 ->
       [ json_float "minor_words_per_op" (r.minor_words_per_run /. float_of_int ops) ]
@@ -329,190 +311,6 @@ let run_bechamel ?only ~mode ~quota ~limit ~full ~json () =
   match json with
   | Some path -> write_json ~mode path (List.map result_fields results)
   | None -> ()
-
-(* --- ab mode: paired frames-vs-cps engine comparison -------------- *)
-
-let median a =
-  let s = Array.copy a in
-  Array.sort compare s;
-  s.(Array.length s / 2)
-
-(* One timed run under [engine]: wall-clock ns and minor words. *)
-let ab_sample engine thunk =
-  Cm_machine.Machine.set_default_engine engine;
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  thunk ();
-  let t1 = Unix.gettimeofday () in
-  ((t1 -. t0) *. 1e9, Gc.minor_words () -. m0)
-
-(* Paired A/B of the two thread engines in one process: repetitions
-   interleave frames/cps runs (so drift — frequency scaling, page cache,
-   GC heap shape — hits both variants alike) and the medians are
-   compared.  Where the spec exposes its machine, the two engines' run
-   digests are also compared — the whole-experiment complement of the
-   qcheck oracle in test/. *)
-let run_ab ~names ~json () =
-  print_endline "\n=== Paired A/B: frames vs cps engine (interleaved, median of 8) ===";
-  let reps = 8 in
-  let selected =
-    List.map
-      (fun name ->
-        match List.find_opt (fun s -> s.name = name) (specs ~full:true) with
-        | Some s -> s
-        | None ->
-          List.iter (fun s -> prerr_endline s.name) (specs ~full:true);
-          failwith ("no such spec: " ^ name))
-      names
-  in
-  let records =
-    List.map
-      (fun spec ->
-        (* Warm both variants before sampling. *)
-        ignore (ab_sample Cm_machine.Machine.Frames spec.thunk);
-        ignore (ab_sample Cm_machine.Machine.Cps spec.thunk);
-        let f_ns = Array.make reps 0. and f_mw = Array.make reps 0. in
-        let c_ns = Array.make reps 0. and c_mw = Array.make reps 0. in
-        for r = 0 to reps - 1 do
-          let ns, mw = ab_sample Cm_machine.Machine.Frames spec.thunk in
-          f_ns.(r) <- ns;
-          f_mw.(r) <- mw;
-          let ns, mw = ab_sample Cm_machine.Machine.Cps spec.thunk in
-          c_ns.(r) <- ns;
-          c_mw.(r) <- mw
-        done;
-        let digests_equal =
-          match spec.probe with
-          | None -> None
-          | Some probe ->
-            Cm_machine.Machine.set_default_engine Cm_machine.Machine.Frames;
-            let df = Cm_machine.Machine.digest (fst (probe ())) in
-            Cm_machine.Machine.set_default_engine Cm_machine.Machine.Cps;
-            let dc = Cm_machine.Machine.digest (fst (probe ())) in
-            Some (df = dc)
-        in
-        Cm_machine.Machine.set_default_engine Cm_machine.Machine.Frames;
-        let f_ns_med = median f_ns and c_ns_med = median c_ns in
-        let f_mw_med = median f_mw and c_mw_med = median c_mw in
-        let speedup = c_ns_med /. f_ns_med in
-        let minor_ratio = if c_mw_med > 0. then f_mw_med /. c_mw_med else 1. in
-        Printf.printf
-          "%-28s frames %10.0f ns %9.2e mw | cps %10.0f ns %9.2e mw | %5.2fx, minor x%.3f%s\n%!"
-          spec.name f_ns_med f_mw_med c_ns_med c_mw_med speedup minor_ratio
-          (match digests_equal with
-          | Some true -> "  digests equal"
-          | Some false -> "  DIGEST MISMATCH"
-          | None -> "");
-        (match digests_equal with
-        | Some false -> failwith ("ab: engine digests differ for " ^ spec.name)
-        | Some true | None -> ());
-        [
-          json_str "name" spec.name;
-          json_int "reps" reps;
-          json_float "frames_ns_median" f_ns_med;
-          json_float "cps_ns_median" c_ns_med;
-          json_float "frames_minor_words_median" f_mw_med;
-          json_float "cps_minor_words_median" c_mw_med;
-          json_float "speedup" speedup;
-          json_float "minor_words_ratio" minor_ratio;
-        ]
-        @
-        match digests_equal with
-        | Some b -> [ json_str "digests_equal" (string_of_bool b) ]
-        | None -> [])
-      selected
-  in
-  match json with Some path -> write_json ~mode:"ab" path records | None -> ()
-
-(* --- sites mode: paired fused vs generic method-site comparison ---- *)
-
-(* Paired A/B of the per-object method-site tables (PR 10) against the
-   generic [scope]/[call] composition they fuse, same discipline as
-   {!run_ab}: interleaved repetitions, median-of-8, and a digest
-   cross-check — the fused path must schedule bit-identical events.
-   Both arms run the frames engine; the knob is the application-level
-   [~fused] flag, so the comparison isolates the method-site tables
-   from the PR 7 engine split.  Minor words are sampled around the
-   simulation only (construction and preload excluded) and divided by
-   completed requests: steady-state allocation per operation.  The
-   migrate-mode dht_zipf row is the acceptance gate — fused must sit at
-   least 10x below generic.  (RPC-mode rows keep a per-call floor
-   either way: the server-side body closure crosses the wire.) *)
-let run_sites ~json () =
-  print_endline
-    "\n=== Paired A/B: fused method-site tables vs generic scope/call (interleaved, median of 8) ===";
-  let reps = 8 in
-  let sites_specs =
-    [
-      ( "dht_zipf:hot-keys-mig",
-        (fun ~fused ->
-          Dht_zipf.measure_sim_words ~quick:true ~fused
-            (Cm_apps.Dht.Messaging Cm_core.Prelude.Migrate)
-            1.3),
-        true );
-      ( "social_graph:walks-mig",
-        (fun ~fused ->
-          Social_bench.measure_sim_words ~quick:true ~fused Social_bench.Walk
-            Cm_core.Prelude.Migrate),
-        false );
-    ]
-  in
-  let records =
-    List.map
-      (fun (name, run, gate) ->
-        (* Warm both arms before sampling. *)
-        ignore (run ~fused:true);
-        ignore (run ~fused:false);
-        let f_ns = Array.make reps 0. and f_wpo = Array.make reps 0. in
-        let g_ns = Array.make reps 0. and g_wpo = Array.make reps 0. in
-        let ops = ref 0 in
-        let digests_equal = ref true in
-        let sample ~fused ns wpo r =
-          let t0 = Unix.gettimeofday () in
-          let machine, metrics, words = run ~fused in
-          let t1 = Unix.gettimeofday () in
-          ns.(r) <- (t1 -. t0) *. 1e9;
-          wpo.(r) <- words /. float_of_int (max 1 metrics.Cm_workload.Metrics.ops);
-          ops := metrics.Cm_workload.Metrics.ops;
-          Cm_machine.Machine.digest machine
-        in
-        for r = 0 to reps - 1 do
-          let df = sample ~fused:true f_ns f_wpo r in
-          let dg = sample ~fused:false g_ns g_wpo r in
-          if df <> dg then digests_equal := false
-        done;
-        let f_ns_med = median f_ns and g_ns_med = median g_ns in
-        let f_wpo_med = median f_wpo and g_wpo_med = median g_wpo in
-        let speedup = g_ns_med /. f_ns_med in
-        let ratio = g_wpo_med /. Float.max f_wpo_med 0.01 in
-        Printf.printf
-          "%-28s fused %7.2f minor-w/op %10.0f ns | generic %7.2f minor-w/op %10.0f ns | \
-           %5.2fx, words x%.0f%s\n\
-           %!"
-          name f_wpo_med f_ns_med g_wpo_med g_ns_med speedup ratio
-          (if !digests_equal then "  digests equal" else "  DIGEST MISMATCH");
-        if not !digests_equal then
-          failwith ("sites: fused vs generic digests differ for " ^ name);
-        if gate && f_wpo_med *. 10. > g_wpo_med then
-          failwith
-            (Printf.sprintf
-               "sites: fused minor words/op (%.2f) is not >=10x below generic (%.2f) for %s"
-               f_wpo_med g_wpo_med name);
-        [
-          json_str "name" name;
-          json_int "reps" reps;
-          json_int "ops" !ops;
-          json_float "fused_minor_words_per_op_median" f_wpo_med;
-          json_float "generic_minor_words_per_op_median" g_wpo_med;
-          json_float "generic_over_fused_words_ratio" ratio;
-          json_float "fused_ns_median" f_ns_med;
-          json_float "generic_ns_median" g_ns_med;
-          json_float "speedup" speedup;
-          json_str "digests_equal" (string_of_bool !digests_equal);
-        ])
-      sites_specs
-  in
-  match json with Some path -> write_json ~mode:"sites" path records | None -> ()
 
 (* --- sweep mode: full-sweep wall clock at -j 1 vs -j N ------------ *)
 
@@ -595,6 +393,11 @@ let run_sweep ~jobs ~json () =
   write_json ~mode:"sweep" json records
 
 (* --- big mode: million-object scale probes ------------------------ *)
+
+let median a =
+  let s = Array.copy a in
+  Array.sort compare s;
+  s.(Array.length s / 2)
 
 (* Wall-clock seconds and minor words of one call. *)
 let timed_alloc f =
@@ -876,8 +679,7 @@ let () =
   let json_arg default = if Array.length Sys.argv > 2 then Sys.argv.(2) else default in
   let quick = mode = "quick" in
   if
-    mode <> "bench" && mode <> "smoke" && mode <> "one" && mode <> "sweep" && mode <> "ab"
-    && mode <> "big" && mode <> "sites"
+    mode <> "bench" && mode <> "smoke" && mode <> "one" && mode <> "sweep" && mode <> "big"
   then begin
     print_endline "Reproduction of every table and figure (see EXPERIMENTS.md for discussion):";
     Registry.run_all ~quick ()
@@ -888,14 +690,6 @@ let () =
     run_bechamel ~mode ~quota:3.0 ~limit:500 ~full:true
       ~json:(Some (json_arg "BENCH_pr7.json"))
       ()
-  | "ab" ->
-    let names =
-      String.split_on_char ','
-        (json_arg "fig2:counting-throughput,table1:btree-throughput")
-    in
-    let json = if Array.length Sys.argv > 3 then Some Sys.argv.(3) else None in
-    run_ab ~names ~json ()
-  | "sites" -> run_sites ~json:(Some (json_arg "BENCH_pr10.json")) ()
   | "smoke" ->
     (* Fast pass for CI: enough to catch gross hot-path regressions and
        prove the measurement/JSON plumbing works. *)

@@ -46,24 +46,23 @@ let default =
     {
       s_unit = "Cm_machine.Transport";
       s_names =
-        [ "transmit"; "dispatch"; "post"; "notify"; "call"; "migrate"; "signal"; "inject";
-          "fault_spec"; "fault_hits" ];
+        [ "transmit"; "dispatch"; "post"; "notify"; "call"; "migrate"; "launch"; "signal";
+          "inject"; "fault_spec"; "fault_hits" ];
     };
-    (* The steady-state call path runs on the frames engine: the CPS
-       combinators ([bind]/[map]/[guard]/[await]/[stall]) are the checked
-       *reference* engine — they run only under sanitizers/fault
-       injection, where their per-step closures are accepted — so they
-       left the declared hot set when the per-object consumers migrated
-       to frames (PR 10).  What is hot now is the frame machinery
-       itself: the travel steps, the m-lane register accessors the
-       fused method sites write through, and context recycling — every
-       RPC's server thread exits into [recycle] and the next one is
-       spawned through [reuse]. *)
+    (* The steady-state call path walks frame steps, not the generic
+       [bind]/[map] combinators, so those are not in the set; neither is
+       [arm], whose one closure per [await]/[stall]/[Frame.resume]
+       carries the suspension's generation by design.  What is hot is
+       the frame machinery itself: the travel steps, firing a
+       resumption, the m-lane register accessors the fused method sites
+       write through, and context recycling — every RPC's server thread
+       exits into [recycle] and the next one is spawned through
+       [reuse]. *)
     {
       s_unit = "Cm_machine.Thread";
       s_names =
         [ "return"; "travel_k"; "travel"; "frame_travel"; "yield"; "sleep"; "compute";
-          "recycling"; "recycle"; "reuse";
+          "fire"; "recycle"; "reuse";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
           "setms"; "getms"; "setmv"; "getmv" ];
@@ -79,15 +78,15 @@ let default =
        get/put/preload crosses them, and the big-mode A/B probe's >=10x
        allocation floor depends on their staying allocation-free. *)
     (* [method_get]/[method_put]/[method_sum] are deliberately absent:
-       they are the CPS *reference* bodies (generic path and sanitizer
-       fall-back); the fused frame bodies run through [ms_bucket] and
-       the bkt_* scans below. *)
+       they are the monadic bodies (RPC server stubs and the adaptive
+       path); the fused frame bodies run through [ms_bucket] and the
+       bkt_* scans below. *)
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_set"; "bkt_append";
                   "ms_bucket" ] };
     (* The fused per-object call path (PR 10): static-site and
        method-site steps walk frame registers only — every binding here
-       must stay allocation-free or the >=10x sites A/B floor erodes. *)
+       must stay allocation-free. *)
     {
       s_unit = "Cm_runtime.Runtime";
       s_names =
@@ -108,9 +107,9 @@ let default =
         [ "upd_fan_step"; "read_home_step"; "read_copy_step"; "read"; "update";
           "scr_alloc"; "scr_release"; "scr_scan"; "holds"; "install" ];
     };
-    (* The per-op samplers both bench arms share: a boxed draw here taxes
-       fused and generic alike and masks the A/B ratio (the PR 10 limb
-       rewrite of Rng exists precisely to keep these clean). *)
+    (* The per-op samplers every scale workload draws from: a boxed draw
+       here taxes each operation (the PR 10 limb rewrite of Rng exists
+       precisely to keep these clean). *)
     { s_unit = "Cm_engine.Rng";
       s_names = [ "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };

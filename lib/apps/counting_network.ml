@@ -63,9 +63,7 @@ let decode n = if n >= 0 then Balancer_net.Balancer n else Balancer_net.Exit (-n
 (* Method bodies for the messaging objects.  Each closes over its own
    object's state once (at network construction); the per-visit path
    charges the user work through the thread's frame slots — one
-   preallocated step closure per object, nothing per visit.  The CPS
-   branch is the original closure body, verbatim, for the reference
-   engine. *)
+   preallocated step closure per object, nothing per visit. *)
 let bal_method st =
   let step c =
     let out = if st.toggle then st.bot else st.top in
@@ -73,16 +71,8 @@ let bal_method st =
     Thread.Frame.call_k c out
   in
   fun c k ->
-    if Thread.Frame.on c then begin
-      Thread.Frame.save_k c k;
-      Thread.Frame.hold_then c user_work step
-    end
-    else
-      (let* () = Thread.compute user_work in
-       let out = if st.toggle then st.bot else st.top in
-       st.toggle <- not st.toggle;
-       Thread.return out)
-        c k
+    Thread.Frame.save_k c k;
+    Thread.Frame.hold_then c user_work step
 
 let cnt_method issued w st =
   let step c =
@@ -93,18 +83,8 @@ let cnt_method issued w st =
     Thread.Frame.call_k c value
   in
   fun c k ->
-    if Thread.Frame.on c then begin
-      Thread.Frame.save_k c k;
-      Thread.Frame.hold_then c user_work step
-    end
-    else
-      (let* () = Thread.compute user_work in
-       let count = st.count in
-       st.count <- st.count + 1;
-       let value = (count * w) + st.wire in
-       issued := value :: !issued;
-       Thread.return value)
-        c k
+    Thread.Frame.save_k c k;
+    Thread.Frame.hold_then c user_work step
 
 let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512, 4096))
     ?balancer_procs mode =

@@ -29,13 +29,9 @@ type bucket = int array
 type repr =
   | Msg of {
       rt : Runtime.t;
-      access : Prelude.access;
       objs : bucket Prelude.obj array;
-      (* The fused method-site table (one [Runtime.msite] per method):
-         the steady-state get/put path over these is allocation-free.
-         [fused = false] keeps the generic [scope]/[call] composition —
-         the A/B reference arm of [bench sites]. *)
-      fused : bool;
+      (* The method-site table (one [Runtime.msite] per method): the
+         steady-state get/put path over these is allocation-free. *)
       get_ms : int option Runtime.msite;
       put_ms : unit Runtime.msite;
       sum_ms : int Runtime.msite;
@@ -168,7 +164,7 @@ let sum_frame_body space =
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create env ?(buckets = 64) ?(bucket_capacity = 64) ?(fused = true) ~mode ~node_procs () =
+let create env ?(buckets = 64) ?(bucket_capacity = 64) ~mode ~node_procs () =
   if buckets <= 0 then invalid_arg "Dht.create: buckets must be positive";
   if Array.length node_procs = 0 then invalid_arg "Dht.create: no node processors";
   let home i = node_procs.(i mod Array.length node_procs) in
@@ -186,9 +182,7 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ?(fused = true) ~mode ~no
       Msg
         {
           rt;
-          access;
           objs;
-          fused;
           get_ms =
             Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
               ~frame_body:(get_frame_body space)
@@ -233,11 +227,6 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ?(fused = true) ~mode ~no
 (* ------------------------------------------------------------------ *)
 
 let obj_home p objs i = Prelude.obj_home p objs.(i)
-
-let msg_call p rt ~access objs i body =
-  Runtime.scope rt ~result_words:2
-    (Runtime.call rt ~access ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-       (body (Prelude.obj_state p objs.(i))))
 
 let adapt_call p ad ~site objs i body =
   Adaptive.scope ad
@@ -303,10 +292,8 @@ let sm_sum_bucket mem locks bases i =
    builds no intermediate monad closure per operation. *)
 let get t key c k =
   match t.repr with
-  | Msg { rt; access; objs; fused; get_ms; _ } ->
-    let i = bucket_of_key t key in
-    if fused then Runtime.msite_scoped get_ms ~obj:(objs.(i) :> int) ~a:key ~b:0 c k
-    else msg_call t.env.Sysenv.prelude rt ~access objs i (method_get key) c k
+  | Msg { objs; get_ms; _ } ->
+    Runtime.msite_scoped get_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:0 c k
   | Adapt { ad; objs; get_site; _ } ->
     adapt_call t.env.Sysenv.prelude ad ~site:get_site objs (bucket_of_key t key)
       (method_get key) c k
@@ -314,10 +301,8 @@ let get t key c k =
 
 let put t ~key ~value c k =
   match t.repr with
-  | Msg { rt; access; objs; fused; put_ms; _ } ->
-    let i = bucket_of_key t key in
-    if fused then Runtime.msite_scoped put_ms ~obj:(objs.(i) :> int) ~a:key ~b:value c k
-    else msg_call t.env.Sysenv.prelude rt ~access objs i (method_put t.capacity key value) c k
+  | Msg { objs; put_ms; _ } ->
+    Runtime.msite_scoped put_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:value c k
   | Adapt { ad; objs; put_site; _ } ->
     adapt_call t.env.Sysenv.prelude ad ~site:put_site objs (bucket_of_key t key)
       (method_put t.capacity key value) c k
@@ -328,18 +313,12 @@ let range_sum t ~first_bucket ~n_buckets =
   let bucket_at j = (first_bucket + j) mod t.buckets in
   let p = t.env.Sysenv.prelude in
   match t.repr with
-  | Msg { rt; access; objs; fused; sum_ms; _ } ->
+  | Msg { rt; objs; sum_ms; _ } ->
     Runtime.scope rt ~result_words:2
       (let rec go j acc =
          if j >= n_buckets then Thread.return acc
          else
-           let i = bucket_at j in
-           let* s =
-             if fused then Runtime.msite_call sum_ms ~obj:(objs.(i) :> int) ~a:0 ~b:0
-             else
-               Runtime.call rt ~access ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-                 (method_sum (Prelude.obj_state p objs.(i)))
-           in
+           let* s = Runtime.msite_call sum_ms ~obj:(objs.(bucket_at j) :> int) ~a:0 ~b:0 in
            go (j + 1) (acc + s)
        in
        go 0 0)

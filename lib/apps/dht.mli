@@ -32,7 +32,6 @@ val create :
   Sysenv.t ->
   ?buckets:int ->
   ?bucket_capacity:int ->
-  ?fused:bool ->
   mode:mode ->
   node_procs:int array ->
   unit ->
@@ -40,12 +39,9 @@ val create :
 (** [create env ~mode ~node_procs ()] builds an empty table of
     [buckets] (default 64) buckets, each holding at most
     [bucket_capacity] (default 64) entries, placed round-robin on
-    [node_procs].  In [Messaging] mode, [fused] (default [true]) runs
-    get/put/range_sum through the table's {!Cm_runtime.Runtime.msite}
-    method-site table — allocation-free steady state, digests identical
-    to the generic path; [fused:false] keeps the generic
-    [scope]/[call] composition (the A/B reference arm of
-    [bench sites]). *)
+    [node_procs].  In [Messaging] mode get/put/range_sum run through
+    the table's {!Cm_runtime.Runtime.msite} method-site table —
+    allocation-free steady state. *)
 
 val put : t -> key:int -> value:int -> unit Thread.t
 (** [put t ~key ~value] inserts or updates one entry.  Raises

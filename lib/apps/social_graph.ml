@@ -18,11 +18,9 @@ type t = {
   offsets : int array;  (* length n+1; user u's friends at [offsets.(u), offsets.(u+1)) *)
   edges : int array;
   objs : int Prelude.obj array;
-  (* The fused visit method-sites (one per mechanism): every walk hop
-     and fan-out visit is a [Runtime.msite] invocation — allocation-free
-     steady state, digests identical to the generic path.  [fused =
-     false] keeps the generic composition for the A/B reference arm. *)
-  fused : bool;
+  (* The visit method-sites (one per mechanism): every walk hop and
+     fan-out visit is a [Runtime.msite] invocation — allocation-free
+     steady state. *)
   visit_rpc : int Runtime.msite;
   visit_mig : int Runtime.msite;
 }
@@ -31,10 +29,10 @@ type t = {
    friend-list entry scanned. *)
 let visit_work deg = 30 + (3 * deg)
 
-(* Fused visit body: degree read straight from the CSR offsets, one
-   profile-scan hold, finish with the degree — the frame twin of
-   [visit_method], reading its operand (the user id) from the
-   method-site registers. *)
+(* Visit user [u]: the method runs at the user's home and charges the
+   profile-scan cost; the result is the user's degree.  The frame body
+   reads its operand (the user id) from the method-site registers; the
+   RPC server stub is the same method as a monad. *)
 let visit_frame_body offsets =
   let done_ c =
     let u = Runtime.msite_arg_a c in
@@ -48,7 +46,7 @@ let visit_cps_body offsets ~obj:_ ~a:u ~b:_ =
   let* () = Thread.compute (visit_work (offsets.(u + 1) - offsets.(u))) in
   Thread.return (offsets.(u + 1) - offsets.(u))
 
-let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ?(fused = true) ~node_procs ~seed () =
+let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
   if n <= 0 then invalid_arg "Social_graph.create: n must be positive";
   if avg_degree < 1 then invalid_arg "Social_graph.create: avg_degree must be >= 1";
   if Array.length node_procs = 0 then invalid_arg "Social_graph.create: no node processors";
@@ -79,7 +77,6 @@ let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ?(fused = true) ~node_procs ~s
     offsets;
     edges;
     objs;
-    fused;
     visit_rpc = mk Prelude.Rpc;
     visit_mig = mk Prelude.Migrate;
   }
@@ -92,22 +89,11 @@ let friend t u j = t.edges.(t.offsets.(u) + j)
 
 let home t u = Prelude.obj_home t.env.Sysenv.prelude t.objs.(u)
 
-(* Visit user [cur]: the method runs at the user's home and charges the
-   profile-scan cost; the result is the user's degree. *)
-let visit_method t cur _state =
-  let* () = Thread.compute (visit_work (degree t cur)) in
-  Thread.return (degree t cur)
-
-let visit_generic t ~access cur =
-  Runtime.call t.rt ~access ~home:(home t cur) ~args_words:8 ~result_words:2
-    (visit_method t cur (Prelude.obj_state t.env.Sysenv.prelude t.objs.(cur)))
-
 let visit_ms t ~access =
   match (access : Prelude.access) with Rpc -> t.visit_rpc | Migrate -> t.visit_mig
 
 let visit t ~access cur c k =
-  if t.fused then Runtime.msite_call (visit_ms t ~access) ~obj:(t.objs.(cur) :> int) ~a:cur ~b:0 c k
-  else visit_generic t ~access cur c k
+  Runtime.msite_call (visit_ms t ~access) ~obj:(t.objs.(cur) :> int) ~a:cur ~b:0 c k
 
 (* A [steps]-hop walk: visit the current user, then follow a uniformly
    chosen friend edge.  The next hop is drawn in the walking thread
@@ -151,9 +137,7 @@ let walk t ~access ~start ~steps =
    activation hops out and returns every time, costing the same two
    messages as RPC's round trip. *)
 let scoped_visit t ~access cur c k =
-  if t.fused then
-    Runtime.msite_scoped (visit_ms t ~access) ~obj:(t.objs.(cur) :> int) ~a:cur ~b:0 c k
-  else Runtime.scope t.rt ~result_words:2 (visit_generic t ~access cur) c k
+  Runtime.msite_scoped (visit_ms t ~access) ~obj:(t.objs.(cur) :> int) ~a:cur ~b:0 c k
 
 let friends_of_friends t ~access ?(fanout = 8) u =
   if u < 0 || u >= t.n then invalid_arg "Social_graph.friends_of_friends: bad user";

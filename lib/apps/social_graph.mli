@@ -23,7 +23,6 @@ val create :
   n:int ->
   ?avg_degree:int ->
   ?skew:float ->
-  ?fused:bool ->
   node_procs:int array ->
   seed:int ->
   unit ->
@@ -31,12 +30,9 @@ val create :
 (** [create env ~n ~node_procs ~seed ()] builds the graph and registers
     its [n] users in the object space, homes scattered over
     [node_procs].  Degrees are uniform in [[1, 2*avg_degree)] (default
-    average 8); edge targets follow Zipf([skew]) (default 0.8).
-    [fused] (default [true]) runs every visit through the graph's
-    {!Cm_runtime.Runtime.msite} method-sites — allocation-free steady
-    state, digests identical to the generic path; [fused:false] keeps
-    the generic [scope]/[call] composition (the A/B reference arm of
-    [bench sites]). *)
+    average 8); edge targets follow Zipf([skew]) (default 0.8).  Every
+    visit runs through the graph's {!Cm_runtime.Runtime.msite}
+    method-sites — allocation-free steady state. *)
 
 val n_users : t -> int
 

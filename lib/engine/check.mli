@@ -8,8 +8,9 @@
     own invariants on every transition and raise {!Violation} at the
     first breach:
 
-    - {!Cm_machine.Thread} checks continuation linearity (every CPS
-      continuation resumed exactly once; see {!Linear}),
+    - {!Cm_machine.Thread} checks continuation linearity (every
+      resumption handed out of the thread layer fires at most once,
+      and a dropped one stays outstanding; see {!Linear}),
     - {!Cm_memory.Shmem} validates the MSI directory after each
       coherence transaction,
     - {!Sim} checks event-time monotonicity as events fire,

@@ -59,14 +59,14 @@ let request table zipf _i =
     let key = Zipf.sample zipf r in
     if Rng.int r 10 < 8 then Dht.get table key c dropk else Dht.put table ~key ~value:key c k
 
-let measure_sim_words ~quick ~fused mode skew =
+let measure_with_machine ~quick mode skew =
   let sz = size ~quick in
   let machine =
     Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
   in
   let env = Sysenv.make machine in
   let table =
-    Dht.create env ~buckets:sz.buckets ~bucket_capacity ~fused ~mode
+    Dht.create env ~buckets:sz.buckets ~bucket_capacity ~mode
       ~node_procs:(Array.init sz.node_procs (fun i -> i))
       ()
   in
@@ -77,10 +77,6 @@ let measure_sim_words ~quick ~fused mode skew =
     Dht.preload table ~key:k ~value:k
   done;
   let zipf = Zipf.create ~s:skew ~n:sz.keys in
-  (* Minor words are sampled around the simulation alone — construction
-     and preload excluded — so the figure is the steady-state per-op
-     allocation the [bench sites] A/B divides by [Metrics.ops]. *)
-  let words0 = Gc.minor_words () in
   let metrics =
     Cm_workload.Driver.run machine
       {
@@ -92,10 +88,6 @@ let measure_sim_words ~quick ~fused mode skew =
       }
       (request table zipf)
   in
-  (machine, metrics, Gc.minor_words () -. words0)
-
-let measure_with_machine ~quick ?(fused = true) mode skew =
-  let machine, metrics, _ = measure_sim_words ~quick ~fused mode skew in
   (machine, metrics)
 
 let measure ~quick mode skew = snd (measure_with_machine ~quick mode skew)

@@ -1,18 +1,12 @@
 open Cm_engine
 
-type engine = Frames | Cps
+(* One thread engine.  perfbench records its name in its environment
+   block, so the name stays as a constant, like [default_shards]. *)
+type engine = Frames
 
-(* The process-wide default, read by [create] when no explicit engine is
-   given: atomic because the sweep harness runs machines across a domain
-   pool, and the paired A/B bench mode flips it between interleaved
-   repetitions. *)
-let default_engine_cell : engine Atomic.t = Atomic.make Frames (* lint: allow global-state — cross-domain engine default, vetted *)
+let default_engine () = Frames
 
-let set_default_engine e = Atomic.set default_engine_cell e
-
-let default_engine () = Atomic.get default_engine_cell
-
-let engine_name = function Frames -> "frames" | Cps -> "cps"
+let engine_name Frames = "frames"
 
 (* Machines run on one scheduler.  perfbench records this in its
    environment block, so it stays as a constant. *)
@@ -26,14 +20,12 @@ type t = {
   procs : Processor.t array;
   stats : Stats.t;
   rng : Rng.t;
-  engine : engine;
   eng : Thread.engine;
   mutable next_tid : int;
   mutable transport_ : Transport.t option;
 }
 
-let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bits = 12) ?engine
-    ~n_procs ~costs () =
+let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bits = 12) ~n_procs ~costs () =
   if n_procs <= 0 then invalid_arg "Machine.create: n_procs must be positive";
   let stats = Stats.create () in
   let topo =
@@ -52,8 +44,6 @@ let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bi
     Array.init n_procs (fun id ->
         Processor.create ~sim ~stats ~scheduler_cost:costs.Costs.scheduler ~id)
   in
-  let engine = match engine with Some e -> e | None -> default_engine () in
-  let eng = match engine with Frames -> Thread.frames_engine () | Cps -> Thread.cps_engine () in
   {
     sim;
     costs;
@@ -62,8 +52,7 @@ let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bi
     procs;
     stats;
     rng = Rng.create ~seed;
-    engine;
-    eng;
+    eng = Thread.create_engine ();
     next_tid = 0;
     transport_ = None;
   }
@@ -85,7 +74,7 @@ let transport t =
   | Some tr -> tr
   | None ->
     let tr =
-      Transport.create ~sim:t.sim ~costs:t.costs ~net:t.net ~procs:t.procs ~eng:t.eng
+      Transport.create ~sim:t.sim ~costs:t.costs ~net:t.net ~procs:t.procs
         ~spawn:(fun ~on body -> spawn t ~on body)
     in
     t.transport_ <- Some tr;

@@ -7,21 +7,14 @@
 
 open Cm_engine
 
-(** Which thread-suspension engine a machine runs (see {!Thread.engine}):
-    [Frames] is the defunctionalized zero-allocation default, [Cps] the
-    original closure-per-suspension reference.  Digests are bit-identical
-    between the two (the qcheck oracle in test/ proves it); [Cps] exists
-    for that oracle and for paired A/B benchmarks. *)
-type engine = Frames | Cps
-
-val set_default_engine : engine -> unit
-(** Set the process-wide default for machines created without an
-    explicit [engine] (atomic — safe under the sweep harness's domain
-    pool; the A/B bench mode flips it between interleaved reps). *)
+(** The thread engine.  There is one (see {!Thread}); its name is kept
+    for callers that record the configuration. *)
+type engine = Frames
 
 val default_engine : unit -> engine
 
 val engine_name : engine -> string
+(** ["frames"]. *)
 
 val default_shards : unit -> int
 (** Always 1: every machine runs on one scheduler.  Kept for callers
@@ -35,8 +28,7 @@ type t = {
   procs : Processor.t array;
   stats : Stats.t;
   rng : Rng.t;
-  engine : engine;  (** the variant this machine was created with *)
-  eng : Thread.engine;  (** internal: the live engine state threads share *)
+  eng : Thread.engine;  (** internal: the context pool threads share *)
   mutable next_tid : int;  (** internal: spawn counter *)
   mutable transport_ : Transport.t option;  (** internal: see {!transport} *)
 }
@@ -46,7 +38,6 @@ val create :
   ?topology:[ `Mesh | `Torus | `Crossbar ] ->
   ?net_contention:bool ->
   ?wheel_bits:int ->
-  ?engine:engine ->
   n_procs:int ->
   costs:Costs.t ->
   unit ->
@@ -58,9 +49,7 @@ val create :
     network model (see {!Network.create}).  [wheel_bits] (default 12)
     sizes the scheduler's calendar wheel (see {!Sim.create}); it affects
     performance only — extraction order, and therefore every statistic
-    and digest, is identical at any size.  [engine] picks the thread
-    engine (defaults to {!default_engine}, normally [Frames]); digests
-    are engine-invariant. *)
+    and digest, is identical at any size. *)
 
 val n_procs : t -> int
 (** Number of processors. *)

@@ -1,47 +1,24 @@
 open Cm_engine
 
-(* --- engines --------------------------------------------------------
+(* --- the engine -----------------------------------------------------
 
-   Two interchangeable execution engines drive a thread's blocking
-   points:
+   A thread's blocking points are defunctionalized into the per-thread
+   frame slots below: a suspension stores a step function and its
+   operands into the context and hands the scheduler a closure
+   preallocated at spawn (or the pooled [Sim] handler registered
+   then), so holds, travels and requeues allocate nothing.  The monadic
+   [bind]/[map] layer above runs as ordinary CPS over the same context.
 
-   - the {e frame} engine (default): suspensions are defunctionalized
-     into the per-thread frame slots below — a suspension stores a step
-     function and its operands into the context and hands the scheduler
-     one of two closures preallocated at spawn, so the steady state
-     allocates nothing;
-
-   - the {e CPS} engine: the original closure-per-suspension paths,
-     retained verbatim as the reference semantics for the qcheck
-     digest-equivalence oracle and the paired A/B benchmark mode.
-
-   Both engines schedule the same events at the same times in the same
-   order, so run digests are bit-identical by construction (the oracle
-   in test/ proves it).  The frame paths are disabled dynamically —
-   falling back to the CPS reference — in two situations:
-
-   - sanitizers on ([Check.enabled]): the CPS paths carry the
-     [Check.linear] one-shot tokens with their original labels, so
-     double-resume detection and sanitizer digests are exactly the
-     pre-frame behavior;
-
-   - transport fault injection armed: duplicate delivery may invoke a
-     resumption twice, and a shared frame-slot resumption would
-     misdirect the second call at whatever the thread blocked on next —
-     the CPS closures reproduce the original (per-suspension) behavior
-     exactly.  [Transport.configure_faults] flips the machine's engine
-     off and [clear_faults] restores it (but not context recycling,
-     which stays off for the machine's life: see [recycle]). *)
+   The only resumptions that leave the thread layer are those of
+   [await]/[stall] and their frame forms [Frame.resume]/[Frame.stall_k].
+   Each carries its suspension's generation (see [arm]), so one that
+   fires twice — a duplicated or late RPC reply under fault injection,
+   or a bug — is caught under [Check] and discarded otherwise.  The
+   sanitizers and fault injection therefore run this same engine. *)
 
 let obj_unit : Obj.t = Obj.repr 0
 
 type engine = {
-  mutable frames_ok : bool;
-  frames_wanted : bool;
-  (* Sticky: set the first time faults are armed.  A duplicated or late
-     CPS delivery may still reach the context of a thread that has
-     exited, so from then on no context of this machine is recycled. *)
-  mutable tainted : bool;
   (* Contexts of exited threads, ready for reuse: a stack in
      [free.(0 .. n_free - 1)] (see [recycle]/[reuse]). *)
   mutable free : ctx array;
@@ -51,10 +28,9 @@ type engine = {
 
 (* Field order is load-bearing for performance only: OCaml lays record
    fields out in declaration order, and a steady-state suspension touches
-   [location], the engine gate, the op/continuation slots, and the two
-   scheduler closures — putting those first packs the whole hot set into
-   the record's leading cache lines.  Cold identity/bookkeeping fields
-   trail. *)
+   [location], the op/continuation slots, and the scheduler closure —
+   putting those first packs the whole hot set into the record's leading
+   cache lines.  Cold identity/bookkeeping fields trail. *)
 and ctx = {
   mutable location : Processor.t;
   eng : engine;
@@ -70,16 +46,17 @@ and ctx = {
   mutable f_kop : ctx -> Obj.t -> unit;
   mutable f_k : Obj.t;
   mutable f_v0 : Obj.t;
-  (* The two scheduler-facing closures, preallocated at spawn: every
-     frame suspension re-points [f_op]/[f_kop] and hands one of these
-     out, so resuming allocates nothing. *)
+  (* The scheduler-facing closure, preallocated at spawn: every frame
+     requeue re-points [f_op] and hands this out. *)
   mutable run_op : unit -> unit;
-  mutable run_kop : Obj.t -> unit;
   (* The thread's pooled [Sim] handler, registered once at spawn: frame
      holds and network deliveries post (op_hid, 0) instead of storing
      [run_op] into the event, so the steady-state event pool carries only
      ints — no closure store (and no write barrier) per event. *)
   mutable op_hid : Sim.hid;
+  (* Suspension generation: the generation of the pending (or last)
+     [arm]ed suspension.  Only increases, and survives recycling. *)
+  mutable gen : int;
   mutable f_dst : Processor.t;
   mutable f_i0 : int;
   mutable f_after : ctx -> unit;
@@ -109,44 +86,15 @@ and ctx = {
   mutable run_exit : Obj.t -> unit;
 }
 
-let new_engine frames =
-  { frames_ok = frames; frames_wanted = frames; tainted = false; free = [||]; n_free = 0;
-    created = 0 }
-
-let cps_engine () = new_engine false
-
-let frames_engine () = new_engine true
-
-(* Arming faults taints the engine for good and drops its pool: see the
-   [tainted] field. *)
-let disable_frames e =
-  e.frames_ok <- false;
-  e.tainted <- true;
-  e.free <- [||];
-  e.n_free <- 0
-
-let restore_frames e = e.frames_ok <- e.frames_wanted
-
-let frames_enabled e = e.frames_ok
+let create_engine () = { free = [||]; n_free = 0; created = 0 }
 
 let contexts_created e = e.created
 
 let contexts_pooled e = e.n_free
 
-(* A context may be recycled (at exit) or reused (at spawn) only on the
-   frame engine of a machine that never armed faults, with the
-   sanitizers off: under [Check] the CPS reference paths and their
-   one-shot tokens run exactly as before. *)
-let recycling e = e.frames_ok && (not e.tainted) && not (Check.enabled ())
-
 let nop_op (_ : ctx) = ()
 
 let nop_kop (_ : ctx) (_ : Obj.t) = ()
-
-(* The frame fast paths fire only when the engine allows them and the
-   sanitizers are off: under [Check] the CPS reference paths run, with
-   their original one-shot guard tokens and labels. *)
-let frame_on c = c.eng.frames_ok && not (Check.enabled ())
 
 type 'a t = ctx -> ('a -> unit) -> unit
 
@@ -176,40 +124,53 @@ let yield c k =
   Processor.release p
 
 let sleep n c k =
-  (* Identical event timing and ordering for both engines: the wait is a
-     pooled park slot, not a closure (see Processor.enqueue_after). *)
+  (* The wait is a pooled park slot, not a closure (see
+     Processor.enqueue_after). *)
   let p = c.location in
   Processor.enqueue_after p ~delay:n k;
   Processor.release p
 
-(* Sanitizer shim: when [Check] is on, wrap a resumption in a one-shot
-   token so a double resume (or a dropped continuation, via the token
-   registry) is caught at the faulting call.  Identity when off. *)
-let guard what c f =
-  if Check.enabled () then
-    Check.linear ~what:(Printf.sprintf "tid %d: %s" c.thread_id what) f
-  else f
+(* --- suspension generations ------------------------------------------
+
+   [arm c what step] installs [step] as the pending resumption and
+   returns the closure that fires it.  The closure carries the
+   suspension's generation [g], the context's next one; it runs [step]
+   only while the context is still at [g], and firing moves the context
+   past it.  Generations never decrease and survive recycling, so a
+   resumption that fires late or twice can run neither a later
+   suspension's step nor a step of the context's next thread: it is
+   discarded.  Under [Check] the closure also carries a one-shot token
+   labelled [tid N: what], so a second firing raises at the faulting
+   call and a suspension that never resumes stays outstanding in
+   [Check.Linear]. *)
+let fire c g (v : Obj.t) =
+  if c.gen = g then begin
+    c.gen <- g + 1;
+    c.f_kop c v
+  end
+
+let arm c what step : 'a -> unit =
+  let g = c.gen + 1 in
+  c.gen <- g;
+  c.f_kop <- step;
+  if Check.enabled () then begin
+    let tok = Check.Linear.make ~what:(Printf.sprintf "tid %d: %s" c.thread_id what) in
+    fun v ->
+      Check.Linear.use tok;
+      fire c g (Obj.repr v)
+  end
+  else fun v -> fire c g (Obj.repr v)
 
 (* --- await ---------------------------------------------------------- *)
 
 let await_step c (v : Obj.t) =
   Processor.enqueue_app c.location (Obj.obj c.f_k : Obj.t -> unit) v
 
-let await_cps register c k =
-  let p = c.location in
-  register
-    ~resume:(guard "Thread.await resume" c (fun v -> Processor.enqueue p (fun () -> k v)));
-  Processor.release p
-
 let await register c k =
-  if frame_on c then begin
-    let p = c.location in
-    c.f_k <- Obj.repr k;
-    c.f_kop <- await_step;
-    register ~resume:(Obj.magic c.run_kop : _ -> unit);
-    Processor.release p
-  end
-  else await_cps register c k
+  let p = c.location in
+  c.f_k <- Obj.repr k;
+  register ~resume:(arm c "Thread.await resume" await_step);
+  Processor.release p
 
 (* --- stall ---------------------------------------------------------- *)
 
@@ -218,31 +179,20 @@ let stall_step c (v : Obj.t) =
   Processor.charge p (Sim.now (Processor.sim p) - c.f_i0);
   (Obj.obj c.f_k : Obj.t -> unit) v
 
-let stall_cps register c k =
-  let p = c.location in
-  let start = Sim.now (Processor.sim p) in
-  register
-    ~resume:
-      (guard "Thread.stall resume" c (fun v ->
-           Processor.charge p (Sim.now (Processor.sim p) - start);
-           k v))
+let stall_arm c =
+  c.f_i0 <- Sim.now (Processor.sim c.location);
+  arm c "Thread.stall resume" stall_step
 
 let stall register c k =
-  if frame_on c then begin
-    c.f_i0 <- Sim.now (Processor.sim c.location);
-    c.f_k <- Obj.repr k;
-    c.f_kop <- stall_step;
-    register ~resume:(Obj.magic c.run_kop : _ -> unit)
-  end
-  else stall_cps register c k
+  c.f_k <- Obj.repr k;
+  register ~resume:(stall_arm c)
 
 (* --- travel --------------------------------------------------------- *)
 
-(* Frame migration runs in three steps through [run_op], scheduling the
-   exact events of the CPS reference: network delivery re-enqueues the
-   thread at the destination; dispatch rebinds the location and holds
-   the CPU for the receive-pipeline work; then the completion op
-   ([f_after]) runs, still holding the CPU. *)
+(* Migration runs in three steps through [op_hid]/[run_op]: network
+   delivery re-enqueues the thread at the destination; dispatch rebinds
+   the location and holds the CPU for the receive-pipeline work; then
+   the completion op ([f_after]) runs, still holding the CPU. *)
 let travel_arrive c =
   let dst = c.f_dst in
   c.location <- dst;
@@ -267,25 +217,9 @@ let frame_travel ~net ~dst ~words ~kind ~recv_work ~after c =
 
 let travel_finish c = (Obj.obj c.f_k : unit -> unit) ()
 
-let travel_k_cps ~net ~dst ~words ~kind ~recv_work c k =
-  let src = c.location in
-  let deliver =
-    guard "Thread.travel delivery" c (fun () ->
-        Processor.enqueue dst (fun () ->
-            c.location <- dst;
-            Processor.hold dst recv_work k))
-  in
-  let (_ : int) =
-    Network.send_k net ~src:(Processor.id src) ~dst:(Processor.id dst) ~words ~kind deliver
-  in
-  Processor.release src
-
 let travel_k ~net ~dst ~words ~kind ~recv_work c k =
-  if frame_on c then begin
-    c.f_k <- Obj.repr k;
-    frame_travel ~net ~dst ~words ~kind ~recv_work ~after:travel_finish c
-  end
-  else travel_k_cps ~net ~dst ~words ~kind ~recv_work c k
+  c.f_k <- Obj.repr k;
+  frame_travel ~net ~dst ~words ~kind ~recv_work ~after:travel_finish c
 
 let travel ~net ~dst ~words ~kind ~recv_work c k =
   travel_k ~net ~dst ~words ~kind:(Network.kind net kind) ~recv_work c k
@@ -307,51 +241,52 @@ let start_step c =
 (* --- context recycling ------------------------------------------------
 
    A thread's context outlives the thread only as garbage: once its
-   final continuation has run, nothing may resume it (a thread is
-   sequential, and on the frame engine without faults every resumption
-   it handed out has fired exactly once).  So the context goes on its
-   engine's free stack at exit, and the next spawn on the same machine
-   rebinds it instead of allocating a record, three closures and a
-   [Sim] handler.  Handler ids never enter event ordering, tids still
-   come from the caller and streams from [Rng.split], so recycling is
-   invisible to every digest. *)
+   final continuation has run, nothing may resume it — a thread is
+   sequential, its op-level resumptions ([run_op], the [op_hid]
+   occurrence) have all fired, and any [arm]ed resumption still in
+   flight (a duplicated reply) carries a generation the context has
+   moved past.  So the context goes on its engine's free stack at exit,
+   and the next spawn on the same machine rebinds it instead of
+   allocating a record, two closures and a [Sim] handler.  Handler ids
+   never enter event ordering, tids still come from the caller and
+   streams from [Rng.split], so recycling is invisible to every
+   digest. *)
 
 let grow_free e c =
   let a = Array.make (max 8 (2 * Array.length e.free)) c in
   Array.blit e.free 0 a 0 e.n_free;
   e.free <- a
 
-(* Exit side: clear every slot that could keep garbage alive, then push. *)
+(* Exit side: clear every slot that could keep garbage alive, then push.
+   [gen] stays: see [arm]. *)
 let recycle c =
   let e = c.eng in
-  if recycling e then begin
-    c.f_op <- nop_op;
-    c.f_kop <- nop_kop;
-    c.f_k <- obj_unit;
-    c.f_v0 <- obj_unit;
-    c.f_v1 <- obj_unit;
-    c.f_v2 <- obj_unit;
-    c.f_v3 <- obj_unit;
-    c.f_after <- nop_op;
-    c.f_after2 <- nop_op;
-    c.f_ms <- obj_unit;
-    c.f_mv <- obj_unit;
-    (* The int slots too, so a reused context is field for field a fresh
-       one apart from its identity, closures and handler id. *)
-    c.f_i0 <- 0;
-    c.f_i1 <- 0;
-    c.f_i2 <- 0;
-    c.f_i3 <- 0;
-    c.f_mi0 <- 0;
-    c.f_mi1 <- 0;
-    c.f_mi2 <- 0;
-    c.f_mi3 <- 0;
-    c.f_mi4 <- 0;
-    c.exit_fn <- default_exit;
-    if e.n_free = Array.length e.free then grow_free e c;
-    Array.unsafe_set e.free e.n_free c;
-    e.n_free <- e.n_free + 1
-  end
+  c.f_op <- nop_op;
+  c.f_kop <- nop_kop;
+  c.f_k <- obj_unit;
+  c.f_v0 <- obj_unit;
+  c.f_v1 <- obj_unit;
+  c.f_v2 <- obj_unit;
+  c.f_v3 <- obj_unit;
+  c.f_after <- nop_op;
+  c.f_after2 <- nop_op;
+  c.f_ms <- obj_unit;
+  c.f_mv <- obj_unit;
+  (* The int slots too, so a reused context is field for field a fresh
+     one apart from its identity, closures, handler id and generation. *)
+  c.f_i0 <- 0;
+  c.f_i1 <- 0;
+  c.f_i2 <- 0;
+  c.f_i3 <- 0;
+  c.f_mi0 <- 0;
+  c.f_mi1 <- 0;
+  c.f_mi2 <- 0;
+  c.f_mi3 <- 0;
+  c.f_mi4 <- 0;
+  c.exit_fn <- default_exit;
+  if e.n_free = Array.length e.free then grow_free e c;
+  Array.unsafe_set e.free e.n_free c;
+  e.n_free <- e.n_free + 1
 
 (* Spawn side: pop the newest recycled context and rebind its identity.
    The preallocated closures and the handler id stay.  Precondition:
@@ -397,14 +332,13 @@ let fresh e ~tid ~split ~exit_fn p =
       f_mi4 = 0;
       f_ms = obj_unit;
       f_mv = obj_unit;
+      gen = 0;
       run_op = ignore;
-      run_kop = ignore;
       op_hid = Sim.nil_handler;
       run_exit = ignore;
     }
   in
   c.run_op <- (fun () -> c.f_op c);
-  c.run_kop <- (fun v -> c.f_kop c v);
   c.op_hid <- Sim.handler (Processor.sim p) (fun _ -> c.f_op c);
   c.run_exit <-
     (fun v ->
@@ -419,19 +353,16 @@ let fresh e ~tid ~split ~exit_fn p =
    run into the next within a process, and would race across pool
    domains.  Callers now always say which tid they mean. *)
 let spawn ~tid ~split ?on_exit ?engine p body =
-  let e = match engine with Some e -> e | None -> frames_engine () in
+  let e = match engine with Some e -> e | None -> create_engine () in
   let exit_fn =
     match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
   in
   let c =
-    if e.n_free > 0 && recycling e then reuse e ~tid ~split ~exit_fn p
-    else fresh e ~tid ~split ~exit_fn p
+    if e.n_free > 0 then reuse e ~tid ~split ~exit_fn p else fresh e ~tid ~split ~exit_fn p
   in
   let finish : Obj.t -> unit =
     if Check.enabled () then
-      guard "Thread.spawn exit" c (fun v ->
-          c.exit_fn v;
-          Processor.release c.location)
+      Check.linear ~what:(Printf.sprintf "tid %d: Thread.spawn exit" tid) c.run_exit
     else c.run_exit
   in
   c.f_v0 <- Obj.repr body;
@@ -500,8 +431,6 @@ let ignore_m m c k = m c (fun _ -> k ())
 module Frame = struct
   type nonrec ctx = ctx
 
-  let on = frame_on
-
   let proc c = c.location
 
   let save_k c (k : 'a -> unit) = c.f_k <- Obj.repr k
@@ -561,14 +490,9 @@ module Frame = struct
     c.f_op <- op;
     Processor.enqueue c.location c.run_op
 
-  let resume c step =
-    c.f_kop <- step;
-    (Obj.magic c.run_kop : _ -> unit)
+  let resume c step = arm c "Thread.await resume" step
 
-  let stall_k c =
-    c.f_i0 <- Sim.now (Processor.sim c.location);
-    c.f_kop <- stall_step;
-    (Obj.magic c.run_kop : _ -> unit)
+  let stall_k = stall_arm
 
   let travel = frame_travel
 

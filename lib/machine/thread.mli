@@ -18,42 +18,31 @@ type ctx
 (** A thread's identity and current location, plus its reusable
     continuation frame (see {!Frame}). *)
 
-(** {1 Execution engines}
+(** {1 The engine}
 
-    Two interchangeable engines drive a thread's blocking points: the
-    default {e frame} engine defunctionalizes suspensions into pooled
-    per-thread frame slots (zero steady-state allocation), while the
-    {e CPS} engine is the original closure-per-suspension reference,
-    retained for the digest-equivalence oracle and paired A/B
-    benchmarks.  Both schedule identical events — run digests are
-    bit-identical.  The frame paths fall back to the CPS reference
-    dynamically while sanitizers ([Check]) or transport fault injection
-    are active. *)
+    A thread's blocking points are defunctionalized into pooled
+    per-thread frame slots (see {!Frame}): holds, travels and requeues
+    allocate nothing in the steady state.  Sanitizers ([Check]) and
+    transport fault injection run on the same engine.  Every resumption
+    handed out of the thread layer ({!await}, {!stall}, {!Frame.resume},
+    {!Frame.stall_k}) carries its suspension's {e generation}: it runs
+    only if its suspension is still pending, so a resumption that fires
+    a second time — a duplicated or late RPC reply under fault
+    injection — is discarded, and under [Check] raises
+    {!Cm_engine.Check.Violation} instead.  A context's generation only
+    increases, recycling included. *)
 
 type engine
+(** The per-machine thread state: the pool of recycled contexts. *)
 
-val frames_engine : unit -> engine
-(** A fresh engine with the frame fast paths enabled (the default). *)
-
-val cps_engine : unit -> engine
-(** A fresh engine forcing the CPS reference paths. *)
-
-val disable_frames : engine -> unit
-(** Dynamically force the CPS paths (used while faults are armed).  It
-    also stops context recycling for good: a duplicated or late CPS
-    delivery may still reach an exited thread's context, which therefore
-    must never be rebound to a new thread. *)
-
-val restore_frames : engine -> unit
-(** Undo {!disable_frames}, restoring the engine's configured variant. *)
-
-val frames_enabled : engine -> bool
+val create_engine : unit -> engine
+(** A fresh engine with an empty context pool. *)
 
 val contexts_created : engine -> int
 (** Thread contexts allocated so far by spawns on this engine.  An
     exited thread's context is recycled for the next spawn on the same
-    machine (frame engine, sanitizers off, faults never armed), so after
-    warm-up this stays at the peak number of live threads. *)
+    machine, so after warm-up this stays at the peak number of live
+    threads. *)
 
 val contexts_pooled : engine -> int
 (** Recycled contexts currently waiting for a spawn. *)
@@ -105,14 +94,17 @@ val await : (resume:('a -> unit) -> unit) -> 'a t
     resumption function and must arrange for [resume v] to be invoked by a
     later simulation event (never synchronously); the CPU is released in
     the meantime and the thread continues with [v] on its original
-    processor once re-dispatched. *)
+    processor once re-dispatched.  Only the first invocation of [resume]
+    counts: a later one is discarded (a {!Cm_engine.Check.Violation}
+    under [Check], labelled [tid N: Thread.await resume]). *)
 
 val stall : (resume:('a -> unit) -> unit) -> 'a t
 (** [stall register] is like {!await} except that the CPU is {e not}
     released: the processor stalls (as on a cache miss in a
     non-multithreaded machine) until [resume v] is invoked by a later
     simulation event, and the stalled cycles are charged as busy time.
-    The continuation runs directly from the resuming event. *)
+    The continuation runs directly from the resuming event.  [resume] is
+    one-shot, as for {!await} (label [Thread.stall resume]). *)
 
 val travel :
   net:Network.t ->
@@ -156,13 +148,12 @@ val spawn :
     per-machine counter), never by process-global state, so tids — and
     the default per-thread RNG seeds derived from them — restart at
     every [Machine.create] and cannot bleed across runs or domains.
-    The thread's stream is the next [Rng.split split].  [engine] selects
-    the execution engine (a fresh frame engine when omitted);
-    [Machine.spawn] passes its machine's engine so fault gating applies
-    to every thread of the machine, and so exited threads' contexts are
-    recycled per machine (see {!contexts_created}).  An engine belongs
-    to one machine: its recycled contexts hold handler ids of that
-    machine's simulator. *)
+    The thread's stream is the next [Rng.split split].  [engine] is the
+    context pool to draw from and recycle into (a fresh one when
+    omitted); [Machine.spawn] passes its machine's engine, so exited
+    threads' contexts are recycled per machine (see
+    {!contexts_created}).  An engine belongs to one machine: its
+    recycled contexts hold handler ids of that machine's simulator. *)
 
 (** {1 Combinators} *)
 
@@ -207,13 +198,8 @@ val ignore_m : 'a t -> unit t
 module Frame : sig
   type nonrec ctx = ctx
 
-  val on : ctx -> bool
-  (** Whether the frame fast paths may be used for this thread right
-      now (frame engine, sanitizers off).  When false, callers must take
-      their CPS reference path. *)
-
   val proc : ctx -> Processor.t
-  (** The thread's current processor (valid for either engine). *)
+  (** The thread's current processor. *)
 
   val save_k : ctx -> ('a -> unit) -> unit
   (** Park the operation's final continuation in the frame. *)
@@ -268,7 +254,7 @@ module Frame : sig
   val getmv : ctx -> 'v
 
   val rng : ctx -> Rng.t
-  (** The thread's private random stream, read directly (either engine) —
+  (** The thread's private random stream, read directly —
       the direct-style equivalent of the {!Cm_machine.Thread.rng}
       monad. *)
 
@@ -291,10 +277,12 @@ module Frame : sig
 
   val resume : ctx -> (ctx -> Obj.t -> unit) -> ('a -> unit)
   (** [resume c step] installs [step] as the pending resumption and
-      returns the thread's preallocated resume closure: invoking it with
-      [v] runs [step c v].  The frame equivalent of an {!await}
-      registration's [~resume] argument (the caller is responsible for
-      releasing the CPU, as {!await} does). *)
+      returns its one-shot resume closure, stamped with the suspension's
+      generation: invoking it with [v] runs [step c v] if the suspension
+      is still pending, and is discarded (a violation under [Check])
+      otherwise.  The frame equivalent of an {!await} registration's
+      [~resume] argument (the caller is responsible for releasing the
+      CPU, as {!await} does). *)
 
   val stall_k : ctx -> ('a -> unit)
   (** [stall_k c] is {!resume} specialized to {!stall} semantics: the

@@ -1,5 +1,4 @@
 open Cm_engine
-open Thread.Infix
 
 type recv = Recv_pipeline | Recv_bare
 
@@ -45,7 +44,6 @@ type t = {
   net : Network.t;
   n_procs : int;
   spawn : on:int -> unit Thread.t -> unit;
-  eng : Thread.engine;  (* the owning machine's engine: faults force CPS *)
   xstats : Stats.t;
   mutable kind_names : string list;  (* distinct labels, declaration order (reversed) *)
   mutable faults_on : bool;
@@ -109,14 +107,8 @@ let kind t ?(recv = Recv_pipeline) name =
 
 let kind_name k = k.ctrs.c_name
 
-(* Accounting accessors for external frame-path fast paths (the
-   runtime's fused call sites): exactly the counter traffic [migrate_f]'s
-   steps perform, exposed so a caller that already holds the per-site
-   constants need not round-trip them through the frame slots. *)
-let net_kind k = k.net_k
-
-let account_posted k = Stats.Counter.incr k.ctrs.posted_c
-
+(* The arrival-side accounting of [migrate_f]'s chain, for the runtime's
+   fused call sites, which run their own arrival step. *)
 let account_delivered k ~pid =
   Stats.Counter.incr k.ctrs.delivered_c;
   k.ep_delivered.(pid) <- k.ep_delivered.(pid) + 1
@@ -141,22 +133,38 @@ end
 (* Fault injection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Arming faults forces every thread of the machine onto the CPS
-   reference paths: a duplicated delivery may invoke a resumption twice,
-   and the original per-suspension closures reproduce that behavior
-   exactly, where a shared frame slot would misdirect the second call. *)
+let validate_fault (name, f) =
+  let probability field p =
+    (* Written so that nan fails too. *)
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg
+        (Printf.sprintf
+           "Transport.configure_faults: kind %S: %s = %g, expected a probability in [0, 1]" name
+           field p)
+  in
+  probability "drop" f.drop;
+  probability "duplicate" f.duplicate;
+  probability "delay" f.delay;
+  if f.delay_cycles < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Transport.configure_faults: kind %S: delay_cycles = %d, expected an integer >= 0" name
+         f.delay_cycles)
+
+(* A duplicated or late delivery may fire a resumption a second time;
+   the thread layer's suspension generations discard it (or report it
+   under [Check]), so arming faults changes nothing but the send path. *)
 let configure_faults t ~seed specs =
+  List.iter validate_fault specs;
   t.fault_specs <- specs;
   t.faults_on <- specs <> [];
   t.fault_gen <- t.fault_gen + 1;
-  t.frng <- Rng.create ~seed;
-  if t.faults_on then Thread.disable_frames t.eng else Thread.restore_frames t.eng
+  t.frng <- Rng.create ~seed
 
 let clear_faults t =
   t.fault_specs <- [];
   t.faults_on <- false;
-  t.fault_gen <- t.fault_gen + 1;
-  Thread.restore_frames t.eng
+  t.fault_gen <- t.fault_gen + 1
 
 let faults_active t = t.faults_on
 
@@ -275,9 +283,8 @@ let send_pooled t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
   in
   ()
 
-(* Receive-pipeline charge in front of an endpoint handler.  The frame
-   path parks the handler and payload in the fresh thread's slots; the
-   CPS path is the bind chain of the original dispatch. *)
+(* Receive-pipeline charge in front of an endpoint handler: the handler
+   and payload park in the fresh thread's frame slots. *)
 let recv_step c =
   let handler : Obj.t -> unit Thread.t = Thread.Frame.getv0 c in
   let payload : Obj.t = Thread.Frame.getv1 c in
@@ -286,13 +293,10 @@ let recv_step c =
 
 let recv_piped cost (handler : Obj.t -> unit Thread.t) (payload : Obj.t) : unit Thread.t =
  fun c kont ->
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c handler;
-    Thread.Frame.setv1 c payload;
-    Thread.Frame.hold_then c cost recv_step
-  end
-  else Thread.compute cost c (fun () -> handler payload c kont)
+  Thread.Frame.save_k c kont;
+  Thread.Frame.setv0 c handler;
+  Thread.Frame.setv1 c payload;
+  Thread.Frame.hold_then c cost recv_step
 
 (* Arrival action of a code-2 frame: look up the endpoint and start the
    handler thread, charging reception per the kind's [recv] mode. *)
@@ -326,7 +330,7 @@ let af_arrive t slot =
   else if code = 1 then (Obj.obj fn : Obj.t -> unit) arg
   else deliver_payload t k ~dst ~words arg
 
-let create ~sim ~costs ~net ~procs ~spawn ~eng =
+let create ~sim ~costs ~net ~procs ~spawn =
   let self = ref None in
   let t =
     {
@@ -335,7 +339,6 @@ let create ~sim ~costs ~net ~procs ~spawn ~eng =
       net;
       n_procs = Array.length procs;
       spawn;
-      eng;
       xstats = Stats.create ();
       kind_names = [];
       faults_on = false;
@@ -365,23 +368,10 @@ let create ~sim ~costs ~net ~procs ~spawn ~eng =
 (* --- raw sends ------------------------------------------------------ *)
 
 let dispatch_slow t (k : 'a kind) ~src ~dst ~words payload =
-  let deliver () =
-    match k.handlers.(dst) with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Transport: no %S endpoint registered at processor %d" k.ctrs.c_name
-           dst)
-    | Some handler ->
-      t.spawn ~on:dst
-        (match k.recv with
-        | Recv_pipeline ->
-          let* () =
-            Thread.compute (Costs.recv_pipeline t.costs ~words ~new_thread:true)
-          in
-          handler payload
-        | Recv_bare -> handler payload)
+  let (_ : int) =
+    transmit t k ~src ~dst ~words (fun () ->
+        deliver_payload t (Obj.magic k : Obj.t kind) ~dst ~words (Obj.repr payload))
   in
-  let (_ : int) = transmit t k ~src ~dst ~words deliver in
   ()
 
 let dispatch t (k : 'a kind) ~src ~dst ~words payload =
@@ -434,18 +424,9 @@ let cancel_pending_delays t =
 (* Monadic senders                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each sender has a frame fast path (statically-allocated steps over
-   the thread's frame slots — see Thread.Frame) and the original CPS
-   monad, kept verbatim in the [_cps] sibling as the reference engine.
-   Both schedule identical events; the oracle in test/ compares their
-   digests. *)
-
-let post_cps t k ~dst ~words payload =
-  let* p = Thread.proc in
-  let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
-  fun _ctx kont ->
-    dispatch t k ~src:(Processor.id p) ~dst ~words payload;
-    kont ()
+(* Each sender is a chain of statically-allocated steps over the
+   thread's frame slots (see Thread.Frame): the send-pipeline hold, then
+   the raw send from wherever the thread then is. *)
 
 let post_step c =
   let t : t = Thread.Frame.getv0 c in
@@ -457,23 +438,13 @@ let post_step c =
   Thread.Frame.call_k c ()
 
 let post t k ~dst ~words payload c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c payload;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) post_step
-  end
-  else post_cps t k ~dst ~words payload c kont
-
-let notify_cps t k ~dst ~words deliver =
-  let* p = Thread.proc in
-  let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
-  fun _ctx kont ->
-    signal t k ~src:(Processor.id p) ~dst ~words deliver;
-    kont ()
+  Thread.Frame.save_k c kont;
+  Thread.Frame.setv0 c t;
+  Thread.Frame.setv1 c k;
+  Thread.Frame.setv2 c payload;
+  Thread.Frame.seti1 c dst;
+  Thread.Frame.seti2 c words;
+  Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) post_step
 
 let notify_step c =
   let t : t = Thread.Frame.getv0 c in
@@ -485,16 +456,13 @@ let notify_step c =
   Thread.Frame.call_k c ()
 
 let notify t k ~dst ~words deliver c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c deliver;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_step
-  end
-  else notify_cps t k ~dst ~words deliver c kont
+  Thread.Frame.save_k c kont;
+  Thread.Frame.setv0 c t;
+  Thread.Frame.setv1 c k;
+  Thread.Frame.setv2 c deliver;
+  Thread.Frame.seti1 c dst;
+  Thread.Frame.seti2 c words;
+  Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_step
 
 let notify_app_step c =
   let t : t = Thread.Frame.getv0 c in
@@ -507,41 +475,20 @@ let notify_app_step c =
   Thread.Frame.call_k c ()
 
 let notify_app t k ~dst ~words (fn : 'a -> unit) (v : 'a) c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c fn;
-    Thread.Frame.setv3 c v;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_app_step
-  end
-  else notify_cps t k ~dst ~words (fun () -> fn v) c kont
+  Thread.Frame.save_k c kont;
+  Thread.Frame.setv0 c t;
+  Thread.Frame.setv1 c k;
+  Thread.Frame.setv2 c fn;
+  Thread.Frame.setv3 c v;
+  Thread.Frame.seti1 c dst;
+  Thread.Frame.seti2 c words;
+  Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_app_step
 
 (* --- call: full RPC ------------------------------------------------- *)
 
-let call_cps t ~req ~reply ~dst ~args_words ~result_words body =
-  let* caller = Thread.proc in
-  let caller_id = Processor.id caller in
-  (* Client stub: marshal and send the request, then block.  The server
-     side runs the payload thread at [dst] (endpoints for [req] run
-     their payload), computes, and replies from wherever the body ends
-     up — it may itself migrate. *)
-  let* () = Thread.compute (Costs.send_pipeline t.costs ~words:args_words) in
-  let* r =
-    Thread.await (fun ~resume ->
-        dispatch t req ~src:caller_id ~dst ~words:args_words
-          (let* r = body in
-           notify t reply ~dst:caller_id ~words:result_words (fun () -> resume r)))
-  in
-  (* Reply reception on the caller: no thread creation, just unblock. *)
-  let* () = Thread.compute (Costs.recv_pipeline t.costs ~words:result_words ~new_thread:false) in
-  Thread.return r
-
-(* Server side of a frame-path reply: after the body finished, charge
-   the sender pipeline at wherever it ended up, then signal the caller's
-   resumption applied to the result — no reply wrapper closure. *)
+(* Server side of a reply: after the body finished, charge the sender
+   pipeline at wherever it ended up, then signal the caller's resumption
+   applied to the result — no reply wrapper closure. *)
 let server_reply_step c =
   let resume : Obj.t -> unit = Thread.Frame.getv0 c in
   let r : Obj.t = Thread.Frame.getv1 c in
@@ -555,23 +502,21 @@ let server_reply_step c =
 (* The request payload: one closure per call (it crosses the wire and
    must survive the server body clobbering the server thread's frame
    slots), plus the reply continuation it builds when the body
-   finishes. *)
+   finishes.  A duplicated request runs the body twice and replies
+   twice; the caller's one-shot [resume] discards the second reply. *)
 let server_stub t (reply : Obj.t kind) caller_id result_words (resume : Obj.t -> unit)
     (body : Obj.t Thread.t) : unit Thread.t =
  fun sc sk ->
   body sc (fun r ->
-      if Thread.Frame.on sc then begin
-        Thread.Frame.save_k sc sk;
-        Thread.Frame.setv0 sc resume;
-        Thread.Frame.setv1 sc r;
-        Thread.Frame.setv2 sc t;
-        Thread.Frame.setv3 sc reply;
-        Thread.Frame.seti1 sc caller_id;
-        Thread.Frame.seti2 sc result_words;
-        Thread.Frame.hold_then sc (Costs.send_pipeline t.costs ~words:result_words)
-          server_reply_step
-      end
-      else notify_cps t reply ~dst:caller_id ~words:result_words (fun () -> resume r) sc sk)
+      Thread.Frame.save_k sc sk;
+      Thread.Frame.setv0 sc resume;
+      Thread.Frame.setv1 sc r;
+      Thread.Frame.setv2 sc t;
+      Thread.Frame.setv3 sc reply;
+      Thread.Frame.seti1 sc caller_id;
+      Thread.Frame.seti2 sc result_words;
+      Thread.Frame.hold_then sc (Costs.send_pipeline t.costs ~words:result_words)
+        server_reply_step)
 
 let call_done_step c =
   let r : Obj.t = Thread.Frame.getv0 c in
@@ -608,52 +553,32 @@ let call_send_step c =
   Thread.Frame.release c
 
 let call t ~req ~reply ~dst ~args_words ~result_words body c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c body;
-    Thread.Frame.setv1 c t;
-    Thread.Frame.setv2 c req;
-    Thread.Frame.setv3 c reply;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c args_words;
-    Thread.Frame.seti3 c result_words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words:args_words) call_send_step
-  end
-  else call_cps t ~req ~reply ~dst ~args_words ~result_words body c kont
+  Thread.Frame.save_k c kont;
+  Thread.Frame.setv0 c body;
+  Thread.Frame.setv1 c t;
+  Thread.Frame.setv2 c req;
+  Thread.Frame.setv3 c reply;
+  Thread.Frame.seti1 c dst;
+  Thread.Frame.seti2 c args_words;
+  Thread.Frame.seti3 c result_words;
+  Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words:args_words) call_send_step
 
 (* --- migrate: ship the current continuation ------------------------- *)
 
-let migrate_cps t k ~dst ~words ~fresh =
-  let* p = Thread.proc in
-  let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
-  let* sent =
-    fun _ctx kont ->
-     Stats.Counter.incr k.ctrs.posted_c;
-     let drop =
-       t.faults_on
-       &&
-       match fault_spec t k with
-       | Some f -> fault_hits t f.drop
-       | None -> false
-     in
-     if drop then Stats.Counter.incr k.ctrs.dropped_c;
-     kont (not drop)
-  in
-  if not sent then (
-    fun _ctx _kont ->
-      (* The continuation was lost with the message: the thread ends here
-         (the sanitizer's [dropped] counter owns the account). *)
-      Processor.release p)
-  else
-    let* () =
-      Thread.travel_k ~net:t.net ~dst ~words ~kind:k.net_k
-        ~recv_work:(Costs.recv_pipeline t.costs ~words ~new_thread:fresh)
-    in
-    fun _ctx kont ->
-      Stats.Counter.incr k.ctrs.delivered_c;
-      let d = Processor.id dst in
-      k.ep_delivered.(d) <- k.ep_delivered.(d) + 1;
-      kont ()
+(* The send half of every migration, the fused call sites' included:
+   account the post, apply the fault spec's drop decision (drawn from
+   [frng] in send order, like every other fault decision; duplicate and
+   delay do not apply to migrations), and travel.  A dropped migration
+   loses the continuation with the message: the thread ends where it
+   is, and its context is never recycled. *)
+let launch t k ~dst ~words ~recv_work ~after c =
+  Stats.Counter.incr k.ctrs.posted_c;
+  if t.faults_on && match fault_spec t k with Some f -> fault_hits t f.drop | None -> false
+  then begin
+    Stats.Counter.incr k.ctrs.dropped_c;
+    Thread.Frame.release c
+  end
+  else Thread.Frame.travel ~net:t.net ~dst ~words ~kind:k.net_k ~recv_work ~after c
 
 let mig_done_step c =
   let k : Obj.t kind = Thread.Frame.getv0 c in
@@ -668,8 +593,7 @@ let mig_send_step c =
   let dst : Processor.t = Thread.Frame.getv2 c in
   let words = Thread.Frame.geti1 c in
   let fresh = Thread.Frame.geti2 c = 1 in
-  Stats.Counter.incr k.ctrs.posted_c;
-  Thread.Frame.travel ~net:t.net ~dst ~words ~kind:k.net_k
+  launch t k ~dst ~words
     ~recv_work:(Costs.recv_pipeline t.costs ~words ~new_thread:fresh)
     ~after:mig_done_step c
 
@@ -685,11 +609,8 @@ let migrate_f t k ~dst ~words ~fresh ~after c =
 let mig_kont_step c = Thread.Frame.call_k c ()
 
 let migrate t k ~dst ~words ~fresh c kont =
-  if Thread.Frame.on c && not t.faults_on then begin
-    Thread.Frame.save_k c kont;
-    migrate_f t k ~dst ~words ~fresh ~after:mig_kont_step c
-  end
-  else migrate_cps t k ~dst ~words ~fresh c kont
+  Thread.Frame.save_k c kont;
+  migrate_f t k ~dst ~words ~fresh ~after:mig_kont_step c
 
 (* ------------------------------------------------------------------ *)
 (* Accounting                                                         *)

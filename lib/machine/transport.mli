@@ -37,16 +37,11 @@ val create :
   net:Network.t ->
   procs:Processor.t array ->
   spawn:(on:int -> unit Thread.t -> unit) ->
-  eng:Thread.engine ->
   t
-(** [create ~sim ~costs ~net ~procs ~spawn ~eng] is a transport sending
+(** [create ~sim ~costs ~net ~procs ~spawn] is a transport sending
     over [net] and starting handler threads through [spawn] (the
     machine's deterministic spawner, so handler threads draw tids and rng
-    streams exactly as directly-spawned ones do).  [eng] is the owning
-    machine's thread engine: arming fault injection forces its threads
-    onto the CPS reference paths (a duplicated delivery may fire a
-    resumption twice, which shared frame slots cannot represent), and
-    disarming restores them. *)
+    streams exactly as directly-spawned ones do). *)
 
 (** {1 Message kinds and endpoints} *)
 
@@ -78,17 +73,10 @@ val kind : t -> ?recv:recv -> string -> 'a kind
 val kind_name : _ kind -> string
 (** The label [kind] was declared under. *)
 
-val net_kind : _ kind -> Network.kind
-(** The pre-interned network-level kind messages of [kind] travel as. *)
-
-val account_posted : _ kind -> unit
-(** Bump [kind]'s posted counter — the send-side accounting {!migrate_f}
-    performs, for frame-path callers that drive {!Thread.Frame.travel}
-    themselves (see {!Cm_runtime.Runtime.site_call}). *)
-
 val account_delivered : _ kind -> pid:int -> unit
 (** Bump [kind]'s delivered counter and processor [pid]'s endpoint
-    tally — the arrival-side accounting of {!migrate_f}'s chain. *)
+    tally — the arrival-side accounting of {!migrate_f}'s chain, for
+    callers that start migrations with {!launch}. *)
 
 module Endpoint : sig
   val register : t -> proc:int -> kind:'a kind -> ('a -> unit Thread.t) -> unit
@@ -109,7 +97,8 @@ end
 
     The monadic operations run inside a thread and charge the sender
     pipeline on its CPU; the raw operations inject immediately (from
-    event context — protocol controllers and already-paid CPS steps). *)
+    event context — protocol controllers and steps that already paid
+    the sender pipeline). *)
 
 val post : t -> 'a kind -> dst:int -> words:int -> 'a -> unit Thread.t
 (** [post t k ~dst ~words v] charges [Costs.send_pipeline ~words], sends
@@ -154,8 +143,8 @@ val migrate : t -> _ kind -> dst:Processor.t -> words:int -> fresh:bool -> unit 
     ~new_thread:fresh] once dispatched ([fresh] is false for
     short-circuit returns to a waiting frame).  No endpoint is involved —
     the payload is the thread itself.  Under fault injection only [drop]
-    applies to migrations (the continuation is lost with the message);
-    duplicate/delay are ignored. *)
+    applies to migrations (the continuation is lost with the message and
+    the thread ends at the source); duplicate/delay are ignored. *)
 
 val migrate_f :
   t ->
@@ -168,8 +157,23 @@ val migrate_f :
   unit
 (** Direct-style {!migrate} for frame-path consumers: charges the sender
     pipeline, travels, and runs [after] at the destination holding the
-    CPU.  Only valid when [Thread.Frame.on] holds for the context (which
-    implies faults are off — arming faults disables the frames). *)
+    CPU.  Faults apply as for {!migrate}. *)
+
+val launch :
+  t ->
+  _ kind ->
+  dst:Processor.t ->
+  words:int ->
+  recv_work:int ->
+  after:(Thread.Frame.ctx -> unit) ->
+  Thread.Frame.ctx ->
+  unit
+(** The send half of {!migrate_f}, for callers that charged the sender
+    pipeline themselves (the runtime's fused call sites): bump [kind]'s
+    posted counter, apply the fault spec's drop decision, and
+    {!Thread.Frame.travel} to [dst] as a [words]-word [kind] message,
+    holding [recv_work] cycles there before [after] runs.  The caller
+    accounts the arrival with {!account_delivered}. *)
 
 (** {1 Raw operations (event context)} *)
 
@@ -218,7 +222,14 @@ val configure_faults : t -> seed:int -> (string * fault) list -> unit
     named in [specs] (by label; kinds not listed are unaffected).
     Decisions are drawn from a fresh generator seeded with [seed], in
     send order — same seed, same workload ⇒ same faults.  Replaces any
-    previous configuration. *)
+    previous configuration.  Raises [Invalid_argument] naming the kind
+    and field when a probability is not in [\[0, 1\]] (nan included) or
+    [delay_cycles] is negative.
+
+    Faults run on the same thread engine as fault-free runs.  A
+    duplicated or late reply fires its caller's resumption a second
+    time; the thread layer discards it (see {!Thread.await}), or raises
+    {!Check.Violation} under [Check]. *)
 
 val clear_faults : t -> unit
 (** Disarm fault injection (restores the zero-overhead path). *)

@@ -406,11 +406,9 @@ let finish_time t line ~exclusive lat =
     (* Reads still queue behind a pending exclusive transfer. *)
     max (now + lat) info.busy_until
 
-let resume_after_transaction t line ~exclusive lat k =
-  Sim.at (sim t) (finish_time t line ~exclusive lat) k
-
-(* Frame-path completion: park the resumption and its value in a pooled
-   wait slot — same fire time, no closure and no closure event. *)
+(* Transaction completion: park the stalled thread's resumption and its
+   value in a pooled wait slot that fires when the transaction
+   finishes — no wrapper closure and no closure event. *)
 let resume_app t line ~exclusive lat (fn : Obj.t -> unit) (v : Obj.t) =
   let finish = finish_time t line ~exclusive lat in
   let slot = wp_alloc t.wp in
@@ -419,26 +417,6 @@ let resume_app t line ~exclusive lat (fn : Obj.t -> unit) (v : Obj.t) =
   Sim.post_after (sim t) ~delay:(finish - Sim.now (sim t)) t.wait_hid slot
 
 open Thread.Infix
-
-let with_pid (f : int -> 'a Thread.t) : 'a Thread.t =
-  let* p = Thread.proc in
-  f (Processor.id p)
-
-let read_cps t a =
-  let line = line_of t a and off = offset_of t a in
-  with_pid (fun pid ->
-      let cache = t.caches.(pid) in
-      let* () = Thread.compute t.cfg.hit_cost in
-      match Cache.lookup cache ~line with
-      | Some (_, data) ->
-        Cache.record_hit cache;
-        Thread.return data.(off)
-      | None ->
-        Cache.record_miss cache;
-        Thread.stall (fun ~resume ->
-            let lat = read_miss t pid line in
-            let value = (info_exn t line).mem.(off) in
-            resume_after_transaction t line ~exclusive:false lat (fun () -> resume value)))
 
 let read_step c =
   let t : t = Thread.Frame.getv3 c in
@@ -458,37 +436,15 @@ let read_step c =
     resume_app t line ~exclusive:false lat resume (Obj.repr value)
 
 let read t a c k =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setv3 c t;
-    Thread.Frame.seti3 c a;
-    Thread.Frame.hold_then c t.cfg.hit_cost read_step
-  end
-  else read_cps t a c k
+  Thread.Frame.save_k c k;
+  Thread.Frame.setv3 c t;
+  Thread.Frame.seti3 c a;
+  Thread.Frame.hold_then c t.cfg.hit_cost read_step
 
-(* Obtain Modified ownership of [a]'s line, then atomically apply
-   [mutate] to the cached copy.  Shared by [write] and [rmw]. *)
-let exclusive_update_cps t a (mutate : int array -> int -> 'r) : 'r Thread.t =
-  let line = line_of t a and off = offset_of t a in
-  with_pid (fun pid ->
-      let cache = t.caches.(pid) in
-      let* () = Thread.compute t.cfg.hit_cost in
-      match Cache.lookup cache ~line with
-      | Some (Cache.Modified, data) ->
-        Cache.record_hit cache;
-        Thread.return (mutate data off)
-      | Some (Cache.Shared, _) | None ->
-        (match Cache.state cache ~line with
-        | Some Cache.Shared -> Cache.record_hit cache (* data present, permission miss *)
-        | _ -> Cache.record_miss cache);
-        Thread.stall (fun ~resume ->
-            let lat = write_miss t pid line in
-            let result = mutate (owned_data t pid line) off in
-            resume_after_transaction t line ~exclusive:true lat (fun () -> resume result)))
-
-(* The exclusive ops share one step; i1 selects the mutation so [write]
-   carries its value in an int slot (no mutate closure) and [rmw] only
-   ships the caller's own function. *)
+(* [write] and [rmw] share one step: obtain Modified ownership of [a]'s
+   line, then atomically apply the mutation to the cached copy.  i1
+   selects the mutation so [write] carries its value in an int slot (no
+   mutate closure) and [rmw] only ships the caller's own function. *)
 let excl_mutate c data off =
   if Thread.Frame.geti1 c = 1 then begin
     data.(off) <- Thread.Frame.geti2 c;
@@ -521,32 +477,20 @@ let excl_step c =
     resume_app t line ~exclusive:true lat resume result
 
 let write t a v c k =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setv3 c t;
-    Thread.Frame.seti3 c a;
-    Thread.Frame.seti1 c 1;
-    Thread.Frame.seti2 c v;
-    Thread.Frame.hold_then c t.cfg.hit_cost excl_step
-  end
-  else exclusive_update_cps t a (fun data off -> data.(off) <- v) c k
+  Thread.Frame.save_k c k;
+  Thread.Frame.setv3 c t;
+  Thread.Frame.seti3 c a;
+  Thread.Frame.seti1 c 1;
+  Thread.Frame.seti2 c v;
+  Thread.Frame.hold_then c t.cfg.hit_cost excl_step
 
 let rmw t a f c k =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setv3 c t;
-    Thread.Frame.seti3 c a;
-    Thread.Frame.seti1 c 2;
-    Thread.Frame.setv2 c f;
-    Thread.Frame.hold_then c t.cfg.hit_cost excl_step
-  end
-  else
-    exclusive_update_cps t a
-      (fun data off ->
-        let old = data.(off) in
-        data.(off) <- f old;
-        old)
-      c k
+  Thread.Frame.save_k c k;
+  Thread.Frame.setv3 c t;
+  Thread.Frame.seti3 c a;
+  Thread.Frame.seti1 c 2;
+  Thread.Frame.setv2 c f;
+  Thread.Frame.hold_then c t.cfg.hit_cost excl_step
 
 let read_block t a n =
   if n < 0 then invalid_arg "Shmem.read_block: negative size";

@@ -129,40 +129,18 @@ let rec serve t i ~caller ~args_words ~result_words m (resume : int -> unit) : u
       (serve t i ~caller ~args_words ~result_words m resume)
   end
 
-let call_cps t i ~args_words ~result_words m =
-  let c = costs t in
-  let* () = Thread.compute c.Costs.forwarding_check in
-  let* p = Thread.proc in
-  let pid = Processor.id p in
-  let believed = hint t ~pid i in
-  if believed = pid && Objspace.home t.space i = pid then m (Objspace.state t.space i)
-  else begin
-    let target = if believed = pid then Objspace.home t.space i else believed in
-    let* () = Thread.compute (Costs.send_pipeline c ~words:args_words) in
-    let* slot =
-      Thread.await (fun ~resume ->
-          Transport.dispatch t.tp t.call_k ~src:pid ~dst:target ~words:args_words
-            (serve t i ~caller:pid ~args_words ~result_words m resume))
-    in
-    let r = Obj.obj t.rs_r.(slot) in
-    let home = t.rs_home.(slot) in
-    rs_release t slot;
-    learn t ~pid i home;
-    let* () = Thread.compute (Costs.recv_pipeline c ~words:result_words ~new_thread:false) in
-    Thread.return r
-  end
+(* --- [call] ----------------------------------------------------------- *)
 
-(* --- the frame fast path of [call] ----------------------------------- *)
-
-(* The caller-side steps replay [call_cps]'s events over the frame's
-   method-site lane — forwarding-check hold, send hold, dispatch,
-   release; enqueue, receive hold, resume — with no binds, no [Some]
-   box from the hint, and no await/reply closures (the pooled reply
-   slot rides in [m3]).  The request payload ([serve ... m resume]) is
-   a per-call closure either way: it crosses the wire and runs on a
-   server thread at the object's home.  Lane use: ms = space, mv =
-   method (then result), m0 = object id, m1 = args words, m2 = result
-   words, m3 = reply slot, m4 = believed target. *)
+(* The caller-side steps run over the frame's method-site lane — the
+   forwarding check (always paid), then, unless the object is here and
+   the hint agrees: send hold, dispatch to the believed home, release;
+   on the reply, enqueue, repair the hint, receive hold, resume.  No
+   binds and no [Some] box from the hint; the pooled reply slot rides in
+   [m3].  The request payload ([serve ... m resume]) is a per-call
+   closure: it crosses the wire and runs on a server thread at the
+   object's home.  Lane use: ms = space, mv = method (then result), m0 =
+   object id, m1 = args words, m2 = result words, m3 = reply slot, m4 =
+   believed target. *)
 
 let om_done_step c =
   let r : Obj.t = Thread.Frame.getmv c in
@@ -219,16 +197,13 @@ let om_call_step c =
   end
 
 let call t i ~args_words ~result_words m c k =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setms c t;
-    Thread.Frame.setmv c m;
-    Thread.Frame.setm0 c (i : Objspace.id :> int);
-    Thread.Frame.setm1 c args_words;
-    Thread.Frame.setm2 c result_words;
-    Thread.Frame.hold_then c (costs t).Costs.forwarding_check om_call_step
-  end
-  else call_cps t i ~args_words ~result_words m c k
+  Thread.Frame.save_k c k;
+  Thread.Frame.setms c t;
+  Thread.Frame.setmv c m;
+  Thread.Frame.setm0 c (i : Objspace.id :> int);
+  Thread.Frame.setm1 c args_words;
+  Thread.Frame.setm2 c result_words;
+  Thread.Frame.hold_then c (costs t).Costs.forwarding_check om_call_step
 
 let migrate_object t i ~to_ =
   let c = costs t in

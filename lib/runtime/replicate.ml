@@ -166,31 +166,19 @@ let home t = t.home
 (* A replica read costs a few cycles of pointer chasing. *)
 let local_read_cost = 4
 
-(* The CPS reference read, kept verbatim; the frame fast paths below
-   replay its events (and its [repl.*] counters) exactly. *)
-let read_cps t =
-  let* p = Thread.proc in
-  let pid = Processor.id p in
-  if pid = t.home then
-    let* () = Thread.compute local_read_cost in
-    Thread.return t.master
-  else if holds t pid then begin
-    Stats.incr (stats t) "repl.local_reads";
-    let* () = Thread.compute local_read_cost in
-    Thread.return (Obj.obj t.copies.(pid))
-  end
-  else begin
-    (* Fetch a replica from the home with an ordinary RPC. *)
-    Stats.incr (stats t) "repl.fetches";
-    let* v =
-      Runtime.call t.rt ~access:Runtime.Rpc ~home:t.home ~args_words:2
-        ~result_words:(t.words_of t.master)
-        (let* () = Thread.compute local_read_cost in
-         Thread.return t.master)
-    in
-    install t pid v;
-    Thread.return v
-  end
+(* A replica miss at [pid] fetches a copy from the home with an
+   ordinary RPC and installs it: cold by construction, so it stays a
+   generic monad. *)
+let read_miss t pid =
+  Stats.incr (stats t) "repl.fetches";
+  let* v =
+    Runtime.call t.rt ~access:Runtime.Rpc ~home:t.home ~args_words:2
+      ~result_words:(t.words_of t.master)
+      (let* () = Thread.compute local_read_cost in
+       Thread.return t.master)
+  in
+  install t pid v;
+  Thread.return v
 
 let read_home_step c =
   let t : Obj.t t = Thread.Frame.getms c in
@@ -200,31 +188,29 @@ let read_copy_step c =
   let t : Obj.t t = Thread.Frame.getms c in
   Thread.Frame.call_k c t.copies.(Processor.id (Thread.Frame.proc c))
 
-(* Replica-hit reads — the hot path of a read-mostly workload — run as
-   one held step over the frame, no binds, no boxes; a miss falls back
-   to the CPS fetch (which pays an RPC and installs the replica — cold
-   by construction). *)
+(* Reads at the home or at a holder — the hot path of a read-mostly
+   workload — run as one held step over the frame, no binds, no
+   boxes. *)
 let read t c k =
-  if Thread.Frame.on c then begin
-    let pid = Processor.id (Thread.Frame.proc c) in
-    if pid = t.home then begin
-      Thread.Frame.save_k c k;
-      Thread.Frame.setms c t;
-      Thread.Frame.hold_then c local_read_cost read_home_step
-    end
-    else if holds t pid then begin
-      Stats.incr (stats t) "repl.local_reads";
-      Thread.Frame.save_k c k;
-      Thread.Frame.setms c t;
-      Thread.Frame.hold_then c local_read_cost read_copy_step
-    end
-    else read_cps t c k
+  let pid = Processor.id (Thread.Frame.proc c) in
+  if pid = t.home then begin
+    Thread.Frame.save_k c k;
+    Thread.Frame.setms c t;
+    Thread.Frame.hold_then c local_read_cost read_home_step
   end
-  else read_cps t c k
+  else if holds t pid then begin
+    Stats.incr (stats t) "repl.local_reads";
+    Thread.Frame.save_k c k;
+    Thread.Frame.setms c t;
+    Thread.Frame.hold_then c local_read_cost read_copy_step
+  end
+  else read_miss t pid c k
 
-let update_cps t ~access v =
+(* An RPC update ships its body as a server-thread payload — a per-call
+   closure either way — so it stays a generic monad. *)
+let update_rpc t v =
   let words = t.words_of v in
-  Runtime.call t.rt ~access ~home:t.home ~args_words:words ~result_words:1
+  Runtime.call t.rt ~access:Runtime.Rpc ~home:t.home ~args_words:words ~result_words:1
     ((* Holders are collected by an ascending scan with prepend, so the
         fan-out posts in descending processor order — exactly the order
         the former [Array.iteri] over option slots produced, which the
@@ -245,12 +231,11 @@ let update_cps t ~access v =
 
 (* Fused migrating update: stage the value and costs in the method-site
    lane (which survives the migration) and let the annotated call carry
-   the static [upd_body] to the home.  An RPC update ships its body as a
-   server-thread payload — a per-call closure either way — so only the
-   migrate arm is fused. *)
+   the static [upd_body] to the home. *)
 let update t ~access v c k =
-  if Thread.Frame.on c && (match access with Runtime.Migrate -> true | Runtime.Rpc -> false)
-  then begin
+  match access with
+  | Runtime.Rpc -> update_rpc t v c k
+  | Runtime.Migrate ->
     let words = t.words_of v in
     (* Issue-time effects, exactly where the monadic body expression
        evaluated them (at the requester, before the forwarding check):
@@ -267,8 +252,6 @@ let update t ~access v c k =
     Thread.Frame.setm2 c (Costs.send_pipeline (costs t) ~words);
     Thread.Frame.setm3 c slot;
     Runtime.call t.rt ~access ~home:t.home ~args_words:words ~result_words:1 t.upd_body c k
-  end
-  else update_cps t ~access v c k
 
 let version t = t.version
 

@@ -64,35 +64,12 @@ let rpc_call t ~dst ~args_words ~result_words body =
   Stats.Counter.incr t.rpc_calls_c;
   Transport.call t.tp ~req:t.rpc_k ~reply:t.rpc_reply_k ~dst ~args_words ~result_words body
 
-let migrate_call t ~dst ~args_words body =
-  Stats.Counter.incr t.migrations_c;
-  (* Ship the continuation; the access below is local after arrival. *)
-  let* () =
-    Transport.migrate t.tp t.migrate_k
-      ~dst:(Machine.proc t.machine dst)
-      ~words:args_words ~fresh:true
-  in
-  body
-
-let call_cps t ~access ~home ~args_words ~result_words body =
-  let c = costs t in
-  (* The locality check happens on every annotated call, whatever the
-     mechanism — it is not an extra cost of migration (paper S3.2). *)
-  let* () = Thread.compute c.Costs.forwarding_check in
-  let* p = Thread.proc in
-  if Processor.id p = home then begin
-    Stats.Counter.incr t.local_calls_c;
-    body
-  end
-  else
-    match access with
-    | Rpc -> rpc_call t ~dst:home ~args_words ~result_words body
-    | Migrate -> migrate_call t ~dst:home ~args_words body
-
-(* Frame path of an annotated access: the forwarding check, the
-   three-way branch, and the migration all run over the thread's frame
-   slots.  [body] parks in v3 (the consumer slot — the transport chain
-   under the migration only touches v0..v2/i1..i2). *)
+(* An annotated access: the forwarding check, the three-way branch, and
+   the migration all run over the thread's frame slots.  The locality
+   check happens on every annotated call, whatever the mechanism — it is
+   not an extra cost of migration (paper S3.2).  [body] parks in v3 (the
+   consumer slot — the transport chain under the migration only touches
+   v0..v2/i1..i2); a migrated body runs at the home after arrival. *)
 let rt_body_step c =
   let body : Obj.t Thread.t = Thread.Frame.getv3 c in
   body c (Thread.Frame.take_k c)
@@ -123,16 +100,13 @@ let rt_call_step c =
    direct call with no intermediate closure; partial applications still
    yield an ordinary ['r Thread.t]. *)
 let call t ~access ~home ~args_words ~result_words body c k =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv3 c body;
-    Thread.Frame.seti1 c ((home lsl 1) lor (match access with Migrate -> 1 | Rpc -> 0));
-    Thread.Frame.seti2 c args_words;
-    Thread.Frame.seti3 c result_words;
-    Thread.Frame.hold_then c (costs t).Costs.forwarding_check rt_call_step
-  end
-  else call_cps t ~access ~home ~args_words ~result_words body c k
+  Thread.Frame.save_k c k;
+  Thread.Frame.setv0 c t;
+  Thread.Frame.setv3 c body;
+  Thread.Frame.seti1 c ((home lsl 1) lor (match access with Migrate -> 1 | Rpc -> 0));
+  Thread.Frame.seti2 c args_words;
+  Thread.Frame.seti3 c result_words;
+  Thread.Frame.hold_then c (costs t).Costs.forwarding_check rt_call_step
 
 (* --- fused call sites ------------------------------------------------ *)
 
@@ -143,9 +117,8 @@ let call t ~access ~home ~args_words ~result_words body c k =
    then parks exactly two things in the thread frame (the continuation
    and the site record) and each step reads cache-hot site fields, where
    the generic [call] path re-derives costs and shuttles six slots per
-   visit.  Events, counters, and their order are identical to [call]'s
-   frame path, so digests cannot tell the two apart; the CPS reference
-   path is shared outright. *)
+   visit.  Events, counters, and their order are identical to [call]'s,
+   so digests cannot tell the two apart. *)
 type 'r site = {
   s_rt : t;
   s_home : int;
@@ -154,8 +127,6 @@ type 'r site = {
   s_args_words : int;
   s_result_words : int;
   s_dst : Processor.t;  (* the home processor, pre-resolved *)
-  s_net : Network.t;
-  s_netk : Network.kind;  (* the "migrate" network label *)
   s_fc : int;  (* forwarding-check cycles *)
   s_send : int;  (* send-pipeline cycles for [s_args_words] *)
   s_recv : int;  (* fresh-thread receive-pipeline cycles, ditto *)
@@ -171,8 +142,6 @@ let site t ~access ~home ~args_words ~result_words body =
     s_args_words = args_words;
     s_result_words = result_words;
     s_dst = Machine.proc t.machine home;
-    s_net = t.machine.Machine.net;
-    s_netk = Transport.net_kind t.migrate_k;
     s_fc = cst.Costs.forwarding_check;
     s_send = Costs.send_pipeline cst ~words:args_words;
     s_recv = Costs.recv_pipeline cst ~words:args_words ~new_thread:true;
@@ -187,8 +156,7 @@ let site_arrived_step c =
 
 let site_send_step c =
   let s : Obj.t site = Thread.Frame.getv0 c in
-  Transport.account_posted s.s_rt.migrate_k;
-  Thread.Frame.travel ~net:s.s_net ~dst:s.s_dst ~words:s.s_args_words ~kind:s.s_netk
+  Transport.launch s.s_rt.tp s.s_rt.migrate_k ~dst:s.s_dst ~words:s.s_args_words
     ~recv_work:s.s_recv ~after:site_arrived_step c
 
 let site_step c =
@@ -211,51 +179,29 @@ let site_step c =
 
 let site_call (s : 'r site) : 'r Thread.t =
  fun c k ->
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c k;
-    Thread.Frame.setv0 c s;
-    Thread.Frame.hold_then c s.s_fc site_step
-  end
-  else
-    call_cps s.s_rt
-      ~access:(if s.s_migrate then Migrate else Rpc)
-      ~home:s.s_home ~args_words:s.s_args_words ~result_words:s.s_result_words s.s_body c k
-
-let scope_cps t ~at_base ~result_words body =
-  let* origin = Thread.proc in
-  let* r = body in
-  let* here = Thread.proc in
-  if at_base || Processor.id here = Processor.id origin then Thread.return r
-  else begin
-    (* The activation migrated away: send its result back to the caller
-       frame waiting at the origin — a single message however many hops
-       the activation made. *)
-    Stats.Counter.incr t.scope_returns_c;
-    let* () =
-      Transport.migrate t.tp t.migrate_return_k ~dst:origin ~words:result_words ~fresh:false
-    in
-    Thread.return r
-  end
+  Thread.Frame.save_k c k;
+  Thread.Frame.setv0 c s;
+  Thread.Frame.hold_then c s.s_fc site_step
 
 let scope_done_step c =
   let r : Obj.t = Thread.Frame.getv3 c in
   Thread.Frame.call_k c r
 
+(* If the activation migrated away, its result goes back to the caller
+   frame waiting at the origin — a single message however many hops the
+   activation made. *)
 let scope t ?(at_base = false) ~result_words body =
  fun c k ->
-  if Thread.Frame.on c then begin
-    let origin = Thread.Frame.proc c in
-    body c (fun r ->
-        if at_base || Processor.id (Thread.Frame.proc c) = Processor.id origin then k r
-        else begin
-          Stats.Counter.incr t.scope_returns_c;
-          Thread.Frame.save_k c k;
-          Thread.Frame.setv3 c r;
-          Transport.migrate_f t.tp t.migrate_return_k ~dst:origin ~words:result_words
-            ~fresh:false ~after:scope_done_step c
-        end)
-  end
-  else scope_cps t ~at_base ~result_words body c k
+  let origin = Thread.Frame.proc c in
+  body c (fun r ->
+      if at_base || Processor.id (Thread.Frame.proc c) = Processor.id origin then k r
+      else begin
+        Stats.Counter.incr t.scope_returns_c;
+        Thread.Frame.save_k c k;
+        Thread.Frame.setv3 c r;
+        Transport.migrate_f t.tp t.migrate_return_k ~dst:origin ~words:result_words
+          ~fresh:false ~after:scope_done_step c
+      end)
 
 (* --- per-object method sites ----------------------------------------
 
@@ -276,9 +222,8 @@ let scope t ?(at_base = false) ~result_words body =
    [Thread.Frame.hold_then]-style steps, and must end with exactly one
    [msite_finish].  It owns the m-lane for the duration and must not
    start another method-site call.  [cps_body] is the same method as a
-   generic monad — the reference engine runs it (sanitizers, faults,
-   the CPS A/B arm), and the RPC arm ships it as the server stub — so
-   both bodies must charge identical costs in identical order; the
+   generic monad: the RPC arm ships it to the home as the server stub,
+   so both bodies must charge identical costs in identical order; the
    qcheck oracle in test/ holds them to that.
 
    Event, counter, and cost sequences replay [scope]([call]) exactly, so
@@ -289,8 +234,6 @@ type 'r msite = {
   m_space : Obj.t Objspace.t;
   m_args_words : int;
   m_result_words : int;
-  m_net : Network.t;
-  m_netk : Network.kind;  (* the "migrate" network label *)
   m_fc : int;  (* forwarding-check cycles *)
   m_send : int;  (* send-pipeline cycles for [m_args_words] *)
   m_recv : int;  (* fresh-thread receive-pipeline cycles, ditto *)
@@ -306,8 +249,6 @@ let msite rt ~access ~space ~args_words ~result_words ~frame_body ~cps_body =
     m_space = space;
     m_args_words = args_words;
     m_result_words = result_words;
-    m_net = rt.machine.Machine.net;
-    m_netk = Transport.net_kind rt.migrate_k;
     m_fc = cst.Costs.forwarding_check;
     m_send = Costs.send_pipeline cst ~words:args_words;
     m_recv = Costs.recv_pipeline cst ~words:args_words ~new_thread:true;
@@ -330,10 +271,10 @@ let msite_arrived_step c =
 
 let msite_send_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
-  Transport.account_posted ms.m_rt.migrate_k;
-  Thread.Frame.travel ~net:ms.m_net
-    ~dst:(Machine.proc ms.m_rt.machine (Thread.Frame.getm3 c))
-    ~words:ms.m_args_words ~kind:ms.m_netk ~recv_work:ms.m_recv ~after:msite_arrived_step c
+  let rt = ms.m_rt in
+  Transport.launch rt.tp rt.migrate_k
+    ~dst:(Machine.proc rt.machine (Thread.Frame.getm3 c))
+    ~words:ms.m_args_words ~recv_work:ms.m_recv ~after:msite_arrived_step c
 
 let msite_call_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
@@ -384,27 +325,9 @@ let msite_finish c r =
       ~words:ms.m_result_words ~fresh:false ~after:scope_done_step c
   end
 
-let msite_call ms ~obj ~a ~b c k =
-  if Thread.Frame.on c then msite_enter ms ~scoped:false ~obj ~a ~b c k
-  else
-    call_cps ms.m_rt
-      ~access:(if ms.m_migrate then Migrate else Rpc)
-      ~home:(Objspace.home ms.m_space (Objspace.id_of_int obj))
-      ~args_words:ms.m_args_words ~result_words:ms.m_result_words
-      (* lint: allow hot-alloc CPS fall-back arm — runs only under sanitizers/fault injection *)
-      (ms.m_cps_body ~obj ~a ~b) c k
+let msite_call ms ~obj ~a ~b c k = msite_enter ms ~scoped:false ~obj ~a ~b c k
 
-let msite_scoped ms ~obj ~a ~b c k =
-  if Thread.Frame.on c then msite_enter ms ~scoped:true ~obj ~a ~b c k
-  else
-    scope_cps ms.m_rt ~at_base:false ~result_words:ms.m_result_words
-      (call_cps ms.m_rt
-         ~access:(if ms.m_migrate then Migrate else Rpc)
-         ~home:(Objspace.home ms.m_space (Objspace.id_of_int obj))
-         ~args_words:ms.m_args_words ~result_words:ms.m_result_words
-         (* lint: allow hot-alloc CPS fall-back arm — runs only under sanitizers/fault injection *)
-         (ms.m_cps_body ~obj ~a ~b))
-      c k
+let msite_scoped ms ~obj ~a ~b c k = msite_enter ms ~scoped:true ~obj ~a ~b c k
 
 (* Partial-activation support (paper S6): an activation that migrated
    carrying only part of its live state pulls the rest from its origin

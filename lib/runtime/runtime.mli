@@ -106,8 +106,8 @@ val scope : t -> ?at_base:bool -> result_words:int -> 'r Thread.t -> 'r Thread.t
     and walks static steps; the whole call/migrate/return cycle
     allocates nothing.  Events, counters, and costs replay
     {!scope}({!call}) exactly, so run digests cannot tell a fused call
-    from a generic one; under sanitizers or armed faults the invocation
-    falls back to the CPS reference path built from [cps_body]. *)
+    from a generic one.  Sanitizers and fault injection run the same
+    path. *)
 
 type 'r msite
 
@@ -127,9 +127,10 @@ val msite :
     [space]), may suspend only via [Thread.Frame.hold_then]-style
     steps, must end with exactly one {!msite_finish}, and owns the
     frame's method-site lane for the duration (no nested method-site
-    calls).  [cps_body] is the same method as a generic monad — run by
-    the reference engine and shipped as the RPC server stub — and must
-    charge identical costs in identical order. *)
+    calls).  [cps_body] is the same method as a generic monad: it is
+    the RPC server stub, shipped to the home and run on the server
+    thread there, and must charge identical costs in identical order
+    to [frame_body].  A [Migrate] site never runs it. *)
 
 val msite_call : 'r msite -> obj:int -> a:int -> b:int -> 'r Thread.t
 (** [msite_call ms ~obj ~a ~b] invokes the method on [obj] (a raw

@@ -496,9 +496,8 @@ let test_thread_sleep_pool_reuse_after_exit () =
     (Processor.park_capacity p)
 
 let test_thread_frame_double_resume_checked () =
-  (* The machine runs the frames engine, but with the sanitizer armed
-     the suspension paths fall back to CPS with Check.linear tokens — a
-     double resume must still be caught at the faulting call. *)
+  (* With the sanitizer armed, a frame resumption carries a one-shot
+     token: a double resume must be caught at the faulting call. *)
   Check.set_enabled true;
   Check.reset ();
   Fun.protect
@@ -507,7 +506,6 @@ let test_thread_frame_double_resume_checked () =
       Check.reset ())
     (fun () ->
       let m = Machine.create ~seed:1 ~n_procs:1 ~costs:Costs.software () in
-      Alcotest.(check bool) "frames-engine machine" true (m.Machine.engine = Machine.Frames);
       let saved = ref None in
       let got = ref 0 in
       Machine.spawn m ~on:0
@@ -743,18 +741,18 @@ let contexts_after_two_sequential_threads m =
   Machine.run m;
   Thread.contexts_created m.Machine.eng
 
-let test_no_recycling_after_faults () =
-  (* Arming faults taints the machine for good: clearing them restores
-     the frame engine but never context reuse. *)
+let test_recycled_after_faults () =
+  (* Stale deliveries are caught by suspension generations, so contexts
+     are recycled while faults are armed and after they are cleared. *)
   let m = machine () in
   let tp = Machine.transport m in
   Transport.configure_faults tp ~seed:1 [ ("x", { Transport.no_fault with drop = 0.5 }) ];
+  Alcotest.(check int) "context reused while armed" 1 (contexts_after_two_sequential_threads m);
   Transport.clear_faults tp;
-  Alcotest.(check bool) "frames restored" true (Thread.frames_enabled m.Machine.eng);
-  Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads m);
-  Alcotest.(check int) "nothing pooled" 0 (Thread.contexts_pooled m.Machine.eng)
+  Alcotest.(check int) "and after clearing" 1 (contexts_after_two_sequential_threads m);
+  Alcotest.(check int) "pooled once drained" 1 (Thread.contexts_pooled m.Machine.eng)
 
-let test_no_recycling_under_check () =
+let test_recycled_under_check () =
   Check.set_enabled true;
   Check.reset ();
   Fun.protect
@@ -762,24 +760,75 @@ let test_no_recycling_under_check () =
       Check.set_enabled false;
       Check.reset ())
     (fun () ->
-      Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads (machine ())))
+      Alcotest.(check int) "context reused" 1 (contexts_after_two_sequential_threads (machine ()));
+      Alcotest.(check int) "no outstanding continuations" 0 (Check.Linear.outstanding ()))
 
-let test_no_recycling_on_cps () =
-  let m = Machine.create ~seed:1 ~engine:Machine.Cps ~n_procs:2 ~costs:Costs.software () in
-  Alcotest.(check int) "no context reused" 2 (contexts_after_two_sequential_threads m)
+(* A duplicated RPC request runs the server body twice on the server's
+   processor, so a second reply reaches the caller's processor well
+   after the first.  By then the caller has exited and its context runs
+   a new thread (spawned just after the exit) that is blocked in an
+   await of its own.  The stale reply must not touch it: discarded with
+   the sanitizers off, a violation with them on. *)
+let stale_reply_run () =
+  let m = machine () in
+  let tp = Machine.transport m in
+  let req = Transport.kind tp "req" in
+  Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
+  let reply = Transport.kind tp "reply" in
+  Transport.configure_faults tp ~seed:3 [ ("req", { Transport.no_fault with duplicate = 1.0 }) ];
+  let got = ref [] in
+  let second =
+    let* v = Thread.await (fun ~resume -> Sim.after m.Machine.sim 100_000 (fun () -> resume 42)) in
+    got := v :: !got;
+    Thread.return ()
+  in
+  Machine.spawn m ~on:0
+    ~on_exit:(fun () -> Sim.after m.Machine.sim 1 (fun () -> Machine.spawn m ~on:0 second))
+    (let* v =
+       Transport.call tp ~req ~reply ~dst:1 ~args_words:4 ~result_words:2
+         (let* () = Thread.compute 5_000 in
+          Thread.return 7)
+     in
+     got := v :: !got;
+     Thread.return ());
+  (m, tp, got)
+
+let test_stale_reply_discarded () =
+  let m, tp, got = stale_reply_run () in
+  Machine.run m;
+  Alcotest.(check int) "both replies delivered" 2 (Transport.delivered tp "reply");
+  Alcotest.(check (list int)) "caller resumed once, new thread by its own event" [ 42; 7 ] !got;
+  Alcotest.(check int) "the new thread ran in the caller's context" 3
+    (Thread.contexts_created m.Machine.eng)
+
+let test_stale_reply_checked () =
+  Check.set_enabled true;
+  Check.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Check.set_enabled false;
+      Check.reset ())
+    (fun () ->
+      let m, _, got = stale_reply_run () in
+      (match Machine.run m with
+      | () -> Alcotest.fail "second reply not caught"
+      | exception Check.Violation msg ->
+        Alcotest.(check bool) "names the await" true
+          (String.ends_with ~suffix:"Thread.await resume" msg));
+      Alcotest.(check (list int)) "caller resumed once" [ 7 ] !got)
 
 (* ------------------------------------------------------------------ *)
-(* Engine oracle: frames vs CPS                                       *)
+(* Sanitizers and armed faults are digest-neutral                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The frame engine must be observationally identical to the CPS
-   reference it defunctionalizes: random mixes of every suspension
-   shape — compute, yield, sleep, await on an external event, travel —
-   across several threads and processors, run once per engine, must
-   produce equal machine digests (final clock, events fired, every
-   statistic).  Spawning children mid-run and RPCs (each served by a
-   fresh thread) make threads exit and later spawns run in recycled
-   contexts on the frame engine, which the CPS engine never does. *)
+(* Observing a run must not change it: random mixes of every suspension
+   shape — compute, yield, sleep, await on an external event, travel,
+   spawns, RPCs — across several threads and processors must produce
+   equal machine digests (final clock, events fired, every statistic)
+   when run plain, under the sanitizers, and with zero-probability
+   faults armed on every transport kind (which routes every send
+   through the fault path).  Spawned children and RPC server threads
+   exit, so later spawns run in recycled contexts in all three runs. *)
 
 type oracle_op =
   | O_compute of int
@@ -822,12 +871,17 @@ let oracle_script_print script =
          Printf.sprintf "on %d: [%s]" on (String.concat ", " (List.map oracle_op_print ops)))
        script)
 
-let oracle_digest engine script =
-  let m = Machine.create ~seed:11 ~engine ~n_procs:4 ~costs:Costs.software () in
+type oracle_mode = Plain | Checked | Zero_faults
+
+let oracle_digest mode script =
+  let m = Machine.create ~seed:11 ~n_procs:4 ~costs:Costs.software () in
   let tp = Machine.transport m in
   let req = Transport.kind tp "oracle_rpc" in
   Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
   let reply = Transport.kind tp "oracle_reply" in
+  if mode = Zero_faults then
+    Transport.configure_faults tp ~seed:5
+      [ ("oracle_rpc", Transport.no_fault); ("oracle_reply", Transport.no_fault) ];
   let child n =
     let* r = Thread.rng in
     let* () = Thread.compute (n + Rng.int r 10) in
@@ -857,14 +911,31 @@ let oracle_digest engine script =
       in
       body rest
   in
-  List.iter (fun (on, ops) -> Machine.spawn m ~on (body ops)) script;
-  Machine.run m;
-  Machine.digest m
+  let run () =
+    List.iter (fun (on, ops) -> Machine.spawn m ~on (body ops)) script;
+    Machine.run m;
+    Machine.digest m
+  in
+  if mode <> Checked then run ()
+  else begin
+    Check.set_enabled true;
+    Check.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Check.set_enabled false;
+        Check.reset ())
+      (fun () ->
+        let d = run () in
+        if Check.Linear.outstanding () <> 0 then failwith "outstanding continuations";
+        d)
+  end
 
-let prop_engine_oracle =
-  QCheck.Test.make ~name:"frames and cps engines produce equal digests" ~count:150
+let prop_observers_digest_neutral =
+  QCheck.Test.make ~name:"sanitizers and zero-probability faults are digest-neutral" ~count:150
     (QCheck.make ~print:oracle_script_print oracle_script_gen)
-    (fun script -> oracle_digest Machine.Frames script = oracle_digest Machine.Cps script)
+    (fun script ->
+      let plain = oracle_digest Plain script in
+      plain = oracle_digest Checked script && plain = oracle_digest Zero_faults script)
 
 (* ------------------------------------------------------------------ *)
 
@@ -948,9 +1019,10 @@ let () =
           Alcotest.test_case "proc bounds" `Quick test_machine_proc_bounds;
           Alcotest.test_case "recycled tids and streams" `Quick test_recycled_tids_and_streams;
           Alcotest.test_case "recycled on_exit" `Quick test_recycled_on_exit;
-          Alcotest.test_case "no recycling after faults" `Quick test_no_recycling_after_faults;
-          Alcotest.test_case "no recycling under check" `Quick test_no_recycling_under_check;
-          Alcotest.test_case "no recycling on cps" `Quick test_no_recycling_on_cps;
+          Alcotest.test_case "recycled after faults" `Quick test_recycled_after_faults;
+          Alcotest.test_case "recycled under check" `Quick test_recycled_under_check;
+          Alcotest.test_case "stale reply discarded" `Quick test_stale_reply_discarded;
+          Alcotest.test_case "stale reply checked" `Quick test_stale_reply_checked;
         ]
-        @ qsuite [ prop_engine_oracle ] );
+        @ qsuite [ prop_observers_digest_neutral ] );
     ]

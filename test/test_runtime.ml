@@ -242,9 +242,9 @@ let test_site_call_matches_call_rpc () =
   Alcotest.(check int) "request+reply per rpc" 10 messages;
   Alcotest.(check int) "caller stays put" 0 ended
 
-let test_site_call_checked_falls_back () =
-  (* With the sanitizer armed the frame fast path is off; site_call must
-     route through the CPS reference path with identical observables. *)
+let test_site_call_checked () =
+  (* The sanitizers observe the same frame path: site_call under Check
+     must keep every observable. *)
   let via_site rt =
     Runtime.site_call
       (Runtime.site rt ~access:Runtime.Migrate ~home:5 ~args_words:8 ~result_words:2
@@ -266,9 +266,10 @@ let test_site_call_checked_falls_back () =
 (* Runtime.msite — per-object method sites                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One method in both engines' vocabularies: charge 40 cycles at the
-   object's home, return state + a + b.  The msite contract requires the
-   two bodies to charge identical costs in identical order. *)
+(* One method as a frame body and as a monad (the RPC server stub, and
+   the generic reference below): charge 40 cycles at the object's home,
+   return state + a + b.  The msite contract requires the two bodies to
+   charge identical costs in identical order. *)
 let ms_frame_body space =
   let done_ c =
     let v : int = Obj.obj (Objspace.state space (Objspace.id_of_int (Runtime.msite_obj c))) in
@@ -398,10 +399,9 @@ let test_msite_unscoped_sticky () =
   Alcotest.(check int) "second call local" 1 locals;
   Alcotest.(check int) "thread follows the object" 2 ended
 
-let test_msite_checked_falls_back () =
-  (* With the sanitizer armed the frame fast path is off; the msite must
-     route through the generic CPS composition with identical
-     observables. *)
+let test_msite_checked () =
+  (* The sanitizers observe the same frame path: an msite under Check
+     must keep every observable. *)
   let plain = measure_msite ~access:Runtime.Migrate ~fused:true msite_repeat_script in
   Check.set_enabled true;
   Check.reset ();
@@ -415,10 +415,10 @@ let test_msite_checked_falls_back () =
   Alcotest.check obs "checked run identical" (as_obs (fst plain)) (as_obs (fst checked));
   Alcotest.(check (list int)) "checked results identical" (snd plain) (snd checked)
 
-let test_msite_faults_fall_back () =
-  (* Arming fault injection (even all-zero probabilities) disables the
-     frame engine; the msite's CPS fall-back must preserve every
-     observable. *)
+let test_msite_zero_faults () =
+  (* Arming fault injection with all-zero probabilities routes the
+     migrations through the fault-checking send path; the msite must
+     keep every observable. *)
   let plain = measure_msite ~access:Runtime.Migrate ~fused:true msite_repeat_script in
   let armed =
     measure_msite ~access:Runtime.Migrate ~fused:true ~arm_faults:true msite_repeat_script
@@ -1232,15 +1232,15 @@ let () =
           Alcotest.test_case "site matches call (migrate)" `Quick
             test_site_call_matches_call_migrate;
           Alcotest.test_case "site matches call (rpc)" `Quick test_site_call_matches_call_rpc;
-          Alcotest.test_case "site checked fallback" `Quick test_site_call_checked_falls_back;
+          Alcotest.test_case "site checked fallback" `Quick test_site_call_checked;
           Alcotest.test_case "msite matches scope(call) (migrate)" `Quick
             test_msite_matches_scope_call_migrate;
           Alcotest.test_case "msite matches scope(call) (rpc)" `Quick
             test_msite_matches_scope_call_rpc;
           Alcotest.test_case "msite rebinds on move" `Quick test_msite_rebinds_on_move;
           Alcotest.test_case "msite unscoped sticky" `Quick test_msite_unscoped_sticky;
-          Alcotest.test_case "msite checked fallback" `Quick test_msite_checked_falls_back;
-          Alcotest.test_case "msite faults fallback" `Quick test_msite_faults_fall_back;
+          Alcotest.test_case "msite checked fallback" `Quick test_msite_checked;
+          Alcotest.test_case "msite faults fallback" `Quick test_msite_zero_faults;
           Alcotest.test_case "scope returns home" `Quick test_scope_returns_home;
           Alcotest.test_case "scope at base" `Quick test_scope_at_base_short_circuits;
           Alcotest.test_case "scope local free" `Quick test_scope_local_body_free;

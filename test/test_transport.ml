@@ -336,6 +336,113 @@ let test_endpoint_counters () =
   Alcotest.(check int) "proc 1 delivered" 0 (Transport.Endpoint.delivered ~kind:k ~proc:1);
   Alcotest.(check int) "kind delivered" 3 (Transport.delivered tp "counted")
 
+let test_configure_faults_validates () =
+  let tp = Machine.transport (machine ()) in
+  let rejects what spec ~msg =
+    match Transport.configure_faults tp ~seed:1 [ ("flaky", spec) ] with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  let prefix = "Transport.configure_faults: kind \"flaky\": " in
+  rejects "nan drop" { Transport.no_fault with drop = Float.nan }
+    ~msg:(prefix ^ "drop = nan, expected a probability in [0, 1]");
+  rejects "duplicate above 1" { Transport.no_fault with duplicate = 1.5 }
+    ~msg:(prefix ^ "duplicate = 1.5, expected a probability in [0, 1]");
+  rejects "negative delay" { Transport.no_fault with delay = -0.25 }
+    ~msg:(prefix ^ "delay = -0.25, expected a probability in [0, 1]");
+  rejects "infinite delay" { Transport.no_fault with delay = Float.infinity }
+    ~msg:(prefix ^ "delay = inf, expected a probability in [0, 1]");
+  rejects "negative delay_cycles" { Transport.no_fault with delay_cycles = -1 }
+    ~msg:(prefix ^ "delay_cycles = -1, expected an integer >= 0");
+  Alcotest.(check bool) "a rejected configuration arms nothing" false
+    (Transport.faults_active tp);
+  Transport.configure_faults tp ~seed:1
+    [ ("flaky", { Transport.drop = 0.0; duplicate = 1.0; delay = 0.5; delay_cycles = 0 }) ];
+  Alcotest.(check bool) "the closed range is accepted" true (Transport.faults_active tp)
+
+(* Defined outcomes under faults (RPC and migration traffic): each
+   caller migrates once, makes one RPC, and counts its resumptions.
+   Every caller has kinds of its own, so the transport's per-kind
+   counters say what happened to its messages.  A caller resumes at most
+   once, exactly once if its migration arrived and at least one reply
+   was delivered — in particular whenever none of its messages was
+   dropped — and never if its migration was dropped.  Migrations obey
+   the drop probability (certain at 1, impossible at 0).  Per kind,
+   posted + duplicated = delivered + dropped once the run has drained. *)
+let fault_schedule_gen =
+  QCheck.Gen.(
+    let prob = map (fun n -> float_of_int n /. 10.) (int_range 0 10) in
+    let spec =
+      map
+        (fun (drop, duplicate, delay, delay_cycles) ->
+          { Transport.drop; duplicate; delay; delay_cycles })
+        (quad prob prob prob (int_range 0 600))
+    in
+    let caller = quad (int_range 0 7) (int_range 0 7) (int_range 0 7) (int_range 0 300) in
+    triple (int_range 0 1000) spec (list_size (int_range 1 10) caller))
+
+let fault_schedule_print (seed, f, callers) =
+  Printf.sprintf "seed %d, drop %.1f dup %.1f delay %.1f (+%d), callers [%s]" seed
+    f.Transport.drop f.duplicate f.delay f.delay_cycles
+    (String.concat "; "
+       (List.map
+          (fun (src, hop, dst, work) -> Printf.sprintf "%d->%d rpc %d work %d" src hop dst work)
+          callers))
+
+let fault_outcomes_hold (seed, spec, callers) =
+  let m = machine () in
+  let tp = Machine.transport m in
+  let n = List.length callers in
+  let resumed = Array.make n 0 and wrong = ref 0 in
+  let name what i = Printf.sprintf "%s%d" what i in
+  Transport.configure_faults tp ~seed
+    (List.concat
+       (List.init n (fun i -> List.map (fun w -> (name w i, spec)) [ "req"; "reply"; "mig" ])));
+  List.iteri
+    (fun i (src, hop, dst, work) ->
+      let req = Transport.kind tp (name "req" i) in
+      Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
+      let reply = Transport.kind tp (name "reply" i) in
+      let mig = Transport.kind tp (name "mig" i) in
+      Machine.spawn m ~on:src
+        (let* () = Transport.migrate tp mig ~dst:(Machine.proc m hop) ~words:8 ~fresh:true in
+         let* v =
+           Transport.call tp ~req ~reply ~dst ~args_words:4 ~result_words:2
+             (let* () = Thread.compute work in
+              Thread.return i)
+         in
+         resumed.(i) <- resumed.(i) + 1;
+         if v <> i then incr wrong;
+         Thread.return ()))
+    callers;
+  Machine.run m;
+  let ctr k suffix = Stats.get (Transport.stats tp) ("xport." ^ k ^ "." ^ suffix) in
+  let closed k = ctr k "posted" + ctr k "duplicated" = ctr k "delivered" + ctr k "dropped" in
+  !wrong = 0
+  && List.for_all
+       (fun i ->
+         let mig = name "mig" i and req = name "req" i and reply = name "reply" i in
+         let expected =
+           if Transport.dropped tp mig > 0 then 0
+           else if Transport.delivered tp reply > 0 then 1
+           else 0
+         in
+         resumed.(i) = expected
+         && Transport.posted tp mig = 1
+         && (spec.drop < 1.0 || Transport.dropped tp mig = 1)
+         && (spec.drop > 0.0 || Transport.dropped tp mig = 0)
+         && (Transport.dropped tp mig > 0
+            || Transport.dropped tp req > 0
+            || Transport.dropped tp reply > 0
+            || resumed.(i) = 1)
+         && closed mig && closed req && closed reply)
+       (List.init n Fun.id)
+
+let prop_fault_outcomes =
+  QCheck.Test.make ~name:"faulty rpc/migrate: each caller resumes at most once" ~count:200
+    (QCheck.make ~print:fault_schedule_print fault_schedule_gen)
+    fault_outcomes_hold
+
 (* ------------------------------------------------------------------ *)
 (* Server threads recycle their contexts                              *)
 (* ------------------------------------------------------------------ *)
@@ -395,7 +502,9 @@ let () =
             test_delay_timers_forget_fired;
           Alcotest.test_case "sanitizer catches a lost message" `Quick
             test_sanitizer_catches_lost_message;
-        ] );
+          Alcotest.test_case "configure_faults validates" `Quick test_configure_faults_validates;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_fault_outcomes ] );
       ( "recycling",
         [ Alcotest.test_case "sequential rpcs bounded" `Quick test_sequential_rpcs_bounded ] );
       ( "endpoints",
