@@ -69,6 +69,11 @@ let default =
     };
     { s_unit = "Cm_machine.Processor";
       s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
+    (* Every message's latency: the uncontended path computes hops from
+       the topology's coordinate arrays per send, with no table behind
+       it, so a tuple or a boxed raiser here costs every message. *)
+    { s_unit = "Cm_machine.Topology"; s_names = [ "hops"; "check" ] };
+    { s_unit = "Cm_machine.Network"; s_names = [ "accounted_latency"; "post_k"; "send_k" ] };
     (* The flat object space: home/state lookups and moves sit on every
        remote access's fast path, and at 10^6 objects any per-lookup box
        (a tuple key, a sprintf on the success path) is a regression the
@@ -76,14 +81,16 @@ let default =
     { s_unit = "Cm_runtime.Objspace"; s_names = [ "check"; "home"; "state"; "move" ] };
     (* The flat DHT buckets' scan/write primitives, likewise: every
        get/put/preload crosses them, and the big-mode A/B probe's >=10x
-       allocation floor depends on their staying allocation-free. *)
+       allocation floor depends on their staying allocation-free.
+       [bkt_grow], the out-of-line growth [bkt_append] calls when a
+       bucket's array is full, allocates by design and is absent. *)
     (* [method_get]/[method_put]/[method_sum] are deliberately absent:
        they are the monadic bodies (RPC server stubs and the adaptive
        path); the fused frame bodies run through [ms_bucket] and the
        bkt_* scans below. *)
     { s_unit = "Cm_apps.Dht";
-      s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_set"; "bkt_append";
-                  "ms_bucket" ] };
+      s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
+                  "bkt_append"; "ms_bucket" ] };
     (* The fused per-object call path (PR 10): static-site and
        method-site steps walk frame registers only — every binding here
        must stay allocation-free. *)

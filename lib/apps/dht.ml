@@ -17,14 +17,29 @@ let bucket_work n = 40 + (6 * n)
 
 (* Bucket layout, shared by every representation: word 0 = entry count,
    then (key, value) pairs.  The messaging/adaptive reprs hold it as one
-   flat int array per bucket (a single unboxed block, preallocated at
-   capacity — steady-state puts allocate nothing); the shared-memory
-   repr holds the same layout in simulated coherent memory. *)
+   flat int array per bucket ([cells], a single unboxed block) sized to
+   the entries it holds: it starts at [initial_pairs] pairs and doubles
+   on demand up to the bucket capacity, so a steady-state get/put, and
+   any put that fits, allocates nothing.  The shared-memory repr holds
+   the same layout in simulated coherent memory, at capacity: its
+   addresses are simulated state.
+
+   [cells] sits behind a mutable record field, not in the object space
+   directly: the monadic bodies (the adaptive path) capture the bucket
+   when they are built at the requester, so growth must swap the array
+   inside the one record every holder shares, or a put that grew the
+   bucket in between would be written to a stale copy and lost. *)
 let off_count = 0
 
 let off_pairs = 1
 
-type bucket = int array
+type bucket = { mutable cells : int array }
+
+(* Fits the measured occupancy of the 10^6-key tables: dht_zipf's
+   65,536 buckets hold 15 or 16 keys each, so none grows.  A smaller
+   start grows every bucket, and the discarded arrays raise the peak
+   heap; a larger one is slack (DESIGN §16, "Memory sized to the data"). *)
+let initial_pairs = 16
 
 type repr =
   | Msg of {
@@ -55,25 +70,41 @@ let bucket_of_key t key = abs (key * 2654435761) mod t.buckets
 (* Flat-bucket primitives                                             *)
 (* ------------------------------------------------------------------ *)
 
-let bkt_count (b : bucket) = b.(off_count)
+let bkt_count b = b.cells.(off_count)
 
 (* Slot index of [key], or -1.  The scan recursion lives at top level:
-   an inner [let rec] would close over [b]/[key]/[n] and allocate ~6
+   an inner [let rec] would close over [cells]/[key]/[n] and allocate ~6
    minor words per lookup — on the path every get/put/preload takes. *)
-let rec bkt_find_from (b : bucket) key n s =
+let rec bkt_find_from (cells : int array) key n s =
   if s >= n then -1
-  else if b.(off_pairs + (2 * s)) = key then s
-  else bkt_find_from b key n (s + 1)
+  else if cells.(off_pairs + (2 * s)) = key then s
+  else bkt_find_from cells key n (s + 1)
 
-let bkt_find (b : bucket) key = bkt_find_from b key b.(off_count) 0
+let bkt_find b key =
+  let cells = b.cells in
+  bkt_find_from cells key cells.(off_count) 0
 
-let bkt_set (b : bucket) s value = b.(off_pairs + (2 * s) + 1) <- value
+let bkt_key b s = b.cells.(off_pairs + (2 * s))
 
-let bkt_append (b : bucket) key value =
-  let n = b.(off_count) in
-  b.(off_pairs + (2 * n)) <- key;
-  b.(off_pairs + (2 * n) + 1) <- value;
-  b.(off_count) <- n + 1
+let bkt_value b s = b.cells.(off_pairs + (2 * s) + 1)
+
+let bkt_set b s value = b.cells.(off_pairs + (2 * s) + 1) <- value
+
+let[@inline never] bkt_grow b capacity =
+  let cells = b.cells in
+  let pairs = Int.min capacity (2 * ((Array.length cells - off_pairs) / 2)) in
+  let grown = Array.make (off_pairs + (2 * pairs)) 0 in
+  Array.blit cells 0 grown 0 (Array.length cells);
+  b.cells <- grown
+
+(* Callers reject a full bucket first, so [bkt_grow] always makes room. *)
+let bkt_append b capacity key value =
+  let n = bkt_count b in
+  if off_pairs + (2 * n) >= Array.length b.cells then bkt_grow b capacity;
+  let cells = b.cells in
+  cells.(off_pairs + (2 * n)) <- key;
+  cells.(off_pairs + (2 * n) + 1) <- value;
+  cells.(off_count) <- n + 1
 
 (* ------------------------------------------------------------------ *)
 (* Messaging bodies (run at the bucket's home)                        *)
@@ -83,7 +114,7 @@ let method_get key (b : bucket) =
   let* () = Thread.compute (bucket_work (bkt_count b)) in
   match bkt_find b key with
   | -1 -> Thread.return None
-  | s -> Thread.return (Some b.(off_pairs + (2 * s) + 1))
+  | s -> Thread.return (Some (bkt_value b s))
 
 let method_put capacity key value (b : bucket) =
   let* () = Thread.compute (bucket_work (bkt_count b)) in
@@ -91,7 +122,7 @@ let method_put capacity key value (b : bucket) =
   | -1 ->
     if bkt_count b >= capacity then failwith "Dht.put: bucket full"
     else begin
-      bkt_append b key value;
+      bkt_append b capacity key value;
       Thread.return ()
     end
   | s ->
@@ -103,7 +134,7 @@ let method_sum (b : bucket) =
   let n = bkt_count b in
   let acc = ref 0 in
   for s = 0 to n - 1 do
-    acc := !acc + b.(off_pairs + (2 * s) + 1)
+    acc := !acc + bkt_value b s
   done;
   Thread.return !acc
 
@@ -125,7 +156,7 @@ let get_frame_body space =
     let b = ms_bucket space c in
     match bkt_find b (Runtime.msite_arg_a c) with
     | -1 -> Runtime.msite_finish c None
-    | s -> Runtime.msite_finish c (Some b.(off_pairs + (2 * s) + 1))
+    | s -> Runtime.msite_finish c (Some (bkt_value b s))
   in
   fun c ->
     let b = ms_bucket space c in
@@ -138,7 +169,7 @@ let put_frame_body space capacity =
     (match bkt_find b key with
     | -1 ->
       if bkt_count b >= capacity then failwith "Dht.put: bucket full"
-      else bkt_append b key (Runtime.msite_arg_b c)
+      else bkt_append b capacity key (Runtime.msite_arg_b c)
     | s -> bkt_set b s (Runtime.msite_arg_b c));
     Runtime.msite_finish c ()
   in
@@ -152,7 +183,7 @@ let sum_frame_body space =
     let n = bkt_count b in
     let acc = ref 0 in
     for s = 0 to n - 1 do
-      acc := !acc + b.(off_pairs + (2 * s) + 1)
+      acc := !acc + bkt_value b s
     done;
     Runtime.msite_finish c !acc
   in
@@ -166,9 +197,12 @@ let sum_frame_body space =
 
 let create env ?(buckets = 64) ?(bucket_capacity = 64) ~mode ~node_procs () =
   if buckets <= 0 then invalid_arg "Dht.create: buckets must be positive";
+  if bucket_capacity <= 0 then invalid_arg "Dht.create: bucket_capacity must be positive";
   if Array.length node_procs = 0 then invalid_arg "Dht.create: no node processors";
   let home i = node_procs.(i mod Array.length node_procs) in
-  let fresh_bucket () = Array.make (off_pairs + (2 * bucket_capacity)) 0 in
+  let fresh_bucket () =
+    { cells = Array.make (off_pairs + (2 * Int.min initial_pairs bucket_capacity)) 0 }
+  in
   let repr =
     match mode with
     | Messaging access ->
@@ -361,7 +395,7 @@ let preload t ~key ~value =
     (match bkt_find b key with
     | -1 ->
       if bkt_count b >= t.capacity then failwith "Dht.preload: bucket full"
-      else bkt_append b key value
+      else bkt_append b t.capacity key value
     | s -> bkt_set b s value)
   | Sm { mem; bases; _ } ->
     let base = bases.(i) in
@@ -382,7 +416,7 @@ let peek t key =
   match t.repr with
   | Msg { objs; _ } | Adapt { objs; _ } ->
     let b = Prelude.obj_state t.env.Sysenv.prelude objs.(i) in
-    (match bkt_find b key with -1 -> None | s -> Some b.(off_pairs + (2 * s) + 1))
+    (match bkt_find b key with -1 -> None | s -> Some (bkt_value b s))
   | Sm { mem; bases; _ } ->
     let base = bases.(i) in
     let count = Shmem.peek mem (base + off_count) in
@@ -402,8 +436,7 @@ let contents t =
       Array.to_list objs
       |> List.concat_map (fun o ->
              let b = Prelude.obj_state t.env.Sysenv.prelude o in
-             List.init (bkt_count b)
-               (fun s -> (b.(off_pairs + (2 * s)), b.(off_pairs + (2 * s) + 1))))
+             List.init (bkt_count b) (fun s -> (bkt_key b s, bkt_value b s)))
     | Sm { mem; bases; _ } ->
       Array.to_list bases
       |> List.concat_map (fun base ->

@@ -13,9 +13,14 @@
     with [mode = Adaptive] the point-operation sites learn to use RPC
     while the range-scan site learns to migrate.
 
-    Buckets are spread round-robin over the node processors.  The
-    shared-memory representation stores each bucket as a fixed-capacity
-    block of (key, value) pairs guarded by a spin lock. *)
+    Buckets are spread round-robin over the node processors.  In
+    [Messaging] and [Adaptive] mode a bucket's host storage holds what
+    is in it: it starts small and doubles on demand up to the bucket
+    capacity, so a million-key table costs memory in proportion to its
+    keys.  The simulated cost of an access depends on the bucket's entry
+    count only, never on its storage size.  The shared-memory
+    representation stores each bucket as a fixed-capacity block of
+    (key, value) pairs in simulated memory, guarded by a spin lock. *)
 
 open Cm_machine
 
@@ -41,7 +46,9 @@ val create :
     [bucket_capacity] (default 64) entries, placed round-robin on
     [node_procs].  In [Messaging] mode get/put/range_sum run through
     the table's {!Cm_runtime.Runtime.msite} method-site table —
-    allocation-free steady state. *)
+    allocation-free steady state; only a put that grows its bucket's
+    storage allocates.  Raises [Invalid_argument] if [buckets] or
+    [bucket_capacity] is not positive, or [node_procs] is empty. *)
 
 val put : t -> key:int -> value:int -> unit Thread.t
 (** [put t ~key ~value] inserts or updates one entry.  Raises

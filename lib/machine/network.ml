@@ -18,13 +18,6 @@ type t = {
   contention : bool;
   link_bandwidth : int;  (* words per cycle per link *)
   links : int array;  (* directed link src*size+dst -> free-at time; empty unless contention *)
-  (* [net_base + net_per_hop * hops src dst], src*size+dst indexed: the
-     size-independent part of every uncontended latency, precomputed so
-     the per-message path is one load and one multiply — no coordinate
-     math or route allocation.  Empty when contention is on (the
-     store-and-forward model walks the route anyway) or the machine is
-     too large for a dense table. *)
-  fixed_latency : int array;
   kinds : (string, kind) Hashtbl.t;
   words_c : Stats.counter;
   messages_c : Stats.counter;
@@ -47,12 +40,6 @@ let create ?(contention = false) ?(link_bandwidth = 1) ~sim ~topo ~costs ~stats 
        polymorphic hashing per routed hop.  Only the contention model
        reads them, so the array is elided otherwise. *)
     links = (if contention then Array.make (size * size) 0 else [||]);
-    fixed_latency =
-      (if contention || size * size > 1 lsl 20 then [||]
-       else
-         Array.init (size * size) (fun i ->
-             let src = i / size and dst = i mod size in
-             costs.Costs.net_base + (costs.Costs.net_per_hop * Topology.hops topo ~src ~dst)));
     kinds = Hashtbl.create 16;
     words_c = Stats.counter stats "net.words";
     messages_c = Stats.counter stats "net.messages";
@@ -95,31 +82,31 @@ let contended_latency t ~src ~dst ~wire_words =
   end
   else 1
 
+(* Out of line: the trace line formats (and boxes its optional time)
+   only when event tracing is on. *)
+let[@inline never] trace_send t ~now ~src ~dst ~wire_words ~kind latency =
+  Trace.eventf ~time:now "net: %s %d->%d %dw (%d hops, %d cyc)" kind.k_name src dst wire_words
+    (Topology.hops t.topo ~src ~dst)
+    latency
+
 (* Latency assignment plus all traffic accounting for one message —
    everything a send does except scheduling the delivery, shared by the
-   closure ({!send_k}) and pooled-handler ({!post_k}) entry points. *)
+   closure ({!send_k}) and pooled-handler ({!post_k}) entry points.  The
+   uncontended latency is computed per message from the topology's
+   per-processor coordinates (a few loads, no allocation), so the network
+   holds no per-pair state unless the contention model is on. *)
 let accounted_latency t ~now ~src ~dst ~words ~kind =
   if words < 0 then invalid_arg "Network.send: negative size";
   let wire_words = words + t.costs.Costs.header_words in
   let latency =
     if t.contention then contended_latency t ~src ~dst ~wire_words
-    else if t.fixed_latency != [||] then begin
-      if src < 0 || src >= t.size || dst < 0 || dst >= t.size then
-        (* Raises the same out-of-range diagnostic as the direct path. *)
-        ignore (Topology.hops t.topo ~src ~dst : int);
-      t.fixed_latency.((src * t.size) + dst) + (t.costs.Costs.net_per_word * wire_words)
-    end
     else Costs.transit t.costs ~hops:(Topology.hops t.topo ~src ~dst) ~words
   in
   Stats.Counter.add t.words_c wire_words;
   Stats.Counter.incr t.messages_c;
   Stats.Counter.add kind.k_words wire_words;
   Stats.Counter.incr kind.k_messages;
-  if Trace.enabled Trace.Events then
-    Trace.eventf ~time:now "net: %s %d->%d %dw (%d hops, %d cyc)" kind.k_name src dst
-      wire_words
-      (Topology.hops t.topo ~src ~dst)
-      latency;
+  if Trace.enabled Trace.Events then trace_send t ~now ~src ~dst ~wire_words ~kind latency;
   latency
 
 let send_k t ~src ~dst ~words ~kind deliver =

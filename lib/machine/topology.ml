@@ -1,6 +1,9 @@
 type shape = Mesh | Torus | Crossbar
 
-type t = { shape : shape; size : int; cols : int; rows : int }
+(* [xs]/[ys] hold each processor's grid column and row (2N words), so
+   [hops] — computed for every message — is two loads per endpoint: no
+   division and no coordinate tuple. *)
+type t = { shape : shape; size : int; cols : int; rows : int; xs : int array; ys : int array }
 
 let grid_dims n =
   let cols = int_of_float (ceil (sqrt (float_of_int n))) in
@@ -10,7 +13,14 @@ let grid_dims n =
 let make shape n =
   if n <= 0 then invalid_arg "Topology: size must be positive";
   let cols, rows = grid_dims n in
-  { shape; size = n; cols; rows }
+  {
+    shape;
+    size = n;
+    cols;
+    rows;
+    xs = Array.init n (fun id -> id mod cols);
+    ys = Array.init n (fun id -> id / cols);
+  }
 
 let mesh n = make Mesh n
 
@@ -20,9 +30,31 @@ let crossbar n = make Crossbar n
 
 let size t = t.size
 
-let check t id =
-  if id < 0 || id >= t.size then
-    invalid_arg (Printf.sprintf "Topology.hops: processor %d out of range [0,%d)" id t.size)
+(* The failure path is out of line so [check] on the per-message path
+   allocates nothing. *)
+let[@inline never] out_of_range t id =
+  invalid_arg (Printf.sprintf "Topology.hops: processor %d out of range [0,%d)" id t.size)
+
+let[@inline] check t id = if id < 0 || id >= t.size then out_of_range t id
+
+(* Branch-free [abs] and [min]: message endpoints are arbitrary pairs, so
+   a branch on the sign of a coordinate difference would mispredict
+   about half the time on the per-message path. *)
+let sign_mask d = d asr (Sys.int_size - 1)
+
+let[@inline] iabs d =
+  let m = sign_mask d in
+  (d lxor m) - m
+
+let[@inline] imin a b =
+  let d = a - b in
+  b + (d land sign_mask d)
+
+(* Coordinate differences; callers have [check]ed both ids, and [xs]/[ys]
+   have one entry per processor. *)
+let[@inline] dx t ~src ~dst = Array.unsafe_get t.xs src - Array.unsafe_get t.xs dst
+
+let[@inline] dy t ~src ~dst = Array.unsafe_get t.ys src - Array.unsafe_get t.ys dst
 
 let coords t id = (id mod t.cols, id / t.cols)
 
@@ -33,13 +65,10 @@ let hops t ~src ~dst =
   else
     match t.shape with
     | Crossbar -> 1
-    | Mesh ->
-      let x1, y1 = coords t src and x2, y2 = coords t dst in
-      abs (x1 - x2) + abs (y1 - y2)
+    | Mesh -> iabs (dx t ~src ~dst) + iabs (dy t ~src ~dst)
     | Torus ->
-      let x1, y1 = coords t src and x2, y2 = coords t dst in
-      let wrap d len = min d (len - d) in
-      wrap (abs (x1 - x2)) t.cols + wrap (abs (y1 - y2)) t.rows
+      let ax = iabs (dx t ~src ~dst) and ay = iabs (dy t ~src ~dst) in
+      imin ax (t.cols - ax) + imin ay (t.rows - ay)
 
 let id_of t (x, y) = (y * t.cols) + x
 

@@ -22,8 +22,9 @@ val size : t -> int
 
 val hops : t -> src:int -> dst:int -> int
 (** [hops t ~src ~dst] is the number of network hops between [src] and
-    [dst]; 0 when they are equal.  Raises [Invalid_argument] on an id out
-    of range. *)
+    [dst]; 0 when they are equal.  Constant time and allocation-free
+    (each processor's grid coordinates are precomputed, 2N words).
+    Raises [Invalid_argument] on an id out of range. *)
 
 val route : t -> src:int -> dst:int -> (int * int) list
 (** [route t ~src ~dst] is the ordered list of directed links a message

@@ -180,10 +180,21 @@ let test_validation () =
   Alcotest.check_raises "no buckets" (Invalid_argument "Dht.create: buckets must be positive")
     (fun () ->
       ignore (Dht.create e ~buckets:0 ~mode:Dht.Shared_memory ~node_procs ()));
+  List.iter
+    (fun (name, capacity) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Dht.create: bucket_capacity must be positive")
+        (fun () ->
+          ignore
+            (Dht.create e ~bucket_capacity:capacity ~mode:(Dht.Messaging Cm_core.Prelude.Rpc)
+               ~node_procs ())))
+    [ ("zero capacity", 0); ("negative capacity", -3) ];
   let table = Dht.create e ~buckets:4 ~mode:Dht.Shared_memory ~node_procs () in
   Alcotest.check_raises "empty range" (Invalid_argument "Dht.range_sum: empty range") (fun () ->
       let _ : int Thread.t = Dht.range_sum table ~first_bucket:0 ~n_buckets:0 in
       ())
+
+let model_contents model = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
 
 let prop_dht_matches_hashtbl =
   QCheck.Test.make ~name:"dht agrees with Hashtbl (all modes)" ~count:20
@@ -208,8 +219,133 @@ let prop_dht_matches_hashtbl =
                Thread.return ())
            ops);
       !ok
-      && Dht.contents table
-         = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+      && Dht.contents table = model_contents model)
+
+(* ------------------------------------------------------------------ *)
+(* Buckets grown on demand                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The modes whose buckets are host arrays that grow with their data. *)
+let growing_modes =
+  [
+    ("rpc", Dht.Messaging Cm_core.Prelude.Rpc);
+    ("migrate", Dht.Messaging Cm_core.Prelude.Migrate);
+    ("adaptive", Dht.Adaptive);
+  ]
+
+(* Runs the machine until it is idle: [true] when it stopped on a
+   "bucket full" failure raised by a simulated put. *)
+let run_until_full e =
+  match Machine.run e.Sysenv.machine with
+  | () -> false
+  | exception Failure msg when msg = "Dht.put: bucket full" -> true
+
+(* [n] keys that are not in [model] and hash to bucket [b]. *)
+let fresh_keys_in table model b n =
+  let rec go k acc n =
+    if n = 0 then List.rev acc
+    else if Dht.bucket_of_key table k = b && not (Hashtbl.mem model k) then go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  go 1_000 [] n
+
+(* Random interleavings of direct preloads and simulated puts against a
+   Hashtbl model.  "bucket full" must be raised exactly when a new key
+   reaches a bucket already holding [capacity] keys; a failed simulated
+   put ends the sequence, since the event that raised it never finished.
+   A final phase has four requesters concurrently put new keys into
+   one bucket until it is full: with a capacity above the initial
+   storage, the bucket grows while puts are in flight, and every one of
+   them must land. *)
+let prop_growth_matches_model =
+  QCheck.Test.make ~name:"grown buckets agree with Hashtbl" ~count:60
+    QCheck.(
+      triple (int_range 0 2)
+        (pair (int_range 1 4) (int_range 1 40))
+        (list_of_size Gen.(0 -- 150) (triple bool (int_range 0 199) small_nat)))
+    (fun (mode_idx, (buckets, capacity), ops) ->
+      let _, mode = List.nth growing_modes mode_idx in
+      let e = env () in
+      let table = Dht.create e ~buckets ~bucket_capacity:capacity ~mode ~node_procs () in
+      let model = Hashtbl.create 64 in
+      let held b =
+        Hashtbl.fold (fun k _ n -> if Dht.bucket_of_key table k = b then n + 1 else n) model 0
+      in
+      let full key = (not (Hashtbl.mem model key)) && held (Dht.bucket_of_key table key) >= capacity in
+      let rec apply = function
+        | [] -> true
+        | (simulated, key, value) :: rest ->
+          let expect_full = full key in
+          let raised =
+            if simulated then begin
+              Machine.spawn e.Sysenv.machine ~on:(6 + (key mod 6)) (Dht.put table ~key ~value);
+              run_until_full e
+            end
+            else
+              match Dht.preload table ~key ~value with
+              | () -> false
+              | exception Failure msg when msg = "Dht.preload: bucket full" -> true
+          in
+          if raised <> expect_full then
+            QCheck.Test.fail_reportf "key %d: bucket full raised %b, expected %b" key raised
+              expect_full;
+          if not raised then Hashtbl.replace model key value;
+          if raised && simulated then false else apply rest
+      in
+      let completed = apply ops in
+      if completed then begin
+        let b = Dht.bucket_of_key table 0 in
+        let keys = fresh_keys_in table model b (capacity - held b) in
+        for th = 0 to 3 do
+          let mine = List.filteri (fun i _ -> i mod 4 = th) keys in
+          Machine.spawn e.Sysenv.machine ~on:(6 + th)
+            (Thread.iter_list (fun k -> Dht.put table ~key:k ~value:(k + 1)) mine)
+        done;
+        if run_until_full e then QCheck.Test.fail_report "concurrent puts overflowed";
+        List.iter (fun k -> Hashtbl.replace model k (k + 1)) keys
+      end;
+      Dht.contents table = model_contents model)
+
+(* A deterministic instance of the concurrent phase above: one empty
+   bucket of capacity 40 filled by four requesters at once, so it grows
+   twice with puts in flight. *)
+let test_concurrent_growth () =
+  List.iter
+    (fun (name, mode) ->
+      let e = env () in
+      let table = Dht.create e ~buckets:1 ~bucket_capacity:40 ~mode ~node_procs () in
+      for th = 0 to 3 do
+        Machine.spawn e.Sysenv.machine ~on:(6 + th)
+          (Thread.repeat 10 (fun i ->
+               let key = (th * 100) + i in
+               Dht.put table ~key ~value:(-key)))
+      done;
+      Machine.run e.Sysenv.machine;
+      Alcotest.(check int) (name ^ ": all 40 puts landed") 40 (Dht.size table);
+      List.iter (fun (k, v) -> Alcotest.(check int) (name ^ ": value") (-k) v) (Dht.contents table))
+    growing_modes
+
+(* Bucket storage follows the data: 20,000 keys in 1,024 buckets of
+   capacity 64 (19.5 keys per bucket) cost at most twice their data
+   words — the count word per bucket plus a (key, value) pair per key.
+   Buckets preallocated at capacity would cost about 3.3 times. *)
+let test_table_sized_to_data () =
+  let keys = 20_000 and buckets = 1_024 in
+  let e = env ~n:24 () in
+  let before = Obj.reachable_words (Obj.repr e) in
+  let table =
+    Dht.create e ~buckets ~bucket_capacity:64 ~mode:(Dht.Messaging Cm_core.Prelude.Rpc)
+      ~node_procs:(Array.init 16 Fun.id) ()
+  in
+  for k = 0 to keys - 1 do
+    Dht.preload table ~key:k ~value:k
+  done;
+  let table_words = Obj.reachable_words (Obj.repr (e, table)) - before in
+  let data_words = (2 * keys) + buckets in
+  Alcotest.(check bool)
+    (Printf.sprintf "table %d words <= 2 x %d data words" table_words data_words)
+    true
+    (table_words <= 2 * data_words)
 
 (* ------------------------------------------------------------------ *)
 (* Retention floor on the RPC path                                    *)
@@ -272,6 +408,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_dht_matches_hashtbl ] );
+      ( "growth",
+        [
+          Alcotest.test_case "concurrent growth" `Quick test_concurrent_growth;
+          Alcotest.test_case "sized to data" `Quick test_table_sized_to_data;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_growth_matches_model ] );
       ( "adaptive-dht",
         [
           Alcotest.test_case "learns per site" `Quick test_adaptive_learns_per_site;

@@ -108,6 +108,62 @@ let test_topology_nonsquare () =
   Alcotest.(check int) "size kept" 24 (Topology.size t);
   Alcotest.(check bool) "mean hops positive" true (Topology.mean_hops t > 0.)
 
+(* The hop formula as it was written over coordinate tuples, before
+   [Topology] precomputed per-processor coordinates: the oracle for the
+   flat arrays. *)
+let reference_hops shape n ~src ~dst =
+  let cols = int_of_float (ceil (sqrt (float_of_int n))) in
+  let rows = (n + cols - 1) / cols in
+  let coords id = (id mod cols, id / cols) in
+  if src = dst then 0
+  else
+    match shape with
+    | `Crossbar -> 1
+    | `Mesh ->
+      let x1, y1 = coords src and x2, y2 = coords dst in
+      abs (x1 - x2) + abs (y1 - y2)
+    | `Torus ->
+      let x1, y1 = coords src and x2, y2 = coords dst in
+      let wrap d len = min d (len - d) in
+      wrap (abs (x1 - x2)) cols + wrap (abs (y1 - y2)) rows
+
+let shapes =
+  [ (`Mesh, "mesh", Topology.mesh); (`Torus, "torus", Topology.torus);
+    (`Crossbar, "crossbar", Topology.crossbar) ]
+
+(* Compares every (src, dst) drawn from [srcs] x [dsts] and reports the
+   first disagreement, if any. *)
+let check_hops_against_reference ~shape ~name ~n t srcs dsts =
+  let mismatch = ref None in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          let got = Topology.hops t ~src ~dst and want = reference_hops shape n ~src ~dst in
+          if got <> want && !mismatch = None then mismatch := Some (src, dst, got, want))
+        dsts)
+    srcs;
+  match !mismatch with
+  | None -> ()
+  | Some (src, dst, got, want) ->
+    Alcotest.failf "%s %d: hops %d->%d = %d, reference %d" name n src dst got want
+
+let test_topology_hops_match_reference () =
+  List.iter
+    (fun (shape, name, make) ->
+      for n = 1 to 70 do
+        let all = List.init n Fun.id in
+        check_hops_against_reference ~shape ~name ~n (make n) all all
+      done;
+      (* 1,024 is a full 32 x 32 grid; 1,025 adds a 33-column grid with a
+         short last row.  Sampled with co-prime strides plus the corners. *)
+      List.iter
+        (fun n ->
+          let sample stride = (n - 1) :: List.init ((n + stride - 1) / stride) (fun i -> i * stride) in
+          check_hops_against_reference ~shape ~name ~n (make n) (sample 7) (sample 13))
+        [ 1_024; 1_025 ])
+    shapes
+
 let prop_topology_triangle =
   QCheck.Test.make ~name:"mesh hops satisfy triangle inequality" ~count:200
     QCheck.(triple (int_range 0 24) (int_range 0 24) (int_range 0 24))
@@ -161,6 +217,33 @@ let test_network_bandwidth_metric () =
     (10. *. 20. /. float_of_int now)
     (Network.bandwidth_per_10_cycles net ~now)
 
+
+(* Every uncontended latency is [Costs.transit] over the mesh hop count,
+   for every ordered pair of a 64-processor machine. *)
+let test_network_latency_is_transit () =
+  let n = 64 and words = 5 in
+  let m = Machine.create ~n_procs:n ~costs:Costs.software () in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let latency = Network.send m.Machine.net ~src ~dst ~words ~kind:"probe" ignore in
+      let want = Costs.transit Costs.software ~hops:(reference_hops `Mesh n ~src ~dst) ~words in
+      if latency <> want then
+        Alcotest.failf "latency %d->%d = %d, transit %d" src dst latency want
+    done
+  done
+
+(* Without contention the network keeps no per-pair state: a
+   1,024-processor machine's network (its simulator and statistics
+   included) holds under a quarter word per processor pair, where a
+   dense latency table would take one. *)
+let test_network_no_dense_table () =
+  let n = 1_024 in
+  let m = Machine.create ~n_procs:n ~costs:Costs.software () in
+  let words = Obj.reachable_words (Obj.repr m.Machine.net) in
+  Alcotest.(check bool)
+    (Printf.sprintf "network holds %d words < %d" words (n * n / 4))
+    true
+    (words < n * n / 4)
 
 let test_topology_route_matches_hops () =
   let t = Topology.mesh 16 in
@@ -959,6 +1042,7 @@ let () =
           Alcotest.test_case "crossbar" `Quick test_topology_crossbar;
           Alcotest.test_case "bounds" `Quick test_topology_bounds;
           Alcotest.test_case "non-square" `Quick test_topology_nonsquare;
+          Alcotest.test_case "hops match reference" `Quick test_topology_hops_match_reference;
         ]
         @ qsuite [ prop_topology_triangle ] );
       ( "network",
@@ -967,6 +1051,8 @@ let () =
           Alcotest.test_case "accounts words" `Quick test_network_accounts_words;
           Alcotest.test_case "self send" `Quick test_network_self_send;
           Alcotest.test_case "bandwidth metric" `Quick test_network_bandwidth_metric;
+          Alcotest.test_case "latency is transit" `Quick test_network_latency_is_transit;
+          Alcotest.test_case "no dense table" `Quick test_network_no_dense_table;
           Alcotest.test_case "route matches hops" `Quick test_topology_route_matches_hops;
           Alcotest.test_case "route torus wraps" `Quick test_topology_route_torus_wraps;
           Alcotest.test_case "contention serializes" `Quick
