@@ -65,7 +65,7 @@ let default =
           "fire"; "recycle"; "reuse";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
-          "setms"; "getms"; "setmv"; "getmv" ];
+          "set_mlane"; "setms"; "getms"; "setmv"; "getmv" ];
     };
     { s_unit = "Cm_machine.Processor";
       s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
@@ -84,23 +84,18 @@ let default =
        allocation floor depends on their staying allocation-free.
        [bkt_grow], the out-of-line growth [bkt_append] calls when a
        bucket's array is full, allocates by design and is absent. *)
-    (* [method_get]/[method_put]/[method_sum] are deliberately absent:
-       they are the monadic bodies (RPC server stubs and the adaptive
-       path); the fused frame bodies run through [ms_bucket] and the
-       bkt_* scans below. *)
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
                   "bkt_append"; "ms_bucket" ] };
-    (* The fused per-object call path (PR 10): static-site and
-       method-site steps walk frame registers only — every binding here
-       must stay allocation-free. *)
+    (* The fused per-object call path: method-site steps, the RPC
+       server stub [msite_serve] included, walk frame registers only —
+       every binding here must stay allocation-free. *)
     {
       s_unit = "Cm_runtime.Runtime";
       s_names =
-        [ "rt_body_step"; "rt_call_step"; "site_arrived_step"; "site_send_step";
-          "site_step"; "site_call"; "scope_done_step"; "msite_obj"; "msite_arg_a";
-          "msite_arg_b"; "msite_arrived_step"; "msite_send_step"; "msite_call_step";
-          "msite_enter"; "msite_finish"; "msite_call"; "msite_scoped" ];
+        [ "rt_body_step"; "rt_call_step"; "scope_done_step"; "msite_obj"; "msite_arg_a";
+          "msite_arg_b"; "msite_arrived_step"; "msite_send_step"; "msite_serve";
+          "msite_call_step"; "msite_enter"; "msite_finish"; "msite_call"; "msite_scoped" ];
     };
     {
       s_unit = "Cm_runtime.Objmig";

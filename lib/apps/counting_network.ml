@@ -1,5 +1,6 @@
 open Cm_machine
 open Cm_memory
+open Cm_runtime
 open Cm_core
 open Thread.Infix
 
@@ -30,14 +31,11 @@ type repr =
   | Msg of {
       bals : bal Prelude.obj array;
       cnts : cnt Prelude.obj array;
-      access : Prelude.access;
-      (* Per-object method monads, built once here: a visit applies a
-         precomputed ['a Thread.t] to (ctx, k) instead of rebuilding the
-         invoke/call closure chain per hop, and the method bodies run
-         through the frame fast path — so the steady-state traversal
-         allocates nothing per visit. *)
-      bal_m : Balancer_net.dest Thread.t array;
-      cnt_m : int Thread.t array;
+      (* One method site per object class: a visit is one
+         [Runtime.msite_call], so the steady-state traversal allocates
+         nothing per hop. *)
+      bal_ms : Balancer_net.dest Runtime.msite;
+      cnt_ms : int Runtime.msite;
     }
   | Sm of {
       bal_addr : int array;
@@ -60,31 +58,30 @@ let encode = function Balancer_net.Balancer b -> b | Balancer_net.Exit w -> -(w 
 
 let decode n = if n >= 0 then Balancer_net.Balancer n else Balancer_net.Exit (-n - 1)
 
-(* Method bodies for the messaging objects.  Each closes over its own
-   object's state once (at network construction); the per-visit path
-   charges the user work through the thread's frame slots — one
-   preallocated step closure per object, nothing per visit. *)
-let bal_method st =
-  let step c =
+(* Method bodies for the messaging objects, as method-site frame
+   bodies: charge the user work at the object's home, then read and
+   update its state from the object store. *)
+let ms_state space c = Obj.obj (Objspace.state space (Objspace.id_of_int (Runtime.msite_obj c)))
+
+let bal_frame_body space =
+  let done_ c =
+    let st : bal = ms_state space c in
     let out = if st.toggle then st.bot else st.top in
     st.toggle <- not st.toggle;
-    Thread.Frame.call_k c out
+    Runtime.msite_finish c out
   in
-  fun c k ->
-    Thread.Frame.save_k c k;
-    Thread.Frame.hold_then c user_work step
+  fun c -> Thread.Frame.hold_then c user_work done_
 
-let cnt_method issued w st =
-  let step c =
+let cnt_frame_body space issued w =
+  let done_ c =
+    let st : cnt = ms_state space c in
     let count = st.count in
     st.count <- st.count + 1;
     let value = (count * w) + st.wire in
     issued := value :: !issued;
-    Thread.Frame.call_k c value
+    Runtime.msite_finish c value
   in
-  fun c k ->
-    Thread.Frame.save_k c k;
-    Thread.Frame.hold_then c user_work step
+  fun c -> Thread.Frame.hold_then c user_work done_
 
 let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512, 4096))
     ?balancer_procs mode =
@@ -113,11 +110,18 @@ let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512
         Array.init width (fun w ->
             Prelude.make_obj prelude ~home:(counter_proc w) { count = 0; wire = w })
       in
-      let bal_m = Array.map (fun o -> Prelude.invoke_site prelude ~access o bal_method) bals in
-      let cnt_m =
-        Array.map (fun o -> Prelude.invoke_site prelude ~access o (cnt_method issued_rev width)) cnts
+      let rt = Prelude.runtime prelude and space = Prelude.space prelude in
+      let msite frame_body =
+        Runtime.msite rt ~access ~space ~args_words:Prelude.default_args_words
+          ~result_words:Prelude.default_result_words ~frame_body
       in
-      Msg { bals; cnts; access; bal_m; cnt_m }
+      Msg
+        {
+          bals;
+          cnts;
+          bal_ms = msite (bal_frame_body space);
+          cnt_ms = msite (cnt_frame_body space issued_rev width);
+        }
     | Shared_memory ->
       let mem = Sysenv.mem env in
       let bal_addr =
@@ -148,16 +152,19 @@ let mode t = t.mode
 
 let record t v = t.issued_rev := v :: !(t.issued_rev)
 
-let traverse_msg t ~bal_m ~cnt_m ~input_wire =
+let traverse_msg t ~(bals : bal Prelude.obj array) ~(cnts : cnt Prelude.obj array) ~bal_ms ~cnt_ms
+    ~input_wire =
   let prelude = t.env.Sysenv.prelude in
   let first = Balancer_net.input t.net input_wire in
   Prelude.proc prelude (fun c k ->
-      (* One cursor closure per traversal; each hop applies the
-         balancer's precomputed method monad directly. *)
+      (* One cursor closure per traversal; each hop is one method-site
+         call. *)
       let rec step dest =
         match dest with
-        | Balancer_net.Balancer b -> bal_m.(b) c step
-        | Balancer_net.Exit wire -> cnt_m.(wire) c k
+        | Balancer_net.Balancer b ->
+          Runtime.msite_call bal_ms ~obj:(bals.(b) :> int) ~a:0 ~b:0 c step
+        | Balancer_net.Exit wire ->
+          Runtime.msite_call cnt_ms ~obj:(cnts.(wire) :> int) ~a:0 ~b:0 c k
       in
       step first)
 
@@ -201,7 +208,7 @@ let traverse t ~input_wire =
   if input_wire < 0 || input_wire >= width t then
     invalid_arg "Counting_network.traverse: bad input wire";
   match t.repr with
-  | Msg { bal_m; cnt_m; _ } -> traverse_msg t ~bal_m ~cnt_m ~input_wire
+  | Msg { bals; cnts; bal_ms; cnt_ms } -> traverse_msg t ~bals ~cnts ~bal_ms ~cnt_ms ~input_wire
   | Sm { bal_addr; locks; cnt_addr; sync } ->
     traverse_sm t ~bal_addr ~locks ~cnt_addr ~sync ~input_wire
 

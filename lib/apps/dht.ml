@@ -25,10 +25,8 @@ let bucket_work n = 40 + (6 * n)
    addresses are simulated state.
 
    [cells] sits behind a mutable record field, not in the object space
-   directly: the monadic bodies (the adaptive path) capture the bucket
-   when they are built at the requester, so growth must swap the array
-   inside the one record every holder shares, or a put that grew the
-   bucket in between would be written to a stale copy and lost. *)
+   directly: [Objspace] has no state setter, so growth swaps the array
+   inside the record the object space holds. *)
 let off_count = 0
 
 let off_pairs = 1
@@ -41,19 +39,23 @@ type bucket = { mutable cells : int array }
    heap; a larger one is slack (DESIGN §16, "Memory sized to the data"). *)
 let initial_pairs = 16
 
+(* The method-site table of one mechanism (one [Runtime.msite] per
+   method): the steady-state get/put path over these is
+   allocation-free. *)
+type methods = {
+  get_ms : int option Runtime.msite;
+  put_ms : unit Runtime.msite;
+  sum_ms : int Runtime.msite;
+}
+
 type repr =
-  | Msg of {
-      rt : Runtime.t;
-      objs : bucket Prelude.obj array;
-      (* The method-site table (one [Runtime.msite] per method): the
-         steady-state get/put path over these is allocation-free. *)
-      get_ms : int option Runtime.msite;
-      put_ms : unit Runtime.msite;
-      sum_ms : int Runtime.msite;
-    }
+  | Msg of { rt : Runtime.t; objs : bucket Prelude.obj array; ms : methods }
   | Adapt of {
       ad : Adaptive.t;
       objs : bucket Prelude.obj array;
+      (* One table per mechanism; [Adaptive.decide] picks per call. *)
+      rpc : methods;
+      mig : methods;
       get_site : Adaptive.site;
       put_site : Adaptive.site;
       scan_site : Adaptive.site;
@@ -107,46 +109,14 @@ let bkt_append b capacity key value =
   cells.(off_count) <- n + 1
 
 (* ------------------------------------------------------------------ *)
-(* Messaging bodies (run at the bucket's home)                        *)
+(* Method-site bodies (run at the bucket's home)                      *)
 (* ------------------------------------------------------------------ *)
 
-let method_get key (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  match bkt_find b key with
-  | -1 -> Thread.return None
-  | s -> Thread.return (Some (bkt_value b s))
-
-let method_put capacity key value (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  match bkt_find b key with
-  | -1 ->
-    if bkt_count b >= capacity then failwith "Dht.put: bucket full"
-    else begin
-      bkt_append b capacity key value;
-      Thread.return ()
-    end
-  | s ->
-    bkt_set b s value;
-    Thread.return ()
-
-let method_sum (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  let n = bkt_count b in
-  let acc = ref 0 in
-  for s = 0 to n - 1 do
-    acc := !acc + bkt_value b s
-  done;
-  Thread.return !acc
-
-(* ------------------------------------------------------------------ *)
-(* Fused method-site bodies                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The frame twins of the messaging bodies above: same bucket reads,
-   same [bucket_work] charge at the same point, expressed as static
-   steps over the method-site registers so a steady-state get/put
-   allocates nothing (the [Some value] of a successful get aside).
-   The per-site step closures below are built once per table. *)
+(* Each body reads the bucket at the home when it runs, charges
+   [bucket_work] of the count it finds there, and walks static steps
+   over the method-site registers, so a steady-state get/put allocates
+   nothing (the [Some value] of a successful get aside).  The per-site
+   step closures below are built once per table. *)
 
 let ms_bucket space c : bucket =
   Obj.obj (Objspace.state space (Objspace.id_of_int (Runtime.msite_obj c)))
@@ -203,41 +173,33 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ~mode ~node_procs () =
   let fresh_bucket () =
     { cells = Array.make (off_pairs + (2 * Int.min initial_pairs bucket_capacity)) 0 }
   in
+  let p = env.Sysenv.prelude in
+  let rt = Sysenv.runtime env in
+  let space = Prelude.space p in
+  let make_objs () =
+    Array.init buckets (fun i -> Prelude.make_obj p ~home:(home i) (fresh_bucket ()))
+  in
+  let methods access =
+    let msite frame_body =
+      Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2 ~frame_body
+    in
+    {
+      get_ms = msite (get_frame_body space);
+      put_ms = msite (put_frame_body space bucket_capacity);
+      sum_ms = msite (sum_frame_body space);
+    }
+  in
   let repr =
     match mode with
-    | Messaging access ->
-      let p = env.Sysenv.prelude in
-      let rt = Sysenv.runtime env in
-      let objs =
-        Array.init buckets (fun i -> Prelude.make_obj p ~home:(home i) (fresh_bucket ()))
-      in
-      let space = Prelude.space p in
-      let state obj : bucket = Obj.obj (Objspace.state space (Objspace.id_of_int obj)) in
-      Msg
-        {
-          rt;
-          objs;
-          get_ms =
-            Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-              ~frame_body:(get_frame_body space)
-              ~cps_body:(fun ~obj ~a ~b:_ -> method_get a (state obj));
-          put_ms =
-            Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-              ~frame_body:(put_frame_body space bucket_capacity)
-              ~cps_body:(fun ~obj ~a ~b -> method_put bucket_capacity a b (state obj));
-          sum_ms =
-            Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-              ~frame_body:(sum_frame_body space)
-              ~cps_body:(fun ~obj ~a:_ ~b:_ -> method_sum (state obj));
-        }
+    | Messaging access -> Msg { rt; objs = make_objs (); ms = methods access }
     | Adaptive ->
-      let ad = Adaptive.create (Sysenv.runtime env) ~explore:6 () in
+      let ad = Adaptive.create rt ~explore:6 () in
       Adapt
         {
           ad;
-          objs =
-            Array.init buckets (fun i ->
-                Prelude.make_obj env.Sysenv.prelude ~home:(home i) (fresh_bucket ()));
+          objs = make_objs ();
+          rpc = methods Prelude.Rpc;
+          mig = methods Prelude.Migrate;
           get_site = Adaptive.site ad ~name:"dht.get";
           put_site = Adaptive.site ad ~name:"dht.put";
           scan_site = Adaptive.site ad ~name:"dht.range_sum";
@@ -260,12 +222,11 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ~mode ~node_procs () =
 (* Operations                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let obj_home p objs i = Prelude.obj_home p objs.(i)
-
-let adapt_call p ad ~site objs i body =
-  Adaptive.scope ad
-    (Adaptive.call ad ~site ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-       (body (Prelude.obj_state p objs.(i))))
+(* One adaptive access: the policy picks the mechanism, then the
+   method site of that mechanism runs the one body. *)
+let adapt_call p ad ~site ~rpc ~mig (obj : bucket Prelude.obj) ~a ~b =
+  let* access = Adaptive.decide ad ~site ~home:(Prelude.obj_home p obj) in
+  Runtime.msite_call (match access with Rpc -> rpc | Migrate -> mig) ~obj:(obj :> int) ~a ~b
 
 (* Shared-memory bucket search: scan the pair area under the bucket
    lock, reading every key it passes. *)
@@ -326,20 +287,24 @@ let sm_sum_bucket mem locks bases i =
    builds no intermediate monad closure per operation. *)
 let get t key c k =
   match t.repr with
-  | Msg { objs; get_ms; _ } ->
-    Runtime.msite_scoped get_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:0 c k
-  | Adapt { ad; objs; get_site; _ } ->
-    adapt_call t.env.Sysenv.prelude ad ~site:get_site objs (bucket_of_key t key)
-      (method_get key) c k
+  | Msg { objs; ms; _ } ->
+    Runtime.msite_scoped ms.get_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:0 c k
+  | Adapt { ad; objs; rpc; mig; get_site; _ } ->
+    Adaptive.scope ad
+      (adapt_call t.env.Sysenv.prelude ad ~site:get_site ~rpc:rpc.get_ms ~mig:mig.get_ms
+         objs.(bucket_of_key t key) ~a:key ~b:0)
+      c k
   | Sm { mem; bases; locks; _ } -> sm_get mem locks bases t key c k
 
 let put t ~key ~value c k =
   match t.repr with
-  | Msg { objs; put_ms; _ } ->
-    Runtime.msite_scoped put_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:value c k
-  | Adapt { ad; objs; put_site; _ } ->
-    adapt_call t.env.Sysenv.prelude ad ~site:put_site objs (bucket_of_key t key)
-      (method_put t.capacity key value) c k
+  | Msg { objs; ms; _ } ->
+    Runtime.msite_scoped ms.put_ms ~obj:(objs.(bucket_of_key t key) :> int) ~a:key ~b:value c k
+  | Adapt { ad; objs; rpc; mig; put_site; _ } ->
+    Adaptive.scope ad
+      (adapt_call t.env.Sysenv.prelude ad ~site:put_site ~rpc:rpc.put_ms ~mig:mig.put_ms
+         objs.(bucket_of_key t key) ~a:key ~b:value)
+      c k
   | Sm { mem; bases; locks; capacity } -> sm_put mem locks bases capacity t ~key ~value c k
 
 let range_sum t ~first_bucket ~n_buckets =
@@ -347,25 +312,23 @@ let range_sum t ~first_bucket ~n_buckets =
   let bucket_at j = (first_bucket + j) mod t.buckets in
   let p = t.env.Sysenv.prelude in
   match t.repr with
-  | Msg { rt; objs; sum_ms; _ } ->
+  | Msg { rt; objs; ms } ->
     Runtime.scope rt ~result_words:2
       (let rec go j acc =
          if j >= n_buckets then Thread.return acc
          else
-           let* s = Runtime.msite_call sum_ms ~obj:(objs.(bucket_at j) :> int) ~a:0 ~b:0 in
+           let* s = Runtime.msite_call ms.sum_ms ~obj:(objs.(bucket_at j) :> int) ~a:0 ~b:0 in
            go (j + 1) (acc + s)
        in
        go 0 0)
-  | Adapt { ad; objs; scan_site; _ } ->
+  | Adapt { ad; objs; rpc; mig; scan_site; _ } ->
     Adaptive.scope ad
       (let rec go j acc =
          if j >= n_buckets then Thread.return acc
          else
-           let i = bucket_at j in
            let* s =
-             Adaptive.call ad ~site:scan_site ~home:(obj_home p objs i) ~args_words:8
-               ~result_words:2
-               (method_sum (Prelude.obj_state p objs.(i)))
+             adapt_call p ad ~site:scan_site ~rpc:rpc.sum_ms ~mig:mig.sum_ms objs.(bucket_at j)
+               ~a:0 ~b:0
            in
            go (j + 1) (acc + s)
        in

@@ -31,8 +31,8 @@ let visit_work deg = 30 + (3 * deg)
 
 (* Visit user [u]: the method runs at the user's home and charges the
    profile-scan cost; the result is the user's degree.  The frame body
-   reads its operand (the user id) from the method-site registers; the
-   RPC server stub is the same method as a monad. *)
+   reads its operand (the user id) from the method-site registers under
+   either mechanism. *)
 let visit_frame_body offsets =
   let done_ c =
     let u = Runtime.msite_arg_a c in
@@ -41,10 +41,6 @@ let visit_frame_body offsets =
   fun c ->
     let u = Runtime.msite_arg_a c in
     Thread.Frame.hold_then c (visit_work (offsets.(u + 1) - offsets.(u))) done_
-
-let visit_cps_body offsets ~obj:_ ~a:u ~b:_ =
-  let* () = Thread.compute (visit_work (offsets.(u + 1) - offsets.(u))) in
-  Thread.return (offsets.(u + 1) - offsets.(u))
 
 let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
   if n <= 0 then invalid_arg "Social_graph.create: n must be positive";
@@ -68,7 +64,7 @@ let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
   let space = Prelude.space p in
   let mk access =
     Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-      ~frame_body:(visit_frame_body offsets) ~cps_body:(visit_cps_body offsets)
+      ~frame_body:(visit_frame_body offsets)
   in
   {
     env;

@@ -44,17 +44,5 @@ let invoke t ~access ?(args_words = default_args_words) ?(result_words = default
       assert (Processor.id (Thread.Frame.proc c) = home);
       m (obj_state t o) c k)
 
-let invoke_site t ~access ?(args_words = default_args_words)
-    ?(result_words = default_result_words) o m =
-  (* The method is bound to its object's state once, here; what repeats
-     per call is only the fused site invocation (see [Runtime.site]). *)
-  let home = obj_home t o in
-  let body = m (obj_state t o) in
-  let checked c k =
-    assert (Processor.id (Thread.Frame.proc c) = home);
-    body c k
-  in
-  Runtime.site_call (Runtime.site t.rt ~access ~home ~args_words ~result_words checked)
-
 let proc t ?at_base ?(result_words = default_result_words) body =
   Runtime.scope t.rt ?at_base ~result_words body

@@ -91,21 +91,6 @@ val invoke :
     there after the call; under [Rpc] the caller blocks for the reply and
     stays put. *)
 
-val invoke_site :
-  t ->
-  access:access ->
-  ?args_words:int ->
-  ?result_words:int ->
-  'state obj ->
-  ('state -> 'r Thread.t) ->
-  'r Thread.t
-(** [invoke_site t ~access o m] is {!invoke} with the access bound once:
-    [m] is applied to [o]'s state immediately and the returned monad is
-    a fused {!Runtime.site} invocation.  Events, counters, and digests
-    are identical to {!invoke}; use it for methods invoked many times
-    (build the monad at construction, run it per call) — the
-    steady-state path re-derives nothing per visit. *)
-
 val proc : t -> ?at_base:bool -> ?result_words:int -> 'r Thread.t -> 'r Thread.t
 (** [proc t body] runs [body] as one migratable procedure activation (see
     {!Runtime.scope}). *)

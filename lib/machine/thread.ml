@@ -471,6 +471,14 @@ module Frame = struct
   let getm3 c = c.f_mi3
   let getm4 c = c.f_mi4
 
+  let set_mlane c ms m0 m1 m2 m3 m4 =
+    c.f_ms <- Obj.repr ms;
+    c.f_mi0 <- m0;
+    c.f_mi1 <- m1;
+    c.f_mi2 <- m2;
+    c.f_mi3 <- m3;
+    c.f_mi4 <- m4
+
   let setms c v = c.f_ms <- Obj.repr v
   let getms c = Obj.obj c.f_ms
   let setmv c v = c.f_mv <- Obj.repr v

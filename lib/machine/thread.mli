@@ -248,6 +248,10 @@ module Frame : sig
   val getm2 : ctx -> int
   val getm3 : ctx -> int
   val getm4 : ctx -> int
+  val set_mlane : ctx -> 'v -> int -> int -> int -> int -> int -> unit
+  (** [set_mlane c ms m0 m1 m2 m3 m4] writes [ms] and [m0..m4] in one
+      call — how a method-site call loads the lane. *)
+
   val setms : ctx -> 'v -> unit
   val getms : ctx -> 'v
   val setmv : ctx -> 'v -> unit

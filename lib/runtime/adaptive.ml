@@ -28,6 +28,10 @@ type t = {
 }
 
 let create rt ?(threshold = 1.0) ?(explore = 6) () =
+  if Float.is_nan threshold then
+    invalid_arg "Adaptive.create: threshold = nan, expected a number in [-inf, inf]";
+  if explore < 0 then
+    invalid_arg (Printf.sprintf "Adaptive.create: explore = %d, expected an integer >= 0" explore);
   { rt; threshold; explore; sites = []; next_site = 0; logs = Hashtbl.create 16;
     migrations = 0; rpcs = 0 }
 
@@ -68,22 +72,23 @@ let choose t s =
   else if s.estimate >= t.threshold then Runtime.Migrate
   else Runtime.Rpc
 
-let call t ~site:s ~home ~args_words ~result_words body =
+let decide t ~site:s ~home =
   let* tid = Thread.tid in
   (match Hashtbl.find_opt t.logs tid with
   | Some log -> log := s :: !log
-  | None -> invalid_arg "Adaptive.call: not inside Adaptive.scope");
-  let* p = Thread.proc in
-  let access =
-    if Processor.id p = home then Runtime.Rpc (* local either way; Runtime runs it inline *)
-    else begin
-      let a = choose t s in
-      (match a with
-      | Runtime.Migrate -> t.migrations <- t.migrations + 1
-      | Runtime.Rpc -> t.rpcs <- t.rpcs + 1);
-      a
-    end
-  in
+  | None -> invalid_arg "Adaptive.decide: not inside Adaptive.scope");
+  let+ p = Thread.proc in
+  if Processor.id p = home then Runtime.Rpc (* local either way; Runtime runs it inline *)
+  else begin
+    let a = choose t s in
+    (match a with
+    | Runtime.Migrate -> t.migrations <- t.migrations + 1
+    | Runtime.Rpc -> t.rpcs <- t.rpcs + 1);
+    a
+  end
+
+let call t ~site ~home ~args_words ~result_words body =
+  let* access = decide t ~site ~home in
   Runtime.call t.rt ~access ~home ~args_words ~result_words body
 
 let chosen_migrations t = t.migrations

@@ -25,7 +25,8 @@ val create : Runtime.t -> ?threshold:float -> ?explore:int -> unit -> t
 (** [create rt ()] is an adaptive selector over [rt].  [threshold] is
     the follow-count above which a site migrates; [explore] (default 6)
     is the number of profiled activations per site before the policy
-    locks in. *)
+    locks in.  Raises [Invalid_argument] if [threshold] is nan or
+    [explore] is negative. *)
 
 type site
 
@@ -39,6 +40,15 @@ val scope :
     the activation completes, every call it made is credited with the
     number of calls that followed it. *)
 
+val decide : t -> site:site -> home:int -> Runtime.access Thread.t
+(** [decide t ~site ~home] is the policy's per-call decision: it logs
+    [site] in the running activation and picks the mechanism for an
+    access to an object on [home] ([Rpc] when [home] is the current
+    processor, where the access runs inline either way).  The caller
+    then performs the access with the chosen mechanism — through
+    {!call}, or a method site built for it.  Must run inside
+    {!scope}. *)
+
 val call :
   t ->
   site:site ->
@@ -47,8 +57,8 @@ val call :
   result_words:int ->
   'r Thread.t ->
   'r Thread.t
-(** Like {!Runtime.call}, with the mechanism chosen per [site] from its
-    profile.  Must run inside {!scope}. *)
+(** [call t ~site ~home ...] is {!decide} followed by {!Runtime.call}
+    with the chosen mechanism.  Must run inside {!scope}. *)
 
 (** {1 Introspection} *)
 

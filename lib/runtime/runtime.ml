@@ -108,80 +108,14 @@ let call t ~access ~home ~args_words ~result_words body c k =
   Thread.Frame.seti3 c result_words;
   Thread.Frame.hold_then c (costs t).Costs.forwarding_check rt_call_step
 
-(* --- fused call sites ------------------------------------------------ *)
-
-(* A call site binds one annotated access for repeated invocation: the
-   home, the body, the mechanism, and {e every} cost the access can
-   charge — forwarding check, send pipeline, fresh-thread receive
-   pipeline — resolved once at construction.  A steady-state invocation
-   then parks exactly two things in the thread frame (the continuation
-   and the site record) and each step reads cache-hot site fields, where
-   the generic [call] path re-derives costs and shuttles six slots per
-   visit.  Events, counters, and their order are identical to [call]'s,
-   so digests cannot tell the two apart. *)
-type 'r site = {
-  s_rt : t;
-  s_home : int;
-  s_migrate : bool;
-  s_body : 'r Thread.t;
-  s_args_words : int;
-  s_result_words : int;
-  s_dst : Processor.t;  (* the home processor, pre-resolved *)
-  s_fc : int;  (* forwarding-check cycles *)
-  s_send : int;  (* send-pipeline cycles for [s_args_words] *)
-  s_recv : int;  (* fresh-thread receive-pipeline cycles, ditto *)
-}
+(* The static call site, kept only for the benchmark harness: a static
+   site is the generic [call], bound once. *)
+type 'r site = 'r Thread.t
 
 let site t ~access ~home ~args_words ~result_words body =
-  let cst = costs t in
-  {
-    s_rt = t;
-    s_home = home;
-    s_migrate = (match access with Migrate -> true | Rpc -> false);
-    s_body = body;
-    s_args_words = args_words;
-    s_result_words = result_words;
-    s_dst = Machine.proc t.machine home;
-    s_fc = cst.Costs.forwarding_check;
-    s_send = Costs.send_pipeline cst ~words:args_words;
-    s_recv = Costs.recv_pipeline cst ~words:args_words ~new_thread:true;
-  }
+  call t ~access ~home ~args_words ~result_words body
 
-(* The migration has landed (same event as [Transport.mig_done_step]):
-   account the delivery, then run the body where it now is. *)
-let site_arrived_step c =
-  let s : Obj.t site = Thread.Frame.getv0 c in
-  Transport.account_delivered s.s_rt.migrate_k ~pid:s.s_home;
-  s.s_body c (Thread.Frame.take_k c)
-
-let site_send_step c =
-  let s : Obj.t site = Thread.Frame.getv0 c in
-  Transport.launch s.s_rt.tp s.s_rt.migrate_k ~dst:s.s_dst ~words:s.s_args_words
-    ~recv_work:s.s_recv ~after:site_arrived_step c
-
-let site_step c =
-  let s : Obj.t site = Thread.Frame.getv0 c in
-  if Processor.id (Thread.Frame.proc c) = s.s_home then begin
-    Stats.Counter.incr s.s_rt.local_calls_c;
-    s.s_body c (Thread.Frame.take_k c)
-  end
-  else if s.s_migrate then begin
-    Stats.Counter.incr s.s_rt.migrations_c;
-    Thread.Frame.hold_then c s.s_send site_send_step
-  end
-  else begin
-    let t = s.s_rt in
-    Stats.Counter.incr t.rpc_calls_c;
-    Transport.call t.tp ~req:t.rpc_k ~reply:t.rpc_reply_k ~dst:s.s_home
-      ~args_words:s.s_args_words ~result_words:s.s_result_words s.s_body c
-      (Thread.Frame.take_k c)
-  end
-
-let site_call (s : 'r site) : 'r Thread.t =
- fun c k ->
-  Thread.Frame.save_k c k;
-  Thread.Frame.setv0 c s;
-  Thread.Frame.hold_then c s.s_fc site_step
+let site_call s = s
 
 let scope_done_step c =
   let r : Obj.t = Thread.Frame.getv3 c in
@@ -205,26 +139,26 @@ let scope t ?(at_base = false) ~result_words body =
 
 (* --- per-object method sites ----------------------------------------
 
-   [site] fuses one static access; a {e method site} fuses a whole
-   (object-class, method) pair over the flat object store: the body, the
-   mechanism, the interned network kind, and every cost are resolved
-   once at construction, while the home is one Bigarray load from the
-   store's home table per call — so objects keep a mutable home
-   ([Objspace.move]) and the very next call lands at the new one.  A
-   steady-state invocation writes the frame's method-site registers
-   (m0=object id, m1/m2=int operands, m3=resolved home, m4=scope
-   origin), pays the forwarding check, and walks static steps: the whole
-   call/migrate/return cycle allocates nothing.
+   A {e method site} fuses a whole (object-class, method) pair over the
+   flat object store: the body, the mechanism, the interned network
+   kind, and every cost are resolved once at construction, while the
+   home is one Bigarray load from the store's home table per call — so
+   objects keep a mutable home ([Objspace.move]) and the very next call
+   lands at the new one.  A steady-state invocation writes the frame's
+   method-site registers (m0=object id, m1/m2=int operands, m3=resolved
+   home, m4=scope origin), pays the forwarding check, and walks static
+   steps: the whole call/migrate/return cycle allocates nothing.  A static object (a
+   counting-network balancer) is simply an object that never moves.
 
    The body contract: [frame_body] runs at the object's home with the
    CPU held, reads its operands through [msite_obj]/[msite_arg_a]/
    [msite_arg_b] (state via the object store), may suspend only through
    [Thread.Frame.hold_then]-style steps, and must end with exactly one
    [msite_finish].  It owns the m-lane for the duration and must not
-   start another method-site call.  [cps_body] is the same method as a
-   generic monad: the RPC arm ships it to the home as the server stub,
-   so both bodies must charge identical costs in identical order; the
-   qcheck oracle in test/ holds them to that.
+   start another method-site call.  The one body serves every arm: a
+   local or migrated call runs it on the caller's own context, and an
+   RPC runs it on the server thread's context at the home (see
+   [msite_serve]).
 
    Event, counter, and cost sequences replay [scope]([call]) exactly, so
    run digests cannot tell a fused call from a generic one. *)
@@ -238,10 +172,11 @@ type 'r msite = {
   m_send : int;  (* send-pipeline cycles for [m_args_words] *)
   m_recv : int;  (* fresh-thread receive-pipeline cycles, ditto *)
   m_frame_body : Thread.Frame.ctx -> unit;
-  m_cps_body : obj:int -> a:int -> b:int -> 'r Thread.t;
 }
 
-let msite rt ~access ~space ~args_words ~result_words ~frame_body ~cps_body =
+(* [?cps_body] is ignored: the RPC arm runs [frame_body] too.  It stays
+   only so the benchmark harness, which still passes one, compiles. *)
+let msite ?cps_body:_ rt ~access ~space ~args_words ~result_words ~frame_body =
   let cst = costs rt in
   {
     m_rt = rt;
@@ -253,7 +188,6 @@ let msite rt ~access ~space ~args_words ~result_words ~frame_body ~cps_body =
     m_send = Costs.send_pipeline cst ~words:args_words;
     m_recv = Costs.recv_pipeline cst ~words:args_words ~new_thread:true;
     m_frame_body = frame_body;
-    m_cps_body = cps_body;
   }
 
 let msite_obj c = Thread.Frame.getm0 c
@@ -276,6 +210,16 @@ let msite_send_step c =
     ~dst:(Machine.proc rt.machine (Thread.Frame.getm3 c))
     ~words:ms.m_args_words ~recv_work:ms.m_recv ~after:msite_arrived_step c
 
+(* The RPC server stub, run by the server thread at the home: load the
+   call into that thread's own m-lane, with origin -1 so [msite_finish]
+   hands the result to the server continuation (which sends the reply),
+   and run the frame body there.  Each copy of a duplicated request runs
+   on its own server thread, with its own operands. *)
+let msite_serve ms ~obj ~a ~b c k =
+  Thread.Frame.save_k c k;
+  Thread.Frame.set_mlane c ms obj a b (Processor.id (Thread.Frame.proc c)) (-1);
+  ms.m_frame_body c
+
 let msite_call_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
   let home = Thread.Frame.getm3 c in
@@ -292,8 +236,8 @@ let msite_call_step c =
     Stats.Counter.incr rt.rpc_calls_c;
     Transport.call rt.tp ~req:rt.rpc_k ~reply:rt.rpc_reply_k ~dst:home
       ~args_words:ms.m_args_words ~result_words:ms.m_result_words
-      (* lint: allow hot-alloc an Rpc access ships the body to the home as a CPS monad by design — one closure per *remote* call *)
-      (ms.m_cps_body ~obj:(Thread.Frame.getm0 c) ~a:(Thread.Frame.getm1 c)
+      (* lint: allow hot-alloc the request carries an immutable (site, obj, a, b) stub — one closure per *remote* call *)
+      (msite_serve ms ~obj:(Thread.Frame.getm0 c) ~a:(Thread.Frame.getm1 c)
          ~b:(Thread.Frame.getm2 c))
       c (Thread.Frame.take_k c)
   end
@@ -304,12 +248,9 @@ let msite_call_step c =
    under either path. *)
 let msite_enter ms ~scoped ~obj ~a ~b c k =
   Thread.Frame.save_k c k;
-  Thread.Frame.setms c ms;
-  Thread.Frame.setm0 c obj;
-  Thread.Frame.setm1 c a;
-  Thread.Frame.setm2 c b;
-  Thread.Frame.setm3 c (Objspace.home ms.m_space (Objspace.id_of_int obj));
-  Thread.Frame.setm4 c (if scoped then Processor.id (Thread.Frame.proc c) else -1);
+  Thread.Frame.set_mlane c ms obj a b
+    (Objspace.home ms.m_space (Objspace.id_of_int obj))
+    (if scoped then Processor.id (Thread.Frame.proc c) else -1);
   Thread.Frame.hold_then c ms.m_fc msite_call_step
 
 let msite_finish c r =

@@ -65,15 +65,9 @@ val call :
     its original processor under [Rpc], and on [home] under [Migrate]. *)
 
 type 'r site
-(** A {e fused call site}: one annotated access bound for repeated
-    invocation, with its home processor, body, mechanism, and every cost
-    it can charge (forwarding check, send pipeline, receive pipeline)
-    resolved at construction.  Invoking a site performs exactly the same
-    events and counter updates as {!call} with the same arguments — run
-    digests are identical — but the steady-state path reads the
-    pre-resolved record instead of re-deriving costs and staging six
-    frame slots per visit.  Build sites once (per object/method) and
-    invoke them per access; see {!Cm_core.Prelude.invoke_site}. *)
+(** A static call site: {!call} with its arguments bound once.  Kept
+    only so the benchmark harness compiles; library code binds methods
+    with {!msite} (a static object is an object that never moves). *)
 
 val site :
   t ->
@@ -83,12 +77,11 @@ val site :
   result_words:int ->
   'r Thread.t ->
   'r site
-(** [site t ~access ~home ~args_words ~result_words body] binds the
-    access once.  The arguments mean exactly what {!call}'s do. *)
+(** [site t ~access ~home ~args_words ~result_words body] is
+    [call t ~access ~home ~args_words ~result_words body], unapplied. *)
 
 val site_call : 'r site -> 'r Thread.t
-(** [site_call s] performs the bound access; equivalent to the {!call}
-    it was built from, invocation after invocation. *)
+(** [site_call s] performs the bound {!call}. *)
 
 val scope : t -> ?at_base:bool -> result_words:int -> 'r Thread.t -> 'r Thread.t
 (** [scope t ~result_words body] runs [body] as one procedure activation;
@@ -96,41 +89,44 @@ val scope : t -> ?at_base:bool -> result_words:int -> 'r Thread.t -> 'r Thread.t
 
 (** {1 Per-object method sites}
 
-    {!site} fuses one static access; a {e method site} fuses a whole
-    (object-class, method) pair over the flat object store
-    ({!Objspace}): body, mechanism, interned network kind, and every
-    cost are resolved once at construction, while the home is one load
-    from the store's home table per call — objects keep a mutable home
-    ([Objspace.move]) and the next call lands at the new one.  A
-    steady-state invocation writes the frame's method-site registers
-    and walks static steps; the whole call/migrate/return cycle
-    allocates nothing.  Events, counters, and costs replay
-    {!scope}({!call}) exactly, so run digests cannot tell a fused call
-    from a generic one.  Sanitizers and fault injection run the same
-    path. *)
+    A {e method site} fuses a whole (object-class, method) pair over
+    the flat object store ({!Objspace}): body, mechanism, interned
+    network kind, and every cost are resolved once at construction,
+    while the home is one load from the store's home table per call —
+    objects keep a mutable home ([Objspace.move]) and the next call
+    lands at the new one.  A steady-state invocation writes the frame's
+    method-site registers and walks static steps; the whole
+    call/migrate/return cycle allocates nothing.  Events, counters, and
+    costs replay {!scope}({!call}) exactly, so run digests cannot tell a
+    fused call from a generic one.  Sanitizers and fault injection run
+    the same path.  Every call path of the library's objects goes
+    through method sites, except the B-tree's, which still uses
+    {!call}/{!scope}. *)
 
 type 'r msite
 
 val msite :
+  ?cps_body:(obj:int -> a:int -> b:int -> 'r Thread.t) ->
   t ->
   access:access ->
   space:Obj.t Objspace.t ->
   args_words:int ->
   result_words:int ->
   frame_body:(Thread.Frame.ctx -> unit) ->
-  cps_body:(obj:int -> a:int -> b:int -> 'r Thread.t) ->
   'r msite
-(** [msite t ~access ~space ~args_words ~result_words ~frame_body
-    ~cps_body] binds one method of one object class.  [frame_body] runs
-    at the object's home with the CPU held: it reads its operands with
+(** [msite t ~access ~space ~args_words ~result_words ~frame_body] binds
+    one method of one object class.  [frame_body] runs at the object's
+    home with the CPU held: it reads its operands with
     {!msite_obj}/{!msite_arg_a}/{!msite_arg_b} (object state through
     [space]), may suspend only via [Thread.Frame.hold_then]-style
     steps, must end with exactly one {!msite_finish}, and owns the
     frame's method-site lane for the duration (no nested method-site
-    calls).  [cps_body] is the same method as a generic monad: it is
-    the RPC server stub, shipped to the home and run on the server
-    thread there, and must charge identical costs in identical order
-    to [frame_body].  A [Migrate] site never runs it. *)
+    calls).  It is the method's only body: a local or migrated call
+    runs it on the calling thread, and an [Rpc] call ships a small stub
+    (site, object, operands) that loads the server thread's own
+    method-site lane at the home and runs [frame_body] there; its
+    {!msite_finish} sends the reply.  [cps_body] is ignored; it remains
+    only so the benchmark harness, which passes one, compiles. *)
 
 val msite_call : 'r msite -> obj:int -> a:int -> b:int -> 'r Thread.t
 (** [msite_call ms ~obj ~a ~b] invokes the method on [obj] (a raw

@@ -325,6 +325,56 @@ let test_concurrent_growth () =
       List.iter (fun (k, v) -> Alcotest.(check int) (name ^ ": value") (-k) v) (Dht.contents table))
     growing_modes
 
+(* A put is charged [bucket_work] of the entry count at the home when
+   its body runs, whatever the mechanism.  One bucket homed at 1 holds
+   three keys; a requester on 0 puts a fourth while, in one of the two
+   runs, a local put on 1 adds another entry after the request has left
+   the requester but before it reaches the home, so the home's CPU is
+   idle again when it arrives.  The in-flight entry
+   must cost the remote put exactly 6 more cycles (bucket_work n is
+   40 + 6n), under rpc and adaptive as under migrate. *)
+let in_flight_put_latency mode ~concurrent =
+  let e = env ~n:4 () in
+  let m = e.Sysenv.machine in
+  let table = Dht.create e ~buckets:1 ~mode ~node_procs:[| 1 |] () in
+  List.iter (fun k -> Dht.preload table ~key:k ~value:k) [ 1; 2; 3 ];
+  let latency = ref (-1) and local_done = ref (-1) in
+  Machine.spawn m ~on:0 (fun c k ->
+      let t0 = Machine.now m in
+      Dht.put table ~key:100 ~value:100 c (fun () ->
+          latency := Machine.now m - t0;
+          k ()));
+  if concurrent then
+    Machine.spawn m ~on:1
+      (let* () = Dht.put table ~key:200 ~value:200 in
+       local_done := Machine.now m;
+       Thread.return ());
+  Machine.run m;
+  (!latency, !local_done, Dht.size table)
+
+let test_in_flight_put_charged_at_home () =
+  let costs = Costs.software in
+  let left_requester = costs.Costs.forwarding_check in
+  let reaches_home = left_requester + Costs.send_pipeline costs ~words:8 in
+  List.iter
+    (fun (name, mode) ->
+      let alone, _, n_alone = in_flight_put_latency mode ~concurrent:false in
+      let raced, local_done, n_raced = in_flight_put_latency mode ~concurrent:true in
+      Alcotest.(check (pair int int)) (name ^ ": entries") (4, 5) (n_alone, n_raced);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: local put done at %d, in (%d, %d)" name local_done left_requester
+           reaches_home)
+        true
+        (local_done > left_requester && local_done < reaches_home);
+      Alcotest.(check int)
+        (name ^ ": charged the count at the home")
+        6 (raced - alone))
+    [
+      ("rpc", Dht.Messaging Cm_core.Prelude.Rpc);
+      ("migrate", Dht.Messaging Cm_core.Prelude.Migrate);
+      ("adaptive", Dht.Adaptive);
+    ]
+
 (* Bucket storage follows the data: 20,000 keys in 1,024 buckets of
    capacity 64 (19.5 keys per bucket) cost at most twice their data
    words — the count word per bucket plus a (key, value) pair per key.
@@ -411,6 +461,8 @@ let () =
       ( "growth",
         [
           Alcotest.test_case "concurrent growth" `Quick test_concurrent_growth;
+          Alcotest.test_case "in-flight put charged at home" `Quick
+            test_in_flight_put_charged_at_home;
           Alcotest.test_case "sized to data" `Quick test_table_sized_to_data;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_growth_matches_model ] );

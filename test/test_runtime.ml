@@ -178,13 +178,13 @@ let test_call_migrate_subsequent_local () =
   Alcotest.(check int) "one message" 1 (Network.total_messages m.Machine.net)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime.site — fused call sites                                    *)
+(* Runtime.site — the static-site shim over Runtime.call               *)
 (* ------------------------------------------------------------------ *)
 
 (* Run five invocations of [make rt] from processor 0 and collect every
    observable: final clock, traffic, call counters, where the thread
-   ended.  A fused site must be indistinguishable from the Runtime.call
-   it precomputes. *)
+   ended.  A site must be indistinguishable from the Runtime.call it
+   binds. *)
 let measure_invocations make =
   let m = machine () in
   let rt = Runtime.create m in
@@ -266,36 +266,40 @@ let test_site_call_checked () =
 (* Runtime.msite — per-object method sites                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One method as a frame body and as a monad (the RPC server stub, and
-   the generic reference below): charge 40 cycles at the object's home,
-   return state + a + b.  The msite contract requires the two bodies to
-   charge identical costs in identical order. *)
-let ms_frame_body space =
+(* One method as a method-site frame body, and as a monad for the
+   generic scope(call) reference it is compared against: charge 40
+   cycles at the object's home, return state + a + b.  [seen] logs every
+   run of the frame body: its context, processor and operands. *)
+let ms_frame_body ?(seen = ref []) space =
   let done_ c =
     let v : int = Obj.obj (Objspace.state space (Objspace.id_of_int (Runtime.msite_obj c))) in
     Runtime.msite_finish c (v + Runtime.msite_arg_a c + Runtime.msite_arg_b c)
   in
-  fun c -> Thread.Frame.hold_then c 40 done_
+  fun c ->
+    seen :=
+      ( c,
+        Processor.id (Thread.Frame.proc c),
+        (Runtime.msite_obj c, Runtime.msite_arg_a c, Runtime.msite_arg_b c) )
+      :: !seen;
+    Thread.Frame.hold_then c 40 done_
 
-let ms_cps_body space ~obj ~a ~b =
+let ms_generic_body space ~obj ~a ~b =
   let* () = Thread.compute 40 in
   Thread.return ((Obj.obj (Objspace.state space (Objspace.id_of_int obj)) : int) + a + b)
 
 (* Run a scripted thread against one 7-valued object homed at 5 and
    collect [measure_invocations]' observables plus every result.  The
    script gets the space, a fused-or-generic invoker (scoped and
-   unscoped), and the object id. *)
-let measure_msite ~access ~fused ?(arm_faults = false) script =
+   unscoped), and the object id.  [faults] arms fault injection. *)
+let measure_msite ~access ~fused ?(faults = []) ?seen script =
   let m = machine () in
   let rt = Runtime.create m in
   let space = Objspace.create m in
   let obj = Objspace.register space ~home:5 (Obj.repr 7) in
-  if arm_faults then
-    Transport.configure_faults (Machine.transport m) ~seed:1
-      [ ("migrate", Transport.no_fault) ];
+  if faults <> [] then Transport.configure_faults (Machine.transport m) ~seed:1 faults;
   let ms =
     Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-      ~frame_body:(ms_frame_body space) ~cps_body:(ms_cps_body space)
+      ~frame_body:(ms_frame_body ?seen space)
   in
   let scoped ~a ~b =
     if fused then Runtime.msite_scoped ms ~obj:(obj :> int) ~a ~b
@@ -304,7 +308,7 @@ let measure_msite ~access ~fused ?(arm_faults = false) script =
         (Runtime.call rt ~access
            ~home:(Objspace.home space obj)
            ~args_words:8 ~result_words:2
-           (ms_cps_body space ~obj:(obj :> int) ~a ~b))
+           (ms_generic_body space ~obj:(obj :> int) ~a ~b))
   in
   let unscoped ~a ~b =
     if fused then Runtime.msite_call ms ~obj:(obj :> int) ~a ~b
@@ -312,7 +316,7 @@ let measure_msite ~access ~fused ?(arm_faults = false) script =
       Runtime.call rt ~access
         ~home:(Objspace.home space obj)
         ~args_words:8 ~result_words:2
-        (ms_cps_body space ~obj:(obj :> int) ~a ~b)
+        (ms_generic_body space ~obj:(obj :> int) ~a ~b)
   in
   let results = ref [] in
   let ended = ref (-1) in
@@ -336,9 +340,9 @@ let msite_repeat_script _space _obj ~scoped ~unscoped:_ results =
       results := r :: !results;
       Thread.return ())
 
-let check_msite_pair name ~access ?arm_faults script =
-  let reference = measure_msite ~access ~fused:false ?arm_faults script in
-  let fused = measure_msite ~access ~fused:true ?arm_faults script in
+let check_msite_pair name ~access script =
+  let reference = measure_msite ~access ~fused:false script in
+  let fused = measure_msite ~access ~fused:true script in
   Alcotest.check obs (name ^ ": observables identical") (as_obs (fst reference))
     (as_obs (fst fused));
   Alcotest.(check (list int)) (name ^ ": results identical") (snd reference) (snd fused);
@@ -415,16 +419,80 @@ let test_msite_checked () =
   Alcotest.check obs "checked run identical" (as_obs (fst plain)) (as_obs (fst checked));
   Alcotest.(check (list int)) "checked results identical" (snd plain) (snd checked)
 
-let test_msite_zero_faults () =
+(* Duplicated RPC requests: every request arrives twice, so each call's
+   frame body runs on two server threads, each on its own context at the
+   home with that request's operands, and two replies come back.  The
+   caller resumes once per call with the right result; the second reply
+   is discarded, and under Check it is caught as a second resumption of
+   the caller's await — the only violation the run raises. *)
+let dup_rpc = [ ("rpc", { Transport.no_fault with duplicate = 1.0 }) ]
+
+let msite_duplicated_rpc () =
+  let seen = ref [] and caller = ref None in
+  let script space obj ~scoped ~unscoped results =
+    let* () =
+     fun c k ->
+      caller := Some c;
+      k ()
+    in
+    msite_repeat_script space obj ~scoped ~unscoped results
+  in
+  let (_, messages, _, _, rpcs, ended), results =
+    measure_msite ~access:Runtime.Rpc ~fused:true ~faults:dup_rpc ~seen script
+  in
+  Alcotest.(check (list int)) "each call resumed once, right result" [ 7; 10; 13; 16; 19 ]
+    results;
+  Alcotest.(check int) "five rpcs" 5 rpcs;
+  Alcotest.(check int) "two requests and two replies per call" 20 messages;
+  Alcotest.(check int) "caller stays put" 0 ended;
+  let runs = List.rev !seen in
+  Alcotest.(check (list (pair int (triple int int int))))
+    "each copy ran at the home with its request's operands"
+    (List.concat_map (fun i -> [ (5, (0, i, 2 * i)); (5, (0, i, 2 * i)) ]) [ 0; 1; 2; 3; 4 ])
+    (List.map (fun (_, p, ops) -> (p, ops)) runs);
+  let caller = Option.get !caller in
+  Alcotest.(check bool) "never on the caller's context" true
+    (List.for_all (fun (c, _, _) -> c != caller) runs);
+  let rec copies_apart = function
+    | (c1, _, _) :: (c2, _, _) :: rest -> c1 != c2 && copies_apart rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "the two copies of a call on two contexts" true (copies_apart runs);
+  (* Under Check: one call, whose duplicate reply is the only
+     violation. *)
+  let got = ref [] in
+  let one_call _ _ ~scoped ~unscoped:_ _ =
+    let* r = scoped ~a:1 ~b:2 in
+    got := r :: !got;
+    Thread.return ()
+  in
+  Check.set_enabled true;
+  Check.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Check.set_enabled false;
+      Check.reset ())
+    (fun () ->
+      match measure_msite ~access:Runtime.Rpc ~fused:true ~faults:dup_rpc one_call with
+      | _ -> Alcotest.fail "the duplicate reply was not caught"
+      | exception Check.Violation msg ->
+        Alcotest.(check bool) "the violation is the caller's second resumption" true
+          (String.ends_with ~suffix:"Thread.await resume" msg);
+        Alcotest.(check (list int)) "caller resumed once before it" [ 10 ] !got)
+
+let test_msite_faults () =
   (* Arming fault injection with all-zero probabilities routes the
      migrations through the fault-checking send path; the msite must
      keep every observable. *)
   let plain = measure_msite ~access:Runtime.Migrate ~fused:true msite_repeat_script in
   let armed =
-    measure_msite ~access:Runtime.Migrate ~fused:true ~arm_faults:true msite_repeat_script
+    measure_msite ~access:Runtime.Migrate ~fused:true
+      ~faults:[ ("migrate", Transport.no_fault) ]
+      msite_repeat_script
   in
   Alcotest.check obs "armed run identical" (as_obs (fst plain)) (as_obs (fst armed));
-  Alcotest.(check (list int)) "armed results identical" (snd plain) (snd armed)
+  Alcotest.(check (list int)) "armed results identical" (snd plain) (snd armed);
+  msite_duplicated_rpc ()
 
 (* The whole-machine oracle: random interleavings of scoped calls,
    unscoped calls, and object moves from two requesters over a shared
@@ -442,7 +510,7 @@ let prop_msite_digest_oracle =
         let objs = Array.init 4 (fun i -> Objspace.register space ~home:(2 * i) (Obj.repr (i * 10))) in
         let ms =
           Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
-            ~frame_body:(ms_frame_body space) ~cps_body:(ms_cps_body space)
+            ~frame_body:(ms_frame_body space)
         in
         let op (i, x) =
           let obj = objs.(i) in
@@ -463,7 +531,7 @@ let prop_msite_digest_oracle =
                      (Runtime.call rt ~access
                         ~home:(Objspace.home space obj)
                         ~args_words:8 ~result_words:2
-                        (ms_cps_body space ~obj:(obj :> int) ~a:x ~b:i))
+                        (ms_generic_body space ~obj:(obj :> int) ~a:x ~b:i))
                      c k)
           else
             Thread.ignore_m
@@ -473,7 +541,7 @@ let prop_msite_digest_oracle =
                    Runtime.call rt ~access
                      ~home:(Objspace.home space obj)
                      ~args_words:8 ~result_words:2
-                     (ms_cps_body space ~obj:(obj :> int) ~a:x ~b:i)
+                     (ms_generic_body space ~obj:(obj :> int) ~a:x ~b:i)
                      c k)
         in
         let evens = List.filteri (fun j _ -> j mod 2 = 0) ops in
@@ -1057,6 +1125,20 @@ let test_adaptive_outside_scope_rejected () =
   Machine.run mach;
   Alcotest.(check bool) "rejected outside scope" true !raised
 
+let test_adaptive_create_validates () =
+  let rt = Runtime.create (machine ()) in
+  Alcotest.check_raises "nan threshold"
+    (Invalid_argument "Adaptive.create: threshold = nan, expected a number in [-inf, inf]")
+    (fun () -> ignore (Adaptive.create rt ~threshold:nan ()));
+  Alcotest.check_raises "negative explore"
+    (Invalid_argument "Adaptive.create: explore = -1, expected an integer >= 0") (fun () ->
+      ignore (Adaptive.create rt ~explore:(-1) ()));
+  (* The ends of the ranges are accepted: never explore, never or
+     always migrate. *)
+  List.iter
+    (fun threshold -> ignore (Adaptive.create rt ~threshold ~explore:0 ()))
+    [ infinity; neg_infinity; 0.0 ]
+
 let test_adaptive_sites_independent () =
   (* One chained site and one isolated site in the same program must
      learn different mechanisms. *)
@@ -1240,7 +1322,7 @@ let () =
           Alcotest.test_case "msite rebinds on move" `Quick test_msite_rebinds_on_move;
           Alcotest.test_case "msite unscoped sticky" `Quick test_msite_unscoped_sticky;
           Alcotest.test_case "msite checked fallback" `Quick test_msite_checked;
-          Alcotest.test_case "msite faults fallback" `Quick test_msite_zero_faults;
+          Alcotest.test_case "msite faults fallback" `Quick test_msite_faults;
           Alcotest.test_case "scope returns home" `Quick test_scope_returns_home;
           Alcotest.test_case "scope at base" `Quick test_scope_at_base_short_circuits;
           Alcotest.test_case "scope local free" `Quick test_scope_local_body_free;
@@ -1285,6 +1367,7 @@ let () =
           Alcotest.test_case "near static best" `Quick test_adaptive_message_count_near_static_best;
           Alcotest.test_case "outside scope rejected" `Quick test_adaptive_outside_scope_rejected;
           Alcotest.test_case "sites independent" `Quick test_adaptive_sites_independent;
+          Alcotest.test_case "create validates" `Quick test_adaptive_create_validates;
         ] );
       ( "replicate",
         [
