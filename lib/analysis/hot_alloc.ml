@@ -55,7 +55,9 @@ let default =
        carries the suspension's generation by design.  What is hot is
        the frame machinery itself: the travel steps, firing a
        resumption, the m-lane register accessors the fused method sites
-       write through, and context recycling — every RPC's server thread
+       write through, the int stack the B-tree insert keeps its path on
+       (its out-of-line [grow_stack] allocates by design and is absent),
+       and context recycling — every RPC's server thread
        exits into [recycle] and the next one is spawned through
        [reuse]. *)
     {
@@ -65,7 +67,7 @@ let default =
           "fire"; "recycle"; "reuse";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
-          "set_mlane"; "setms"; "getms"; "setmv"; "getmv" ];
+          "set_mlane"; "setms"; "getms"; "setmv"; "getmv"; "push"; "pop"; "top"; "depth" ];
     };
     { s_unit = "Cm_machine.Processor";
       s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
@@ -88,14 +90,29 @@ let default =
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
                   "bkt_append"; "ms_bucket" ] };
     (* The fused per-object call path: method-site steps, the RPC
-       server stub [msite_serve] included, walk frame registers only —
-       every binding here must stay allocation-free. *)
+       server stub [msite_serve] and the tail re-entry [msite_next]
+       included, walk frame registers only — every binding here must
+       stay allocation-free. *)
     {
       s_unit = "Cm_runtime.Runtime";
       s_names =
         [ "rt_body_step"; "rt_call_step"; "scope_done_step"; "msite_obj"; "msite_arg_a";
           "msite_arg_b"; "msite_arrived_step"; "msite_send_step"; "msite_serve";
-          "msite_call_step"; "msite_enter"; "msite_finish"; "msite_call"; "msite_scoped" ];
+          "msite_call_step"; "msite_enter"; "msite_next"; "msite_finish"; "msite_call";
+          "msite_scoped" ];
+    };
+    (* The B-tree descents on method-site frames: every lookup and insert
+       walks these steps.  Two suppressions, each with its reason:
+       [hand_off] into monadic split propagation (splits and root
+       refreshes only) and the RPC return step [rpc_return].  The
+       entries [lookup]/[insert] stay out: with a replicated root they
+       bind the snapshot read monadically. *)
+    {
+      s_unit = "Cm_apps.Btree_msg";
+      s_names =
+        [ "visit_next"; "lookup_at"; "unwind"; "hand_off"; "rpc_return"; "park_rpc_return";
+          "insert_next"; "leaf_done"; "insert_at"; "leaf_inserted_at"; "lookup_from";
+          "insert_from"; "settled" ];
     };
     {
       s_unit = "Cm_runtime.Objmig";

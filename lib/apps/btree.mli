@@ -33,7 +33,9 @@ val create :
     (made distinct and sorted) with fill factor [fill] (default 0.7) and
     places nodes uniformly over [node_procs].  [replicate_root] (default
     false) enables WW90-style root replication; it only applies to
-    messaging modes — shared memory already replicates in hardware. *)
+    messaging modes — shared memory already replicates in hardware.
+    Raises [Invalid_argument] when [fill] is not in (0, 1] (see
+    {!Btree_node.build_plan}). *)
 
 val lookup : t -> int -> bool Thread.t
 (** Membership test, run from a requester thread. *)

@@ -29,7 +29,9 @@ type snapshot = {
   s_children : int array;
 }
 
-type t = {
+(* The tree's state; the handle [t] below adds the descents' method
+   sites, whose steps close over it. *)
+type tree = {
   env : Sysenv.t;
   access : Prelude.access;
   fanout : int;
@@ -42,6 +44,14 @@ type t = {
   node_procs : int array;
   mutable n_splits : int;
   node_init_k : unit Transport.kind;
+}
+
+type t = {
+  tree : tree;
+  lookup_ms : bool Runtime.msite;
+  (* Its caller gets [added : bool] at the requester and an [ins] from a
+     server (see [unwind]), so its result is untyped. *)
+  insert_ms : Obj.t Runtime.msite;
 }
 
 let rt t = Sysenv.runtime t.env
@@ -155,65 +165,27 @@ let materialize t plan =
   let root_id = Plan_tbl.find ids plan in
   (root_id, height)
 
-let create env ~access ~fanout ~replicate_root ~plan ~node_procs ~placement_seed =
-  if fanout < 4 then invalid_arg "Btree_msg.create: fanout must be >= 4";
-  if Array.length node_procs = 0 then invalid_arg "Btree_msg.create: no node processors";
-  let tp = Machine.transport env.Sysenv.machine in
-  (* A split-off node's initialization message: the receiving home runs
-     the allocation/initialization work itself (no generic receive
-     pipeline — this models the memory-side cost only). *)
-  let node_init_k = Transport.kind tp ~recv:Transport.Recv_bare "node_init" in
-  Transport.Endpoint.register_all tp ~kind:node_init_k (fun () ->
-      Thread.compute node_init_work);
-  let t =
-    {
-      env;
-      access;
-      fanout;
-      space = Objspace.create env.Sysenv.machine;
-      anchor = { root = -1; height = 0 };
-      anchor_home = node_procs.(0);
-      repl = None;
-      replicate_root;
-      place_rng = Rng.create ~seed:placement_seed;
-      node_procs;
-      n_splits = 0;
-      node_init_k;
-    }
-  in
-  let root_id, height = materialize t plan in
-  t.anchor.root <- root_id;
-  t.anchor.height <- height;
-  if replicate_root then
-    t.repl <-
-      Some
-        (Replicate.create (rt t) ~home:(node_home t root_id) ~words_of:snapshot_words
-           (snapshot_of root_id ~level:(height - 1) (node t root_id)));
-  t
-
 (* ------------------------------------------------------------------ *)
-(* Remote node access                                                 *)
+(* Split propagation (generic remote calls)                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A descent's migrating activation carries the key, linkage and its
-   path stack; size the message accordingly. *)
-let descent_words path_len = 8 + (2 * path_len)
+(* A descent's migrating activation carries the key and its linkage;
+   size the message accordingly. *)
+let descent_words = 8
 
-let invoke_node t ?(path_len = 0) nid (m : node -> 'r Thread.t) : 'r Thread.t =
-  Runtime.call (rt t) ~access:t.access ~home:(node_home t nid)
-    ~args_words:(descent_words path_len) ~result_words:2 (m (node t nid))
+(* A node method as a generic remote call, for split propagation; the
+   descents run on method-site frames (below). *)
+let invoke_node t nid (m : node -> 'r Thread.t) : 'r Thread.t =
+  Runtime.call (rt t) ~access:t.access ~home:(node_home t nid) ~args_words:descent_words
+    ~result_words:2 (m (node t nid))
 
-(* One search step at a node. *)
+(* One search step at a node (the frame steps below inline it). *)
 type step = Move_right of int | Down of int | Leaf_here
 
 let step_of n key =
   if key > n.high && n.right >= 0 then Move_right n.right
   else if n.is_leaf then Leaf_here
   else Down n.children.(Btree_node.find_child_index ~keys:n.keys ~nkeys:n.nkeys ~key)
-
-(* ------------------------------------------------------------------ *)
-(* Lookup                                                             *)
-(* ------------------------------------------------------------------ *)
 
 (* Entry point of a descent: the root, or — with a replicated root — a
    child chosen from the local snapshot.  Also reports the entry node's
@@ -237,30 +209,6 @@ let start_point t key : (int * int) Thread.t =
       Thread.return (child, s.s_level - 1)
     end
 
-(* The descent is the natural recursive shared-memory-style program:
-   each node visit is an instance method executing at the node's home,
-   and the recursive call is itself a remote access.  Under RPC this
-   nests calls — replies cascade back through every level, costing the
-   root's processor a reply-handling pass per operation.  Under
-   computation migration every recursive call is a tail call, so the
-   activation simply hops down the tree and the single result message is
-   short-circuited to the requester by the enclosing scope. *)
-let rec visit_lookup t nid key : bool Thread.t =
-  invoke_node t nid (fun n ->
-      let* () = Thread.compute (visit_work n) in
-      match step_of n key with
-      | Leaf_here -> Thread.return (Btree_node.member ~keys:n.keys ~nkeys:n.nkeys ~key)
-      | Move_right next | Down next -> visit_lookup t next key)
-
-let lookup t key =
-  Runtime.scope (rt t) ~result_words:2
-    (let* start, _level = start_point t key in
-     visit_lookup t start key)
-
-(* ------------------------------------------------------------------ *)
-(* Insert                                                             *)
-(* ------------------------------------------------------------------ *)
-
 (* Split [n] (which just overflowed), returning the separator and the
    new right sibling's id.  Runs at [n]'s home, which therefore sends
    the initialization message. *)
@@ -278,20 +226,6 @@ let split_node t n : (int * int) Thread.t =
   n.high <- n.keys.(keep - 1);
   n.right <- new_id;
   Thread.return (n.high, new_id)
-
-(* Leaf-level insert at node [n]; assumes key <= n.high. *)
-let leaf_insert t n key =
-  if Btree_node.member ~keys:n.keys ~nkeys:n.nkeys ~key then Thread.return (`Done false)
-  else begin
-    let pos = Btree_node.insertion_point ~keys:n.keys ~nkeys:n.nkeys ~key in
-    Btree_node.insert_at ~keys:n.keys ~nkeys:n.nkeys ~pos key;
-    n.nkeys <- n.nkeys + 1;
-    let* () = Thread.compute (4 * (n.nkeys - pos)) in
-    if n.nkeys > t.fanout then
-      let* sep, new_id = split_node t n in
-      Thread.return (`Split (sep, new_id, true))
-    else Thread.return (`Done true)
-  end
 
 (* Insert separator [sep] (new right child [new_child]) into internal
    node [n]; assumes sep <= n.high. *)
@@ -327,9 +261,9 @@ let refresh_root_snapshot t nid : unit Thread.t =
 
 (* Move right at one level until [sep] is coverable, then insert the
    separator there.  Returns the landing node and the outcome. *)
-let rec add_sep_at t pid ~path_len ~sep ~new_child =
+let rec add_sep_at t pid ~sep ~new_child =
   let* r =
-    invoke_node t ~path_len pid (fun n ->
+    invoke_node t pid (fun n ->
         let* () = Thread.compute (visit_work n) in
         if sep > n.high && n.right >= 0 then Thread.return (`Right n.right)
         else
@@ -337,7 +271,7 @@ let rec add_sep_at t pid ~path_len ~sep ~new_child =
           Thread.return (`Landed outcome))
   in
   match r with
-  | `Right next -> add_sep_at t next ~path_len ~sep ~new_child
+  | `Right next -> add_sep_at t next ~sep ~new_child
   | `Landed outcome ->
     let* () = refresh_root_snapshot t pid in
     Thread.return (pid, outcome)
@@ -371,18 +305,15 @@ let try_root_split t ~left ~sep ~new_child =
 let rec descend_steps t nid ~sep ~steps =
   if steps = 0 then Thread.return nid
   else
-    let* r =
+    let* step =
       invoke_node t nid (fun n ->
           let* () = Thread.compute (visit_work n) in
-          match step_of n sep with
-          | Move_right next -> Thread.return (`Right next)
-          | Down next -> Thread.return (`Down next)
-          | Leaf_here -> Thread.return `Leaf)
+          Thread.return (step_of n sep))
     in
-    match r with
-    | `Right next -> descend_steps t next ~sep ~steps
-    | `Down next -> descend_steps t next ~sep ~steps:(steps - 1)
-    | `Leaf -> Thread.return nid
+    match step with
+    | Move_right next -> descend_steps t next ~sep ~steps
+    | Down next -> descend_steps t next ~sep ~steps:(steps - 1)
+    | Leaf_here -> Thread.return nid
 
 (* Insert a separator for a split that bubbled out of the top of the
    descent: either [left] is the root (split it), or the tree has grown
@@ -404,7 +335,7 @@ let rec insert_above t ~sep ~new_child ~left ~level =
       insert_above t ~sep ~new_child ~left ~level
     end
     else
-      let* landed, outcome = add_sep_at t ancestor ~path_len:0 ~sep ~new_child in
+      let* landed, outcome = add_sep_at t ancestor ~sep ~new_child in
       (match outcome with
       | `Done -> Thread.return ()
       | `Split (sep2, new2) ->
@@ -416,60 +347,273 @@ let rec insert_above t ~sep ~new_child ~left ~level =
     let* () = Thread.sleep 500 in
     insert_above t ~sep ~new_child ~left ~level
 
-(* Result of the recursive insert below a node: whether a fresh key was
-   added, plus a split that the caller (the parent frame) must absorb —
-   [landed] is the node that actually split after right moves. *)
+(* ------------------------------------------------------------------ *)
+(* Descents on method-site frames                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The descent is the natural recursive shared-memory-style program:
+   each node visit is an instance method executing at the node's home,
+   and the recursive call is itself a remote access.  Under RPC this
+   nests calls — replies cascade back through every level, costing the
+   root's processor a reply-handling pass per operation.  Under
+   computation migration every recursive call is a tail call, so the
+   activation simply hops down the tree and the single result message is
+   short-circuited to the requester by the enclosing scope.
+
+   Both descents run that program on method-site frames: a node visit
+   is one [frame_body] run of the tree's lookup or insert site, and the
+   recursive call is [Runtime.msite_next], so a steady-state operation
+   walks static steps and allocates nothing.  Operands: the node id,
+   [a] = the key, [b] = the visit's cycles.  [b] is computed from the
+   node's key count where the call is issued, so an insert landing
+   while the call is in flight does not change the charge: the pinned
+   digests depend on this stale read (ROADMAP item 2). *)
+
+let visit_next t c next key =
+  Runtime.msite_next c ~obj:next ~a:key ~b:(visit_work (node t next))
+
+let lookup_at t c =
+  let n = node t (Runtime.msite_obj c) and key = Runtime.msite_arg_a c in
+  if key > n.high && n.right >= 0 then visit_next t c n.right key
+  else if n.is_leaf then
+    Runtime.msite_finish c (Btree_node.member ~keys:n.keys ~nkeys:n.nkeys ~key)
+  else
+    visit_next t c n.children.(Btree_node.find_child_index ~keys:n.keys ~nkeys:n.nkeys ~key) key
+
+(* Result of an insert below a node: whether a fresh key was added, plus
+   a split that the caller (the parent frame) must absorb — [landed] is
+   the node that actually split after right moves.  The no-split results
+   are shared constants. *)
 type ins = { added : bool; pending : (int * int * int) option (* sep, new child, landed *) }
 
-let rec visit_insert t nid key : ins Thread.t =
-  invoke_node t nid (fun n ->
-      let* () = Thread.compute (visit_work n) in
-      match step_of n key with
-      | Move_right next -> visit_insert t next key
-      | Leaf_here ->
-        let* outcome = leaf_insert t n key in
-        let* () = refresh_root_snapshot t nid in
-        (match outcome with
-        | `Done added -> Thread.return { added; pending = None }
-        | `Split (sep, new_id, added) ->
-          Thread.return { added; pending = Some (sep, new_id, nid) })
-      | Down child ->
-        let* sub = visit_insert t child key in
-        (match sub.pending with
-        | None -> Thread.return sub
-        | Some (sep, new_child, _) ->
-          (* This frame is the parent: absorb the child's split at our
-             own node (re-reaching its home if the activation has
-             migrated away). *)
-          let* landed, outcome = add_sep_at t nid ~path_len:0 ~sep ~new_child in
-          (match outcome with
-          | `Done -> Thread.return { sub with pending = None }
-          | `Split (sep2, new2) ->
-            Thread.return { added = sub.added; pending = Some (sep2, new2, landed) })))
+let settled_added = { added = true; pending = None }
 
-let insert t key =
-  Runtime.scope (rt t) ~result_words:2
-    (let* start, start_level = start_point t key in
-     let* r = visit_insert t start key in
-     match r.pending with
-     | None -> Thread.return r.added
-     | Some (sep, new_child, landed) ->
-       let* () = insert_above t ~sep ~new_child ~left:landed ~level:start_level in
-       Thread.return r.added)
+let settled_present = { added = false; pending = None }
+
+let settled added = if added then settled_added else settled_present
+
+(* The monadic legs of an insert, entered only through [hand_off]. *)
+
+let split_leaf t n nid : ins Thread.t =
+  let* sep, new_id = split_node t n in
+  let* () = refresh_root_snapshot t nid in
+  Thread.return { added = true; pending = Some (sep, new_id, nid) }
+
+let refreshed t nid r : ins Thread.t =
+  let* () = refresh_root_snapshot t nid in
+  Thread.return r
+
+(* Absorb a child's split at [parent] (re-reaching its home if the
+   activation has moved away). *)
+let absorb t parent ~sep ~new_child ~added : ins Thread.t =
+  let* landed, outcome = add_sep_at t parent ~sep ~new_child in
+  match outcome with
+  | `Done -> Thread.return (settled added)
+  | `Split (sep2, new2) -> Thread.return { added; pending = Some (sep2, new2, landed) }
+
+let grow t ~sep ~new_child ~left ~level ~added : ins Thread.t =
+  let* () = insert_above t ~sep ~new_child ~left ~level in
+  Thread.return (settled added)
+
+(* The insert's pending path lives on the context's int stack: each
+   [Down] pushes the node it descends from, whose frame absorbs the
+   child's split before returning.  Below them the requester's entry
+   pushes [-(level + 1)]: the entry node's level, for a split that
+   bubbles out of the top, and the mark that this context issued the
+   operation.  An RPC server thread starts with an empty stack, so its
+   unwinding ends in a reply.
+
+   [unwind] returns [r] up that path.  Each parent absorbs a pending
+   split; at the mark the tree grows if the split reached the top, and
+   the requester's continuation gets [added]; on a server [r] itself is
+   the reply, received by the calling frame's [rpc_return]. *)
+let rec unwind t c (r : ins) =
+  if Thread.Frame.depth c = 0 then Runtime.msite_finish c r
+  else
+    let top = Thread.Frame.top c in
+    match r.pending with
+    | None ->
+      ignore (Thread.Frame.pop c : int);
+      if top >= 0 then unwind t c r else Runtime.msite_finish c r.added
+    | Some (sep, new_child, landed) ->
+      if top >= 0 then begin
+        ignore (Thread.Frame.pop c : int);
+        hand_off t c (absorb t top ~sep ~new_child ~added:r.added)
+      end
+      else hand_off t c (grow t ~sep ~new_child ~left:landed ~level:(-top - 1) ~added:r.added)
+
+(* The one way from a frame step into monadic code, for the rare legs:
+   a split and its propagation, and a refresh of the replicated root.
+   Generic calls and [Replicate] overwrite the parked continuation and
+   the method-site lane, so park the continuation, the site and the
+   scope origin first and restore them before unwinding on, since
+   [Runtime.msite_finish] reads all three. *)
+and hand_off t c (m : ins Thread.t) =
+  let k = Thread.Frame.take_k c in
+  let ms : Obj.t = Thread.Frame.getms c in
+  let origin = Thread.Frame.getm4 c in
+  m c
+    (* lint: allow hot-alloc the split hand-off: one closure per split or root refresh, none on the no-split path *)
+    (fun r ->
+      Thread.Frame.save_k c k;
+      Thread.Frame.setms c ms;
+      Thread.Frame.setm4 c origin;
+      unwind t c r)
+
+(* Under [Rpc] a frame must see its callee's reply before it returns
+   when its context has a pending path (parents, or the requester's
+   mark): the reply feeds this return step, which restores the parked
+   continuation and unwinds.  The method-site lane and the stack are
+   intact, since the context was blocked in the call. *)
+let rpc_return t c k =
+  (* lint: allow hot-alloc the RPC return step: one closure per remote call with a pending path, beside the stub the RPC arm already allocates *)
+  let ret (r : ins) =
+    Thread.Frame.save_k c k;
+    unwind t c r
+  in
+  ret
+
+let park_rpc_return t c next =
+  match t.access with
+  | Runtime.Rpc ->
+    if Thread.Frame.depth c > 0 && node_home t next <> Processor.id (Thread.Frame.proc c) then
+      Thread.Frame.save_k c (rpc_return t c (Thread.Frame.take_k c))
+  | Runtime.Migrate -> ()
+
+(* Migrations and local calls keep the continuation: the activation
+   stays on this context.  A server with nothing pending forwards the
+   call in tail position, its reply feeding its own caller's. *)
+let insert_next t c next key =
+  park_rpc_return t c next;
+  visit_next t c next key
+
+(* Every leaf outcome refreshes the root's snapshot when the leaf is the
+   replicated root. *)
+let leaf_done t c nid r =
+  match t.repl with
+  | Some _ when nid = t.anchor.root -> hand_off t c (refreshed t nid r)
+  | Some _ | None -> unwind t c r
+
+let insert_at t leaf_inserted c =
+  let nid = Runtime.msite_obj c in
+  let n = node t nid and key = Runtime.msite_arg_a c in
+  if key > n.high && n.right >= 0 then insert_next t c n.right key
+  else if n.is_leaf then begin
+    if Btree_node.member ~keys:n.keys ~nkeys:n.nkeys ~key then leaf_done t c nid settled_present
+    else begin
+      let pos = Btree_node.insertion_point ~keys:n.keys ~nkeys:n.nkeys ~key in
+      Btree_node.insert_at ~keys:n.keys ~nkeys:n.nkeys ~pos key;
+      n.nkeys <- n.nkeys + 1;
+      Thread.Frame.hold_then c (4 * (n.nkeys - pos)) leaf_inserted
+    end
+  end
+  else begin
+    Thread.Frame.push c nid;
+    insert_next t c n.children.(Btree_node.find_child_index ~keys:n.keys ~nkeys:n.nkeys ~key) key
+  end
+
+(* After the leaf's shift: split the leaf if it overflowed. *)
+let leaf_inserted_at t c =
+  let nid = Runtime.msite_obj c in
+  let n = node t nid in
+  if n.nkeys > t.fanout then hand_off t c (split_leaf t n nid)
+  else leaf_done t c nid settled_added
+
+let lookup_from h c k ~start key =
+  Runtime.msite_scoped h.lookup_ms ~obj:start ~a:key ~b:(visit_work (node h.tree start)) c k
+
+let lookup h key c k =
+  let t = h.tree in
+  match t.repl with
+  | None -> lookup_from h c k ~start:t.anchor.root key
+  | Some _ -> start_point t key c (fun (start, _level) -> lookup_from h c k ~start key)
+
+(* The requester's entry: park the caller's continuation, push the mark,
+   and call the root (or the snapshot's child). *)
+let insert_from h c k ~start ~level key =
+  let t = h.tree in
+  Thread.Frame.save_k c k;
+  Thread.Frame.push c (-level - 1);
+  park_rpc_return t c start;
+  Runtime.msite_scoped h.insert_ms ~obj:start ~a:key ~b:(visit_work (node t start)) c
+    (Thread.Frame.take_k c)
+
+let insert h key c k =
+  let t = h.tree in
+  match t.repl with
+  | None -> insert_from h c k ~start:t.anchor.root ~level:(t.anchor.height - 1) key
+  | Some _ -> start_point t key c (fun (start, level) -> insert_from h c k ~start ~level key)
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let create env ~access ~fanout ~replicate_root ~plan ~node_procs ~placement_seed =
+  if fanout < 4 then invalid_arg "Btree_msg.create: fanout must be >= 4";
+  if Array.length node_procs = 0 then invalid_arg "Btree_msg.create: no node processors";
+  let tp = Machine.transport env.Sysenv.machine in
+  (* A split-off node's initialization message: the receiving home runs
+     the allocation/initialization work itself (no generic receive
+     pipeline — this models the memory-side cost only). *)
+  let node_init_k = Transport.kind tp ~recv:Transport.Recv_bare "node_init" in
+  Transport.Endpoint.register_all tp ~kind:node_init_k (fun () ->
+      Thread.compute node_init_work);
+  let space = Objspace.create env.Sysenv.machine in
+  (* A method site reads only the home table of its object space, which
+     does not depend on the state type. *)
+  let site_space : Obj.t Objspace.t = Obj.magic space in
+  let site frame_body =
+    Runtime.msite (Sysenv.runtime env) ~access ~space:site_space ~args_words:descent_words
+      ~result_words:2 ~frame_body
+  in
+  let t =
+    {
+      env;
+      access;
+      fanout;
+      space;
+      anchor = { root = -1; height = 0 };
+      anchor_home = node_procs.(0);
+      repl = None;
+      replicate_root;
+      place_rng = Rng.create ~seed:placement_seed;
+      node_procs;
+      n_splits = 0;
+      node_init_k;
+    }
+  in
+  let root_id, height = materialize t plan in
+  t.anchor.root <- root_id;
+  t.anchor.height <- height;
+  if replicate_root then
+    t.repl <-
+      Some
+        (Replicate.create (rt t) ~home:(node_home t root_id) ~words_of:snapshot_words
+           (snapshot_of root_id ~level:(height - 1) (node t root_id)));
+  (* The steps are built once here; a visit holds its issue-time cycles,
+     then runs its step. *)
+  let lookup_step c = lookup_at t c in
+  let leaf_inserted c = leaf_inserted_at t c in
+  let insert_step c = insert_at t leaf_inserted c in
+  {
+    tree = t;
+    lookup_ms = site (fun c -> Thread.Frame.hold_then c (Runtime.msite_arg_b c) lookup_step);
+    insert_ms = site (fun c -> Thread.Frame.hold_then c (Runtime.msite_arg_b c) insert_step);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Inspection (not simulated)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let height t = t.anchor.height
+let height { tree = t; _ } = t.anchor.height
 
-let root_home t = node_home t t.anchor.root
+let root_home { tree = t; _ } = node_home t t.anchor.root
 
-let root_children t =
+let root_children { tree = t; _ } =
   let r = node t t.anchor.root in
   if r.is_leaf then 0 else r.nkeys
 
-let splits t = t.n_splits
+let splits { tree = t; _ } = t.n_splits
 
 let leftmost_leaf t =
   let rec go nid =
@@ -478,7 +622,7 @@ let leftmost_leaf t =
   in
   go t.anchor.root
 
-let all_keys t =
+let leaf_keys t =
   let rec walk nid acc =
     let n = node t nid in
     let acc = List.rev_append (List.init n.nkeys (fun i -> n.keys.(i))) acc in
@@ -486,7 +630,9 @@ let all_keys t =
   in
   walk (leftmost_leaf t) []
 
-let dump t =
+let all_keys { tree = t; _ } = leaf_keys t
+
+let dump { tree = t; _ } =
   let buf = Buffer.create 256 in
   let rec go nid indent =
     let n = node t nid in
@@ -507,7 +653,7 @@ let dump t =
   go t.anchor.root "";
   Buffer.contents buf
 
-let check_invariants t =
+let check_invariants { tree = t; _ } =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let rec check_node nid ~low ~high_bound =
     let n = node t nid in
@@ -541,7 +687,7 @@ let check_invariants t =
   | Error _ as e -> e
   | Ok () ->
     (* The leaf chain must enumerate keys in ascending order. *)
-    let keys = all_keys t in
+    let keys = leaf_keys t in
     let rec ascending = function
       | a :: (b :: _ as rest) -> if a < b then ascending rest else fail "leaf chain unsorted"
       | [ _ ] | [] -> Ok ()

@@ -59,6 +59,10 @@ let build_plan ~keys ~fanout ~fill =
   if fanout < 4 then invalid_arg "Btree_node.build_plan: fanout must be >= 4";
   let keys = List.sort_uniq Int.compare keys in
   if keys = [] then invalid_arg "Btree_node.build_plan: no keys";
+  (* Written so that nan fails too: [int_of_float] and the clamp below
+     would turn nan and negative fills into 2-key nodes. *)
+  if not (fill > 0. && fill <= 1.) then
+    invalid_arg "Btree_node.build_plan: fill must be in (0, 1]";
   let target = max 2 (min fanout (int_of_float (fill *. float_of_int fanout +. 0.5))) in
   let leaves =
     List.map

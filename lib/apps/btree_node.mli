@@ -53,7 +53,8 @@ val build_plan : keys:int list -> fanout:int -> fill:float -> plan
 (** [build_plan ~keys ~fanout ~fill] is a balanced B-link tree holding
     exactly the distinct keys of [keys], with nodes filled to about
     [fill * fanout] (clamped to [2 .. fanout]).  Raises
-    [Invalid_argument] when [keys] is empty or [fanout < 4]. *)
+    [Invalid_argument] when [keys] is empty, [fanout < 4], or [fill] is
+    not in (0, 1] (nan included). *)
 
 val plan_height : plan -> int
 (** Height: a lone leaf is 1. *)

@@ -80,6 +80,11 @@ and ctx = {
   mutable f_mi4 : int;
   mutable f_ms : Obj.t;
   mutable f_mv : Obj.t;
+  (* The int stack: a frame body's own pending path (the B-tree insert's
+     parents), [f_stk.(0 .. f_sp - 1)].  Pooled with the context: grown
+     on demand, emptied but kept at recycling. *)
+  mutable f_stk : int array;
+  mutable f_sp : int;
   mutable thread_id : int;
   mutable stream : Rng.t;
   mutable exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
@@ -283,6 +288,7 @@ let recycle c =
   c.f_mi2 <- 0;
   c.f_mi3 <- 0;
   c.f_mi4 <- 0;
+  c.f_sp <- 0;
   c.exit_fn <- default_exit;
   if e.n_free = Array.length e.free then grow_free e c;
   Array.unsafe_set e.free e.n_free c;
@@ -332,6 +338,8 @@ let fresh e ~tid ~split ~exit_fn p =
       f_mi4 = 0;
       f_ms = obj_unit;
       f_mv = obj_unit;
+      f_stk = [||];
+      f_sp = 0;
       gen = 0;
       run_op = ignore;
       op_hid = Sim.nil_handler;
@@ -483,6 +491,27 @@ module Frame = struct
   let getms c = Obj.obj c.f_ms
   let setmv c v = c.f_mv <- Obj.repr v
   let getmv c = Obj.obj c.f_mv
+
+  let[@inline never] grow_stack c =
+    let a = Array.make (max 8 (2 * Array.length c.f_stk)) 0 in
+    Array.blit c.f_stk 0 a 0 c.f_sp;
+    c.f_stk <- a
+
+  let push c i =
+    if c.f_sp = Array.length c.f_stk then grow_stack c;
+    Array.unsafe_set c.f_stk c.f_sp i;
+    c.f_sp <- c.f_sp + 1
+
+  let depth c = c.f_sp
+
+  let top c =
+    if c.f_sp = 0 then invalid_arg "Thread.Frame.top: empty stack";
+    Array.unsafe_get c.f_stk (c.f_sp - 1)
+
+  let pop c =
+    let i = top c in
+    c.f_sp <- c.f_sp - 1;
+    i
 
   let rng c = c.stream
 

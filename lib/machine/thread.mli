@@ -257,6 +257,25 @@ module Frame : sig
   val setmv : ctx -> 'v -> unit
   val getmv : ctx -> 'v
 
+  (** {2 The int stack}
+
+      A per-context stack of ints for a frame body whose activation
+      keeps a path across hops (the B-tree insert pushes each node it
+      descends from, to absorb a child's split on the way back).  It
+      belongs to the body that pushed, survives {!travel}, and is pooled
+      with the context: it grows on demand, and recycling empties it
+      but keeps its array, so steady-state pushes allocate nothing. *)
+
+  val push : ctx -> int -> unit
+  val pop : ctx -> int
+  (** Remove and return the top.  Raises [Invalid_argument] when empty. *)
+
+  val top : ctx -> int
+  (** The top, left in place.  Raises [Invalid_argument] when empty. *)
+
+  val depth : ctx -> int
+  (** Number of ints on the stack. *)
+
   val rng : ctx -> Rng.t
   (** The thread's private random stream, read directly —
       the direct-style equivalent of the {!Cm_machine.Thread.rng}

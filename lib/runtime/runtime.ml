@@ -266,6 +266,21 @@ let msite_finish c r =
       ~words:ms.m_result_words ~fresh:false ~after:scope_done_step c
   end
 
+(* Tail re-entry from inside [frame_body]: the same site's next call,
+   issued where the body runs.  It reloads the m-lane for [obj] but
+   keeps the parked continuation and the scope origin, so it is one more
+   transition of the same activation: under [Migrate] the next hop;
+   under [Rpc] from a server thread a nested RPC whose reply feeds that
+   server's continuation; a local call runs the body again in place.
+   Events and counters are those of the generic [call] in tail
+   position. *)
+let msite_next c ~obj ~a ~b =
+  let ms : Obj.t msite = Thread.Frame.getms c in
+  Thread.Frame.set_mlane c ms obj a b
+    (Objspace.home ms.m_space (Objspace.id_of_int obj))
+    (Thread.Frame.getm4 c);
+  Thread.Frame.hold_then c ms.m_fc msite_call_step
+
 let msite_call ms ~obj ~a ~b c k = msite_enter ms ~scoped:false ~obj ~a ~b c k
 
 let msite_scoped ms ~obj ~a ~b c k = msite_enter ms ~scoped:true ~obj ~a ~b c k

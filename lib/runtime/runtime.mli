@@ -100,8 +100,8 @@ val scope : t -> ?at_base:bool -> result_words:int -> 'r Thread.t -> 'r Thread.t
     costs replay {!scope}({!call}) exactly, so run digests cannot tell a
     fused call from a generic one.  Sanitizers and fault injection run
     the same path.  Every call path of the library's objects goes
-    through method sites, except the B-tree's, which still uses
-    {!call}/{!scope}. *)
+    through method sites; the B-tree's descents chain calls with
+    {!msite_next} and use {!call} only inside split propagation. *)
 
 type 'r msite
 
@@ -119,12 +119,16 @@ val msite :
     home with the CPU held: it reads its operands with
     {!msite_obj}/{!msite_arg_a}/{!msite_arg_b} (object state through
     [space]), may suspend only via [Thread.Frame.hold_then]-style
-    steps, must end with exactly one {!msite_finish}, and owns the
-    frame's method-site lane for the duration (no nested method-site
-    calls).  It is the method's only body: a local or migrated call
-    runs it on the calling thread, and an [Rpc] call ships a small stub
-    (site, object, operands) that loads the server thread's own
-    method-site lane at the home and runs [frame_body] there; its
+    steps, must end with exactly one {!msite_finish} or {!msite_next},
+    and owns the frame's method-site lane for the duration (no nested
+    method-site calls).  A body that steps into monadic code (a generic
+    {!call}, [Replicate]) must first park the continuation
+    ([Thread.Frame.take_k]), the site ([getms]) and the scope origin
+    ([getm4]), and restore all three before its {!msite_finish}: that
+    code overwrites them.  It is the method's only body: a local or
+    migrated call runs it on the calling thread, and an [Rpc] call ships
+    a small stub (site, object, operands) that loads the server thread's
+    own method-site lane at the home and runs [frame_body] there; its
     {!msite_finish} sends the reply.  [cps_body] is ignored; it remains
     only so the benchmark harness, which passes one, compiles. *)
 
@@ -140,6 +144,19 @@ val msite_scoped : 'r msite -> obj:int -> a:int -> b:int -> 'r Thread.t
     one isolated access that returns to the caller's processor —
     byte-identical events to the generic composition, with the scope's
     per-call return closure eliminated. *)
+
+val msite_next : Thread.Frame.ctx -> obj:int -> a:int -> b:int -> unit
+(** Inside [frame_body], instead of {!msite_finish}: a tail call of the
+    same method on [obj] with operands [a]/[b], issued from where the
+    body runs.  It reloads the method-site lane for [obj] (the home is
+    resolved now, as the generic {!call} resolves it when issued) and
+    keeps the parked continuation and the scope origin, so the
+    activation's eventual {!msite_finish} still returns to the first
+    caller.  Under [Migrate] it is the next hop of one migrating
+    activation; under [Rpc] on a server thread it is a nested RPC whose
+    reply feeds that server's continuation (the generic nesting); a
+    local call runs [frame_body] again in place.  Events and counters
+    are those of {!call} in tail position. *)
 
 val msite_obj : Thread.Frame.ctx -> int
 (** Inside [frame_body]: the invoked object's id. *)

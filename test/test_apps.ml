@@ -220,6 +220,30 @@ let test_plan_preserves_keys () =
   let plan = Btree_node.build_plan ~keys ~fanout:4 ~fill:0.5 in
   Alcotest.(check (list int)) "sorted distinct" [ 1; 3; 5; 7; 9 ] (Btree_node.plan_keys plan)
 
+let test_plan_rejects_bad_fill () =
+  let keys = [ 1; 2; 3; 4; 5 ] in
+  List.iter
+    (fun fill ->
+      Alcotest.check_raises
+        (Printf.sprintf "fill %g" fill)
+        (Invalid_argument "Btree_node.build_plan: fill must be in (0, 1]")
+        (fun () -> ignore (Btree_node.build_plan ~keys ~fanout:8 ~fill)))
+    [ Float.nan; 0.; -0.5; 1.5; Float.infinity; Float.neg_infinity ];
+  (* Through the application's constructor too. *)
+  Alcotest.check_raises "Btree.create ~fill:nan"
+    (Invalid_argument "Btree_node.build_plan: fill must be in (0, 1]") (fun () ->
+      ignore
+        (Btree.create (env ()) ~mode:(Btree.Messaging Cm_core.Prelude.Migrate) ~fanout:8
+           ~fill:Float.nan ~node_procs:[| 0 |] ~keys ()));
+  (* The edges of the range are accepted. *)
+  List.iter
+    (fun fill ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "fill %g keeps the keys" fill)
+        keys
+        (Btree_node.plan_keys (Btree_node.build_plan ~keys ~fanout:8 ~fill)))
+    [ 1.; 0.01 ]
+
 let prop_plan_keys_roundtrip =
   QCheck.Test.make ~name:"bulk-load plan preserves key set" ~count:100
     QCheck.(pair (int_range 4 30) (list_of_size Gen.(1 -- 400) (int_range 0 100000)))
@@ -541,6 +565,132 @@ let test_btree_torus_topology () =
   Machine.run machine;
   Alcotest.(check int) "every multiple of 15 < 300 found" 20 !hits
 
+(* Digest pins for the message-passing B-tree, recorded on the generic
+   [Runtime.call]/[scope] descent before it moved onto method-site
+   frames: the frame port must replay it event for event.  48 requesters
+   insert into a fanout-4 tree growing from one key on 4 node
+   processors while 4 more look keys up, so leaf splits, internal and
+   root splits all happen (every root split past the first splits an
+   internal node), and under [rpc+repl] so does the [Stale] root-split
+   retry (a sibling's root split still in flight). *)
+let btree_pins =
+  [
+    ("migrate", Cm_core.Prelude.Migrate, false, "e6f7765ed8d189087700ff615f1ea922", 202, 5, 0);
+    ("rpc", Cm_core.Prelude.Rpc, false, "31464c08013aa4b0fe80e3c7e049d931", 199, 5, 0);
+    ("migrate+repl", Cm_core.Prelude.Migrate, true, "41a37d68afcb0aaaa972eca0c96904a7", 205, 5, 0);
+    ("rpc+repl", Cm_core.Prelude.Rpc, true, "f8286d67f364d11a6f2e23e031c28c05", 202, 5, 3);
+  ]
+
+let test_btree_digest_pins () =
+  let retries = ref 0 in
+  List.iter
+    (fun (name, access, replicate_root, digest, splits, root_splits, propagate_retries) ->
+      let n_procs = 64 and nodes = 4 and inserters = 48 in
+      let m = Machine.create ~seed:5 ~n_procs ~costs () in
+      let tree =
+        Btree.create (Sysenv.make m) ~mode:(Btree.Messaging access) ~fanout:4 ~replicate_root
+          ~placement_seed:155 ~node_procs:(node_procs nodes) ~keys:[ 500_000 ] ()
+      in
+      for th = 0 to inserters - 1 do
+        Machine.spawn m
+          ~on:(nodes + (th mod (n_procs - nodes - 1)))
+          (Thread.repeat 8 (fun i -> Thread.ignore_m (Btree.insert tree ((th * 1000) + i))))
+      done;
+      for th = 0 to 3 do
+        Machine.spawn m ~on:(n_procs - 1 - th)
+          (Thread.repeat 12 (fun i -> Thread.ignore_m (Btree.lookup tree ((th * 3001) + (i * 997)))))
+      done;
+      Machine.run m;
+      let stat = Cm_engine.Stats.get m.Machine.stats in
+      Alcotest.(check string) (name ^ ": digest") digest (Machine.digest m);
+      Alcotest.(check int) (name ^ ": splits") splits (stat "btree.splits");
+      Alcotest.(check int) (name ^ ": root splits") root_splits (stat "btree.root_splits");
+      Alcotest.(check int) (name ^ ": propagate retries") propagate_retries
+        (stat "btree.propagate_retries");
+      retries := !retries + propagate_retries;
+      match Btree.check_invariants tree with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: invariants: %s" name e)
+    btree_pins;
+  Alcotest.(check bool) "a Stale root-split retry ran" true (!retries > 0)
+
+(* A node visit is charged from the node's key count when the call is
+   issued (the caller evaluates the cost), not when the activation
+   arrives.  Here a lookup leaves a far processor for the single leaf
+   while an insert from a neighbour lands first and takes the leaf from
+   3 keys (2 probes) to 4 (3 probes).  The lookup sees the new key, yet
+   the leaf's processor is charged exactly what the two operations cost
+   alone on the 3-key leaf.  Charging at arrival would fix this stale
+   read (ROADMAP item 2), but moves the btree_cp pin and table1's
+   golden line. *)
+let test_btree_visit_charged_at_issue () =
+  let keys = [ 10; 20; 30 ] in
+  let leaf_busy ?insert ?lookup keys =
+    let m = Machine.create ~seed:9 ~n_procs:16 ~costs () in
+    let tree =
+      Btree.create (Sysenv.make m) ~mode:(Btree.Messaging Cm_core.Prelude.Migrate) ~fanout:8
+        ~node_procs:[| 0 |] ~keys ()
+    in
+    let found = ref false in
+    Option.iter (fun k -> Machine.spawn m ~on:1 (Thread.ignore_m (Btree.insert tree k))) insert;
+    Option.iter
+      (fun k ->
+        Machine.spawn m ~on:15
+          (let* present = Btree.lookup tree k in
+           found := present;
+           Thread.return ()))
+      lookup;
+    Machine.run m;
+    Alcotest.(check int) "one leaf" 1 (Btree.height tree);
+    (Processor.busy_cycles (Machine.proc m 0), !found)
+  in
+  let both, found = leaf_busy ~insert:25 ~lookup:25 keys in
+  Alcotest.(check bool) "lookup ran after the insert landed" true found;
+  let insert_alone, _ = leaf_busy ~insert:25 keys in
+  let lookup_at_issue, _ = leaf_busy ~lookup:25 keys in
+  let lookup_at_arrival, _ = leaf_busy ~lookup:25 (25 :: keys) in
+  Alcotest.(check bool) "the key count changes the charge" true
+    (lookup_at_issue <> lookup_at_arrival);
+  Alcotest.(check int) "charged at issue" (insert_alone + lookup_at_issue) both
+
+(* Steady-state allocation floor of the B-tree on method-site frames:
+   run a table1-shaped Migrate workload (10,000 keys, fanout 100, 50/50
+   lookups and inserts) to two horizons and divide the extra minor words
+   by the extra events, which cancels set-up and warm-up.  What remains
+   is the driver's per-request closures (about 1.6 words per event).
+   Allocation is deterministic, like the run; the generic call/scope
+   descent this replaced allocated about 19 words per event here. *)
+let btree_minor_words ~horizon =
+  let machine = Machine.create ~seed:42 ~n_procs:64 ~costs () in
+  let tree =
+    Btree.create (Sysenv.make machine) ~mode:(Btree.Messaging Cm_core.Prelude.Migrate)
+      ~fanout:100 ~fill:0.7 ~node_procs:(node_procs 48)
+      ~keys:(List.init 10_000 (fun i -> i * 7))
+      ()
+  in
+  let request _i =
+    let* r = Thread.rng in
+    let key = Cm_engine.Rng.int r 70_000 in
+    if Cm_engine.Rng.float r 1.0 < 0.5 then Thread.ignore_m (Btree.lookup tree key)
+    else Thread.ignore_m (Btree.insert tree key)
+  in
+  let w0 = Gc.minor_words () in
+  let (_ : Cm_workload.Metrics.t) =
+    Cm_workload.Driver.run machine
+      { Cm_workload.Driver.requesters = 16; first_proc = 48; think = 0; warmup = 10_000; horizon }
+      request
+  in
+  (Gc.minor_words () -. w0, Machine.events_fired machine)
+
+let test_btree_minor_words_floor () =
+  let w1, ev1 = btree_minor_words ~horizon:500_000 in
+  let w2, ev2 = btree_minor_words ~horizon:4_000_000 in
+  Alcotest.(check bool) "the longer run fired more events" true (ev2 > ev1 + 100_000);
+  let per_event = (w2 -. w1) /. float_of_int (ev2 - ev1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per event < 3" per_event)
+    true (per_event < 3.)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
@@ -575,6 +725,7 @@ let () =
           Alcotest.test_case "split point" `Quick test_node_split_point;
           Alcotest.test_case "plan shapes (paper)" `Quick test_plan_shapes_match_paper;
           Alcotest.test_case "plan preserves keys" `Quick test_plan_preserves_keys;
+          Alcotest.test_case "plan rejects bad fill" `Quick test_plan_rejects_bad_fill;
         ]
         @ qsuite [ prop_plan_keys_roundtrip ] );
       ( "btree",
@@ -590,6 +741,9 @@ let () =
             test_btree_sm_uses_no_node_cpu_for_lookups;
           Alcotest.test_case "seqlock mode correct" `Quick test_btree_sm_seqlock_mode_correct;
           Alcotest.test_case "torus topology" `Quick test_btree_torus_topology;
+          Alcotest.test_case "digest pins" `Quick test_btree_digest_pins;
+          Alcotest.test_case "visit charged at issue" `Quick test_btree_visit_charged_at_issue;
+          Alcotest.test_case "steady-state minor words" `Quick test_btree_minor_words_floor;
         ]
         @ qsuite
             [
