@@ -62,7 +62,7 @@ let lost_message () =
   let tp = Machine.transport machine in
   let ping = Transport.kind tp "ping" in
   Transport.Endpoint.register_all tp ~kind:ping (fun () -> Thread.return ());
-  Transport.signal tp ping ~src:0 ~dst:5 ~words:16 (fun () -> ());
+  Transport.signal_app tp ping ~src:0 ~dst:5 ~words:16 ignore ();
   Machine.run ~until:1 machine;
   match Transport.check_all_delivered tp with
   | () -> print_endline "  (unexpectedly clean)"

@@ -40,14 +40,15 @@ let default =
     {
       s_unit = "Cm_engine.Sim";
       s_names =
-        [ "alloc"; "schedule"; "extract"; "fire"; "post"; "post_after"; "cancel";
+        [ "alloc"; "schedule"; "extract"; "fire"; "post"; "post_after"; "timer"; "cancel";
           "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf" ];
     };
     {
       s_unit = "Cm_machine.Transport";
       s_names =
-        [ "transmit"; "dispatch"; "post"; "notify"; "call"; "migrate"; "launch"; "signal";
-          "inject"; "fault_spec"; "fault_hits" ];
+        [ "dispatch"; "post"; "call"; "migrate"; "launch"; "signal_app"; "inject";
+          "fault_spec"; "fault_hits"; "post_frame"; "send_faulty"; "send_pooled";
+          "af_release"; "af_arrive"; "delay_step" ];
     };
     (* The steady-state call path walks frame steps, not the generic
        [bind]/[map] combinators, so those are not in the set; neither is

@@ -31,7 +31,8 @@
    barrier on any queue operation — the only barriered store left is
    the closure itself, and handler events ([post]) skip even that: they
    carry a pre-registered handler id plus an immediate-int argument.
-   Cancellation ([timer]/[cancel]) tombstones the slot in place (O(1));
+   Timers are handler events too; cancellation ([timer]/[cancel])
+   tombstones the slot in place (O(1));
    tombstones are swept out lazily during extraction.
 
    The slot accessors below use unchecked array reads/writes.  The
@@ -412,9 +413,10 @@ let post_after t ~delay h arg =
   if delay < 0 then invalid_arg "Sim.post_after: negative delay";
   post t ~time:(t.clock + delay) h arg
 
-let timer t ~delay fn =
+let timer t ~delay h arg =
   if delay < 0 then invalid_arg "Sim.timer: negative delay";
-  let s = schedule t ~time:(t.clock + delay) ~hid:(-1) ~arg:0 fn in
+  if h < 0 || h >= t.n_handlers then invalid_arg "Sim.timer: handler not registered here";
+  let s = schedule t ~time:(t.clock + delay) ~hid:h ~arg no_fn in
   s lor (ev t s f_gen lsl slot_bits)
 
 let cancel t token =
@@ -426,7 +428,6 @@ let cancel t token =
     (* Tombstone in place; extraction sweeps the slot out later (and
        recycling then bumps the generation). *)
     set_ev t slot f_live 0;
-    if t.ev_fn.(slot) != no_fn then t.ev_fn.(slot) <- no_fn;
     t.pending <- t.pending - 1;
     true
   end

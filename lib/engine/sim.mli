@@ -77,9 +77,12 @@ type token
     (slot + generation); a token outlives its event harmlessly — once the
     event has fired or been cancelled, {!cancel} returns [false]. *)
 
-val timer : t -> delay:int -> (unit -> unit) -> token
-(** [timer t ~delay f] schedules [f] like {!after} and returns a token
-    that can cancel it.  O(1). *)
+val timer : t -> delay:int -> hid -> int -> token
+(** [timer t ~delay h arg] schedules handler [h] with [arg] like
+    {!post_after} and returns a token that can cancel it.  O(1), and
+    pooled like every handler event: arming a timer allocates nothing.
+    Raises [Invalid_argument] if [delay] is negative or [h] was not
+    registered with [t]. *)
 
 val cancel : t -> token -> bool
 (** [cancel t tok] prevents the timer named by [tok] from firing: [true]

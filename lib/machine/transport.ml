@@ -50,17 +50,17 @@ type t = {
   mutable fault_specs : (string * fault) list;
   mutable fault_gen : int;
   mutable frng : Rng.t;
-  (* Timers of fault-delayed deliveries still pending, with the owning
-     kind's dropped counter (a cancelled delivery counts as dropped so
-     the in-flight accounting stays closed).  A timer removes its own
-     entry when it fires, so only pending delays are held. *)
-  delay_timers : (Sim.token, Stats.counter) Hashtbl.t;
-  (* Pooled arrival frames: with faults off, every dispatch/signal
-     arrival is an int slot posted through [arrive_hid] — the per-message
-     arrive closure of the original path, defunctionalized.  [af_code]
-     selects the action: 0 runs [af_fn] as a thunk, 1 applies [af_fn] to
-     [af_arg] (reply resumptions carry the value, not a wrapper), 2
-     dispatches [af_arg] as an endpoint payload. *)
+  (* Timer tokens of fault-delayed frames still waiting out their extra
+     delay, by frame slot.  Only faulty sends touch it; a timer removes
+     its own entry when it fires, so only pending delays are held. *)
+  delay_tokens : (int, Sim.token) Hashtbl.t;
+  (* Pooled arrival frames: every payload message, faulty or not, is an
+     int slot that ends in [af_arrive].  The low bit of [af_code]
+     selects the action: [code_apply] applies [af_fn] to [af_arg] (reply
+     resumptions carry the value, not a wrapper), [code_payload]
+     dispatches [af_arg] as an endpoint payload.  A fault-delayed frame
+     sets bit 1 and keeps its extra cycles in the bits above until
+     [delay_step] arms its timer. *)
   mutable af_kind : Obj.t array;
   mutable af_fn : Obj.t array;
   mutable af_arg : Obj.t array;
@@ -70,7 +70,12 @@ type t = {
   mutable af_free : int array;
   mutable af_free_top : int;
   mutable arrive_hid : Sim.hid;
+  mutable delay_hid : Sim.hid;  (* both legs of a delayed frame *)
 }
+
+let code_apply = 0
+
+let code_payload = 1
 
 let intern_ctrs t name =
   if not (List.mem name t.kind_names) then t.kind_names <- name :: t.kind_names;
@@ -151,11 +156,20 @@ let validate_fault (name, f) =
          "Transport.configure_faults: kind %S: delay_cycles = %d, expected an integer >= 0" name
          f.delay_cycles)
 
+let rec validate_unique = function
+  | [] -> ()
+  | (name, _) :: rest ->
+    if List.mem_assoc name rest then
+      invalid_arg
+        (Printf.sprintf "Transport.configure_faults: kind %S is listed more than once" name);
+    validate_unique rest
+
 (* A duplicated or late delivery may fire a resumption a second time;
    the thread layer's suspension generations discard it (or report it
    under [Check]), so arming faults changes nothing but the send path. *)
 let configure_faults t ~seed specs =
   List.iter validate_fault specs;
+  validate_unique specs;
   t.fault_specs <- specs;
   t.faults_on <- specs <> [];
   t.fault_gen <- t.fault_gen + 1;
@@ -180,62 +194,8 @@ let fault_spec t (k : _ kind) =
 let fault_hits t p = p > 0.0 && Rng.float t.frng 1.0 < p
 
 (* ------------------------------------------------------------------ *)
-(* Transmission                                                       *)
+(* Pooled arrival frames                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The extra delay leg of a fault-delayed delivery is a cancellable
-   timer, so timeout and retry logic (and tests) can revoke a delivery
-   that is still stuck in the delay stage. *)
-let delay_leg t ~extra ~dropped_c arrive =
-  let tok = ref None in
-  let fire () =
-    Option.iter (Hashtbl.remove t.delay_timers) !tok;
-    arrive ()
-  in
-  let token = Sim.timer t.sim ~delay:extra fire in
-  tok := Some token;
-  Hashtbl.replace t.delay_timers token dropped_c
-
-(* Send one [k] message; [deliver] runs at arrival, after the delivery
-   counters are bumped.  Returns the wire latency ([0] for a dropped
-   message).  This is the fault/general path — the fault-free senders
-   below post a pooled arrival frame instead and never build [arrive]. *)
-let transmit t (k : _ kind) ~src ~dst ~words deliver =
-  Stats.Counter.incr k.ctrs.posted_c;
-  let arrive () =
-    Stats.Counter.incr k.ctrs.delivered_c;
-    k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
-    deliver ()
-  in
-  if not t.faults_on then Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive
-  else
-    match fault_spec t k with
-    | None -> Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive
-    | Some f ->
-      if fault_hits t f.drop then begin
-        Stats.Counter.incr k.ctrs.dropped_c;
-        0
-      end
-      else begin
-        let arrive =
-          if fault_hits t f.delay then begin
-            Stats.Counter.incr k.ctrs.delayed_c;
-            let extra = f.delay_cycles in
-            let dropped_c = k.ctrs.dropped_c in
-            fun () -> delay_leg t ~extra ~dropped_c arrive
-          end
-          else arrive
-        in
-        let latency = Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive in
-        if fault_hits t f.duplicate then begin
-          Stats.Counter.incr k.ctrs.duplicated_c;
-          let (_ : int) = Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive in
-          ()
-        end;
-        latency
-      end
-
-(* --- pooled arrival frames ----------------------------------------- *)
 
 let af_grow t =
   let cap = Array.length t.af_code in
@@ -262,13 +222,10 @@ let af_grow t =
   done;
   t.af_free_top <- t.af_free_top + cap
 
-(* Post one fault-free message whose arrival action is described by a
-   pooled frame slot: counter bumps and the action dispatch happen in
-   the transport-wide [arrive_hid] handler, so the send path allocates
-   nothing.  Latency accounting and event ordering are identical to
-   [transmit]'s closure path ([Network.post_k] = [send_k]). *)
-let send_pooled t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
-  Stats.Counter.incr k.ctrs.posted_c;
+(* Post one message whose arrival action is described by a pooled frame
+   slot, to [hid]: counter bumps and the action dispatch happen in a
+   transport-wide handler, so the send path allocates nothing. *)
+let[@inline] post_frame t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg hid =
   if t.af_free_top = 0 then af_grow t;
   t.af_free_top <- t.af_free_top - 1;
   let slot = t.af_free.(t.af_free_top) in
@@ -278,10 +235,35 @@ let send_pooled t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
   t.af_code.(slot) <- code;
   t.af_dst.(slot) <- dst;
   t.af_words.(slot) <- words;
-  let (_ : int) =
-    Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:t.arrive_hid ~arg:slot
-  in
+  let (_ : int) = Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid ~arg:slot in
   ()
+
+(* The send under armed faults: draw drop, then delay, then duplicate
+   from [frng], and post zero, one or two frames.  A delayed frame
+   carries its extra cycles in its code word and lands on [delay_hid]; a
+   duplicate is a second frame with the same code word, so it shares
+   the delay. *)
+let[@inline never] send_faulty t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
+  match fault_spec t k with
+  | None -> post_frame t k ~src ~dst ~words ~code ~fn ~arg t.arrive_hid
+  | Some f ->
+    if fault_hits t f.drop then Stats.Counter.incr k.ctrs.dropped_c
+    else begin
+      let delayed = fault_hits t f.delay in
+      if delayed then Stats.Counter.incr k.ctrs.delayed_c;
+      let code = if delayed then code lor 2 lor (f.delay_cycles lsl 2) else code in
+      let hid = if delayed then t.delay_hid else t.arrive_hid in
+      post_frame t k ~src ~dst ~words ~code ~fn ~arg hid;
+      if fault_hits t f.duplicate then begin
+        Stats.Counter.incr k.ctrs.duplicated_c;
+        post_frame t k ~src ~dst ~words ~code ~fn ~arg hid
+      end
+    end
+
+let send_pooled t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
+  Stats.Counter.incr k.ctrs.posted_c;
+  if t.faults_on then send_faulty t k ~src ~dst ~words ~code ~fn ~arg
+  else post_frame t k ~src ~dst ~words ~code ~fn ~arg t.arrive_hid
 
 (* Receive-pipeline charge in front of an endpoint handler: the handler
    and payload park in the fresh thread's frame slots. *)
@@ -298,8 +280,9 @@ let recv_piped cost (handler : Obj.t -> unit Thread.t) (payload : Obj.t) : unit 
   Thread.Frame.setv1 c payload;
   Thread.Frame.hold_then c cost recv_step
 
-(* Arrival action of a code-2 frame: look up the endpoint and start the
-   handler thread, charging reception per the kind's [recv] mode. *)
+(* Arrival action of a [code_payload] frame: look up the endpoint and
+   start the handler thread, charging reception per the kind's [recv]
+   mode. *)
 let deliver_payload t (k : Obj.t kind) ~dst ~words (payload : Obj.t) =
   match k.handlers.(dst) with
   | None ->
@@ -312,6 +295,13 @@ let deliver_payload t (k : Obj.t kind) ~dst ~words (payload : Obj.t) =
       t.spawn ~on:dst
         (recv_piped (Costs.recv_pipeline t.costs ~words ~new_thread:true) handler payload))
 
+let[@inline] af_release t slot =
+  t.af_kind.(slot) <- obj_unit;
+  t.af_fn.(slot) <- obj_unit;
+  t.af_arg.(slot) <- obj_unit;
+  t.af_free.(t.af_free_top) <- slot;
+  t.af_free_top <- t.af_free_top + 1
+
 let af_arrive t slot =
   let k : Obj.t kind = Obj.obj t.af_kind.(slot) in
   let fn = t.af_fn.(slot) in
@@ -319,19 +309,31 @@ let af_arrive t slot =
   let code = t.af_code.(slot) in
   let dst = t.af_dst.(slot) in
   let words = t.af_words.(slot) in
-  t.af_kind.(slot) <- obj_unit;
-  t.af_fn.(slot) <- obj_unit;
-  t.af_arg.(slot) <- obj_unit;
-  t.af_free.(t.af_free_top) <- slot;
-  t.af_free_top <- t.af_free_top + 1;
+  af_release t slot;
   Stats.Counter.incr k.ctrs.delivered_c;
   k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
-  if code = 0 then (Obj.obj fn : unit -> unit) ()
-  else if code = 1 then (Obj.obj fn : Obj.t -> unit) arg
+  if code = code_apply then (Obj.obj fn : Obj.t -> unit) arg
   else deliver_payload t k ~dst ~words arg
 
+(* Both legs of a fault-delayed frame.  When its wire hop lands, bit 1
+   is set: strip it and the extra cycles from the code word and hold the
+   slot on a cancellable timer back to this handler, so timeout and
+   retry logic (and tests) can revoke a delivery still stuck in the
+   delay stage.  When the timer fires, the slot arrives like any other.
+   One handler serves both legs: a third transport handler would double
+   the simulator's handler table on the RPC workload (DESIGN §11). *)
+let delay_step t slot =
+  let code = t.af_code.(slot) in
+  if code land 2 <> 0 then begin
+    t.af_code.(slot) <- code land 1;
+    Hashtbl.replace t.delay_tokens slot (Sim.timer t.sim ~delay:(code lsr 2) t.delay_hid slot)
+  end
+  else begin
+    Hashtbl.remove t.delay_tokens slot;
+    af_arrive t slot
+  end
+
 let create ~sim ~costs ~net ~procs ~spawn =
-  let self = ref None in
   let t =
     {
       sim;
@@ -345,7 +347,7 @@ let create ~sim ~costs ~net ~procs ~spawn =
       fault_specs = [];
       fault_gen = 0;
       frng = Rng.create ~seed:0;
-      delay_timers = Hashtbl.create 8;
+      delay_tokens = Hashtbl.create 8;
       af_kind = Array.make 16 obj_unit;
       af_fn = Array.make 16 obj_unit;
       af_arg = Array.make 16 obj_unit;
@@ -354,71 +356,59 @@ let create ~sim ~costs ~net ~procs ~spawn =
       af_words = Array.make 16 0;
       af_free = Array.init 16 (fun i -> i);
       af_free_top = 16;
-      arrive_hid = Sim.handler sim (fun _ -> assert false);
+      arrive_hid = Sim.nil_handler;
+      delay_hid = Sim.nil_handler;
     }
   in
-  let hid =
-    Sim.handler sim (fun slot ->
-        match !self with Some t -> af_arrive t slot | None -> assert false)
-  in
-  t.arrive_hid <- hid;
-  self := Some t;
+  t.arrive_hid <- Sim.handler sim (fun slot -> af_arrive t slot);
+  t.delay_hid <- Sim.handler sim (fun slot -> delay_step t slot);
   t
 
 (* --- raw sends ------------------------------------------------------ *)
 
-let dispatch_slow t (k : 'a kind) ~src ~dst ~words payload =
-  let (_ : int) =
-    transmit t k ~src ~dst ~words (fun () ->
-        deliver_payload t (Obj.magic k : Obj.t kind) ~dst ~words (Obj.repr payload))
-  in
-  ()
-
 let dispatch t (k : 'a kind) ~src ~dst ~words payload =
-  if t.faults_on then dispatch_slow t k ~src ~dst ~words payload
-  else send_pooled t k ~src ~dst ~words ~code:2 ~fn:obj_unit ~arg:(Obj.repr payload)
-
-let signal_slow t k ~src ~dst ~words deliver =
-  let (_ : int) = transmit t k ~src ~dst ~words deliver in
-  ()
-
-let signal t k ~src ~dst ~words deliver =
-  if t.faults_on then signal_slow t k ~src ~dst ~words deliver
-  else send_pooled t k ~src ~dst ~words ~code:0 ~fn:(Obj.repr deliver) ~arg:obj_unit
+  send_pooled t k ~src ~dst ~words ~code:code_payload ~fn:obj_unit ~arg:(Obj.repr payload)
 
 let signal_app t k ~src ~dst ~words (fn : 'a -> unit) (v : 'a) =
-  if t.faults_on then signal_slow t k ~src ~dst ~words (fun () -> fn v)
-  else send_pooled t k ~src ~dst ~words ~code:1 ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
+  send_pooled t k ~src ~dst ~words ~code:code_apply ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
+
+(* Out of line: building the message allocates. *)
+let[@inline never] refuse_faults k =
+  invalid_arg
+    (Printf.sprintf
+       "Transport.inject: kind %S has a fault spec, but its messages are timed at issue, so \
+        dropping, duplicating or delaying them has no defined outcome"
+       k.ctrs.c_name)
 
 (* Payload-free injection is the per-message hot path of the coherence
-   controllers (several messages per miss): with faults off it posts the
-   kind's pooled arrival handler straight through the network — no
-   arrival closure, no event allocation. *)
+   controllers (several messages per miss): it posts the kind's pooled
+   arrival handler straight through the network — no arrival closure,
+   no event allocation.  The controllers time each transaction from the
+   latencies returned here at issue, so a fault could only make a
+   transaction cheaper or change nothing: injected kinds refuse it. *)
 let inject t k ~src ~dst ~words =
-  if not t.faults_on then begin
-    Stats.Counter.incr k.ctrs.posted_c;
-    Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:k.arrive_hid ~arg:dst
-  end
-  else transmit t k ~src ~dst ~words ignore
+  if t.faults_on && Option.is_some (fault_spec t k) then refuse_faults k;
+  Stats.Counter.incr k.ctrs.posted_c;
+  Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:k.arrive_hid ~arg:dst
 
-let pending_delays t = Hashtbl.length t.delay_timers
+let pending_delays t = Hashtbl.length t.delay_tokens
 
-(* Order-free: each entry cancels its own timer and bumps a counter. *)
+(* Walks the frame slots in order; each revoked delivery frees its slot
+   and counts as dropped, so [inflight]/[check_all_delivered] stay
+   closed. *)
 let cancel_pending_delays t =
-  let cancelled =
-    Hashtbl.fold (* lint: allow hashtbl-order *)
-      (fun tok dropped_c acc ->
-        if Sim.cancel t.sim tok then begin
-          (* The delivery will never happen: account it as dropped so
-             [inflight]/[check_all_delivered] stay closed. *)
-          Stats.Counter.incr dropped_c;
-          acc + 1
-        end
-        else acc)
-      t.delay_timers 0
-  in
-  Hashtbl.reset t.delay_timers;
-  cancelled
+  let cancelled = ref 0 in
+  for slot = 0 to Array.length t.af_code - 1 do
+    match Hashtbl.find_opt t.delay_tokens slot with
+    | Some tok when Sim.cancel t.sim tok ->
+      let k : Obj.t kind = Obj.obj t.af_kind.(slot) in
+      Stats.Counter.incr k.ctrs.dropped_c;
+      af_release t slot;
+      incr cancelled
+    | _ -> ()
+  done;
+  Hashtbl.reset t.delay_tokens;
+  !cancelled
 
 (* ------------------------------------------------------------------ *)
 (* Monadic senders                                                    *)
@@ -445,24 +435,6 @@ let post t k ~dst ~words payload c kont =
   Thread.Frame.seti1 c dst;
   Thread.Frame.seti2 c words;
   Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) post_step
-
-let notify_step c =
-  let t : t = Thread.Frame.getv0 c in
-  let k : Obj.t kind = Thread.Frame.getv1 c in
-  let deliver : unit -> unit = Thread.Frame.getv2 c in
-  let dst = Thread.Frame.geti1 c in
-  let words = Thread.Frame.geti2 c in
-  signal t k ~src:(Processor.id (Thread.Frame.proc c)) ~dst ~words deliver;
-  Thread.Frame.call_k c ()
-
-let notify t k ~dst ~words deliver c kont =
-  Thread.Frame.save_k c kont;
-  Thread.Frame.setv0 c t;
-  Thread.Frame.setv1 c k;
-  Thread.Frame.setv2 c deliver;
-  Thread.Frame.seti1 c dst;
-  Thread.Frame.seti2 c words;
-  Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_step
 
 let notify_app_step c =
   let t : t = Thread.Frame.getv0 c in

@@ -105,18 +105,14 @@ val post : t -> 'a kind -> dst:int -> words:int -> 'a -> unit Thread.t
     one [k] message and continues; on delivery, [dst]'s endpoint runs in
     a fresh handler thread.  One-way — fire and forget. *)
 
-val notify : t -> _ kind -> dst:int -> words:int -> (unit -> unit) -> unit Thread.t
-(** [notify t k ~dst ~words f] charges the sender pipeline and sends a
-    message whose delivery runs [f] directly from the network event — no
-    handler thread.  Used for replies that resume a blocked caller (the
-    caller charges its own reception, cf. [recv_pipeline
-    ~new_thread:false]). *)
-
 val notify_app : t -> _ kind -> dst:int -> words:int -> ('a -> unit) -> 'a -> unit Thread.t
-(** [notify_app t k ~dst ~words f v] is [notify t k ~dst ~words (fun () ->
-    f v)] without the wrapper closure: the pooled arrival frame carries
-    [f] and [v] separately and applies them at delivery.  The reply path
-    for resumptions that take a value (e.g. object-migration replies). *)
+(** [notify_app t k ~dst ~words f v] charges the sender pipeline and
+    sends a message whose delivery applies [f] to [v] directly from the
+    network event — no handler thread, and no wrapper closure: the pooled
+    arrival frame carries [f] and [v] separately.  The reply path for
+    resumptions that take a value (e.g. object-migration replies); the
+    caller charges its own reception, cf. [recv_pipeline
+    ~new_thread:false]. *)
 
 val call :
   t ->
@@ -130,7 +126,7 @@ val call :
 (** [call t ~req ~reply ~dst ~args_words ~result_words body] is a full
     remote procedure call: charge the sender pipeline for the request,
     block, and dispatch a [req] message whose payload is the server
-    computation (run [body] at [dst], then {!notify} the [reply] back,
+    computation (run [body] at [dst], then send the [reply] back,
     resuming the caller — [body] may itself migrate; the reply is sent
     from wherever it finishes).  The caller then charges reply reception
     ([recv_pipeline ~new_thread:false]) and continues with the result.
@@ -184,21 +180,21 @@ val dispatch : t -> 'a kind -> src:int -> dst:int -> words:int -> 'a -> unit
     {!post}.  Raises if no handler is registered at [dst] when the
     message arrives. *)
 
-val signal : t -> _ kind -> src:int -> dst:int -> words:int -> (unit -> unit) -> unit
-(** [signal t k ~src ~dst ~words f] injects a message whose delivery
-    runs [f] directly from the network event, as {!notify} but without
-    the sender-pipeline charge. *)
-
 val signal_app : t -> _ kind -> src:int -> dst:int -> words:int -> ('a -> unit) -> 'a -> unit
-(** [signal_app t k ~src ~dst ~words f v] is [signal] of [fun () -> f v]
-    without allocating the wrapper: the pooled arrival frame carries [f]
-    and [v] separately. *)
+(** [signal_app t k ~src ~dst ~words f v] injects a message whose
+    delivery applies [f] to [v] directly from the network event, as
+    {!notify_app} but without the sender-pipeline charge.  The pooled
+    arrival frame carries [f] and [v] separately, so no wrapper is
+    allocated (pass [()] for a thunk). *)
 
 val inject : t -> _ kind -> src:int -> dst:int -> words:int -> int
 (** [inject t k ~src ~dst ~words] injects a payload-only message (the
     delivery itself is a no-op) and returns its wire latency — for
     protocol controllers that apply state changes at issue time and
-    account latency themselves (the coherence protocol). *)
+    account latency themselves (the coherence protocol).  Such a message
+    cannot be faulted meaningfully (a drop would only return a shorter
+    latency), so [inject] raises [Invalid_argument] naming the kind when
+    {!configure_faults} armed a spec for it. *)
 
 (** {1 Fault injection}
 
@@ -224,9 +220,14 @@ val configure_faults : t -> seed:int -> (string * fault) list -> unit
     send order — same seed, same workload ⇒ same faults.  Replaces any
     previous configuration.  Raises [Invalid_argument] naming the kind
     and field when a probability is not in [\[0, 1\]] (nan included) or
-    [delay_cycles] is negative.
+    [delay_cycles] is negative, and naming the kind when it is listed
+    twice; a rejected list changes nothing.
 
-    Faults run on the same thread engine as fault-free runs.  A
+    Faults run on the same send path as fault-free runs: every payload
+    message is a pooled arrival frame, and a fault only decides how many
+    frames are posted (none for a drop, two for a duplicate) and whether
+    each waits out an extra delay on a pooled timer before it arrives.
+    Kinds sent with {!inject} refuse faults (see there).  A
     duplicated or late reply fires its caller's resumption a second
     time; the thread layer discards it (see {!Thread.await}), or raises
     {!Check.Violation} under [Check]. *)
@@ -239,7 +240,8 @@ val faults_active : t -> bool
 val cancel_pending_delays : t -> int
 (** [cancel_pending_delays t] revokes every fault-delayed delivery that
     is still waiting out its extra delay (the delay leg is a cancellable
-    {!Sim.timer}) and returns how many were cancelled.  Each cancelled
+    {!Sim.timer}) and returns how many were cancelled.  Pending deliveries
+    are visited in frame-slot order.  Each cancelled
     delivery is accounted as dropped, keeping {!inflight} and
     {!check_all_delivered} consistent — the hook timeout/retry logic
     builds on. *)

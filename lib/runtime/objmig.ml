@@ -238,8 +238,7 @@ let migrate_object t i ~to_ =
       Thread.await (fun ~resume ->
           if pid = home then transfer resume
           else
-            Transport.signal t.tp t.call_k ~src:pid ~dst:home ~words:2 (fun () ->
-                transfer resume))
+            Transport.signal_app t.tp t.call_k ~src:pid ~dst:home ~words:2 transfer resume)
     in
     learn t ~pid i to_;
     Thread.return ()

@@ -415,7 +415,7 @@ let test_sim_stop () =
 let test_sim_timer_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
-  let tok = Sim.timer sim ~delay:30 (fun () -> fired := true) in
+  let tok = Sim.timer sim ~delay:30 (Sim.handler sim (fun _ -> fired := true)) 0 in
   Sim.at sim 20 ignore;
   Alcotest.(check int) "pending counts timer" 2 (Sim.pending sim);
   Alcotest.(check bool) "cancel pending" true (Sim.cancel sim tok);
@@ -429,21 +429,24 @@ let test_sim_timer_cancel () =
 let test_sim_timer_fires () =
   let sim = Sim.create () in
   let fired_at = ref (-1) in
-  let tok = Sim.timer sim ~delay:7 (fun () -> fired_at := Sim.now sim) in
+  let tok = Sim.timer sim ~delay:7 (Sim.handler sim (fun _ -> fired_at := Sim.now sim)) 0 in
   Sim.run sim;
   Alcotest.(check int) "timer fired on time" 7 !fired_at;
-  Alcotest.(check bool) "cancel after fire is false" false (Sim.cancel sim tok)
+  Alcotest.(check bool) "cancel after fire is false" false (Sim.cancel sim tok);
+  match Sim.timer sim ~delay:1 Sim.nil_handler 0 with
+  | _ -> Alcotest.fail "timer on an unregistered handler accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_sim_cancel_stale_token () =
   let sim = Sim.create () in
-  let tok1 = Sim.timer sim ~delay:1 ignore in
+  let tok1 = Sim.timer sim ~delay:1 (Sim.handler sim ignore) 0 in
   Sim.run sim;
   Alcotest.(check bool) "fired token dead" false (Sim.cancel sim tok1);
   (* The fired event's pool slot is recycled for the next timer; the
      stale token's generation no longer matches, so it must not cancel
      the new occupant. *)
   let fired = ref false in
-  let _tok2 = Sim.timer sim ~delay:1 (fun () -> fired := true) in
+  let _tok2 = Sim.timer sim ~delay:1 (Sim.handler sim (fun _ -> fired := true)) 0 in
   Alcotest.(check bool) "stale token still dead" false (Sim.cancel sim tok1);
   Sim.run sim;
   Alcotest.(check bool) "new timer unaffected by stale cancel" true !fired
@@ -649,9 +652,8 @@ let prop_sim_cancel_subset =
     (fun spec ->
       let sim = Sim.create ~wheel_bits:3 () in
       let fired = ref [] in
-      let toks =
-        List.mapi (fun i (d, _) -> Sim.timer sim ~delay:d (fun () -> fired := i :: !fired)) spec
-      in
+      let fire = Sim.handler sim (fun i -> fired := i :: !fired) in
+      let toks = List.mapi (fun i (d, _) -> Sim.timer sim ~delay:d fire i) spec in
       (* Cancelling a pending timer reports true exactly once. *)
       let cancelled_ok =
         List.for_all2 (fun tok (_, c) -> (not c) || Sim.cancel sim tok) toks spec

@@ -141,6 +141,28 @@ let test_shmem_cross_processor_visibility () =
   Machine.run m;
   Alcotest.(check int) "sees remote write" 77 !got
 
+(* The protocol times each transaction from the latencies its messages
+   return at issue, so a faulted coherence message has no defined
+   outcome (a drop would only make the miss cheaper): the transport
+   refuses, naming the kind.  Faults armed on other kinds leave the
+   protocol alone. *)
+let test_shmem_coherence_refuses_faults () =
+  let miss ~faulted =
+    let m = machine () in
+    let mem = Shmem.create m in
+    let a = Shmem.alloc mem ~home:0 ~words:1 in
+    Transport.configure_faults (Machine.transport m) ~seed:1
+      [ (faulted, { Transport.no_fault with drop = 1.0 }) ];
+    Machine.spawn m ~on:1 (Thread.ignore_m (Shmem.read mem a));
+    Machine.run m
+  in
+  miss ~faulted:"rpc";
+  match miss ~faulted:"coh_req" with
+  | () -> Alcotest.fail "a fault spec on coh_req was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the kind" true
+      (String.starts_with ~prefix:"Transport.inject: kind \"coh_req\"" msg)
+
 let test_shmem_peek_poke () =
   let m = machine () in
   let mem = Shmem.create m in
@@ -621,6 +643,8 @@ let () =
           Alcotest.test_case "zero initialized" `Quick test_shmem_zero_initialized;
           Alcotest.test_case "cross-processor visibility" `Quick test_shmem_cross_processor_visibility;
           Alcotest.test_case "peek poke" `Quick test_shmem_peek_poke;
+          Alcotest.test_case "coherence kinds refuse faults" `Quick
+            test_shmem_coherence_refuses_faults;
           Alcotest.test_case "peek sees dirty" `Quick test_shmem_peek_sees_dirty_copy;
           Alcotest.test_case "read block" `Quick test_shmem_read_block;
         ] );
