@@ -64,7 +64,7 @@ let default =
     {
       s_unit = "Cm_machine.Thread";
       s_names =
-        [ "return"; "travel_k"; "travel"; "frame_travel"; "yield"; "sleep"; "compute";
+        [ "return"; "travel_k"; "frame_travel"; "yield"; "sleep"; "compute";
           "fire"; "recycle"; "reuse";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
@@ -90,17 +90,18 @@ let default =
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
                   "bkt_append"; "ms_bucket" ] };
-    (* The fused per-object call path: method-site steps, the RPC
-       server stub [msite_serve] and the tail re-entry [msite_next]
-       included, walk frame registers only — every binding here must
-       stay allocation-free. *)
+    (* The call path: the one RPC issue step [rpc_call], the one return
+       step [return_home], and the fused per-object method-site steps,
+       the RPC server stub [msite_serve] and the tail re-entry
+       [msite_next] included, walk frame registers only — every binding
+       here must stay allocation-free. *)
     {
       s_unit = "Cm_runtime.Runtime";
       s_names =
-        [ "rt_body_step"; "rt_call_step"; "scope_done_step"; "msite_obj"; "msite_arg_a";
-          "msite_arg_b"; "msite_arrived_step"; "msite_send_step"; "msite_serve";
-          "msite_call_step"; "msite_enter"; "msite_next"; "msite_finish"; "msite_call";
-          "msite_scoped" ];
+        [ "rpc_call"; "return_home"; "rt_body_step"; "rt_call_step"; "scope_done_step";
+          "msite_obj"; "msite_arg_a"; "msite_arg_b"; "msite_arrived_step"; "msite_send_step";
+          "msite_serve"; "msite_call_step"; "msite_enter"; "msite_next"; "msite_finish";
+          "msite_call"; "msite_scoped" ];
     };
     (* The B-tree descents on method-site frames: every lookup and insert
        walks these steps.  Two suppressions, each with its reason:
@@ -124,7 +125,8 @@ let default =
     {
       s_unit = "Cm_runtime.Replicate";
       s_names =
-        [ "upd_fan_step"; "read_home_step"; "read_copy_step"; "read"; "update";
+        [ "upd_fan_step"; "upd_body_run"; "upd_serve"; "issue"; "load_lane";
+          "read_home_step"; "read_copy_step"; "read"; "update";
           "scr_alloc"; "scr_release"; "scr_scan"; "holds"; "install" ];
     };
     (* The per-op samplers every scale workload draws from: a boxed draw

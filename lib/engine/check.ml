@@ -94,8 +94,6 @@ module Trail = struct
 
   let set_recording b = Atomic.set recording b
 
-  let is_recording () = Atomic.get recording
-
   let digest_of_run ~clock ~fired ~stats =
     let b = Buffer.create 512 in
     Buffer.add_string b (Printf.sprintf "clock=%d fired=%d" clock fired);

@@ -94,8 +94,6 @@ module Trail : sig
   (** [set_recording b] starts or stops appending run digests (off by
       default). *)
 
-  val is_recording : unit -> bool
-
   val record_run : clock:int -> fired:int -> stats:Stats.t -> unit
   (** [record_run ~clock ~fired ~stats] appends a digest of the run's
       observable outcome; a no-op unless recording. *)

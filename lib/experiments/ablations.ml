@@ -75,6 +75,7 @@ let conditional_ablation () =
   let count ~always =
     let machine = fresh_machine ~n:(m + 1) () in
     let rt = Runtime.create machine in
+    let migrate_k = Network.kind machine.Machine.net "migrate" in
     run_to_completion machine
       (Runtime.scope rt ~result_words:2
          (Thread.iter_list
@@ -84,8 +85,8 @@ let conditional_ablation () =
                   if always && Processor.id p = item then
                     let* () = Thread.compute Costs.software.Costs.forwarding_check in
                     let* () =
-                      Thread.travel ~net:machine.Machine.net ~dst:(Machine.proc machine item)
-                        ~words:8 ~kind:"migrate"
+                      Thread.travel_k ~net:machine.Machine.net ~dst:(Machine.proc machine item)
+                        ~words:8 ~kind:migrate_k
                         ~recv_work:(Costs.recv_pipeline Costs.software ~words:8 ~new_thread:true)
                     in
                     Thread.compute 30

@@ -8,8 +8,6 @@ let sweep ~jobs ~render = Sweep { jobs; render }
 
 let serial f = Serial f
 
-let job_count = function Serial _ -> 0 | Sweep { jobs; _ } -> List.length jobs
-
 let execute ?pool t =
   match t with
   | Serial f -> f ()

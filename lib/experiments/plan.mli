@@ -31,9 +31,6 @@ val sweep : jobs:job list -> render:(Cm_workload.Metrics.t list -> unit) -> t
 
 val serial : (unit -> unit) -> t
 
-val job_count : t -> int
-(** Number of parallelizable sweep points ([0] for [Serial]). *)
-
 val execute : ?pool:Cm_engine.Pool.t -> t -> unit
 (** [execute ?pool plan] runs the plan's jobs — in order on the calling
     domain when [pool] is absent, fanned out over the pool's domains

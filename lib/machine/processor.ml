@@ -29,13 +29,11 @@ type t = {
   mutable len : int;
   mutable busy : bool;
   mutable busy_cycles : int;
-  (* Park pool: continuations waiting out a [Sim] delay before being
-     enqueued (Thread.sleep, delayed wakeups).  A parked continuation is
-     an int slot naming a (fn, arg) pair; the pooled [wake_hid] handler
-     moves it to the ready ring when the delay elapses, so a sleep
-     allocates nothing. *)
+  (* Park pool: thunks waiting out a [Sim] delay before being enqueued
+     (Thread.sleep).  A parked thunk is an int slot; the pooled
+     [wake_hid] handler moves it to the ready ring when the delay
+     elapses, so a sleep allocates nothing. *)
   mutable park_fn : task array;
-  mutable park_arg : Obj.t array;
   mutable park_free : int array;  (* free slot stack: [0, park_free_top) *)
   mutable park_free_top : int;
 }
@@ -140,45 +138,33 @@ let enqueue_app p (k : 'a -> unit) (v : 'a) =
 
 (* --- delayed enqueues (the park pool) ------------------------------- *)
 
-(* Move a parked continuation to the ready ring once its delay elapsed. *)
+(* Move a parked thunk to the ready ring once its delay elapsed. *)
 let wake p slot =
   let fn = p.park_fn.(slot) in
-  let arg = p.park_arg.(slot) in
   p.park_fn.(slot) <- nop_task;
-  p.park_arg.(slot) <- unit_arg;
   p.park_free.(p.park_free_top) <- slot;
   p.park_free_top <- p.park_free_top + 1;
-  enqueue_obj p fn arg
+  enqueue_obj p fn unit_arg
 
 let park_grow p =
   let cap = Array.length p.park_fn in
   let park_fn = Array.make (2 * cap) nop_task in
-  let park_arg = Array.make (2 * cap) unit_arg in
   Array.blit p.park_fn 0 park_fn 0 cap;
-  Array.blit p.park_arg 0 park_arg 0 cap;
   let park_free = Array.make (2 * cap) 0 in
   Array.blit p.park_free 0 park_free 0 p.park_free_top;
   for i = 0 to cap - 1 do
     park_free.(p.park_free_top + i) <- cap + i
   done;
   p.park_fn <- park_fn;
-  p.park_arg <- park_arg;
   p.park_free <- park_free;
   p.park_free_top <- p.park_free_top + cap
 
-let park_obj p ~delay (fn : task) (arg : Obj.t) =
+let enqueue_after p ~delay (task : unit -> unit) =
   if p.park_free_top = 0 then park_grow p;
   p.park_free_top <- p.park_free_top - 1;
   let slot = p.park_free.(p.park_free_top) in
-  p.park_fn.(slot) <- fn;
-  p.park_arg.(slot) <- arg;
+  p.park_fn.(slot) <- (Obj.magic task : task);
   Sim.post_after p.sim ~delay p.wake_hid slot
-
-let enqueue_after p ~delay (task : unit -> unit) =
-  park_obj p ~delay (Obj.magic task : task) unit_arg
-
-let enqueue_app_after p ~delay (k : 'a -> unit) (v : 'a) =
-  park_obj p ~delay (Obj.magic k : task) (Obj.repr v)
 
 let parked p = Array.length p.park_fn - p.park_free_top
 
@@ -213,7 +199,6 @@ let create ~sim ~stats ~scheduler_cost ~id =
       busy = false;
       busy_cycles = 0;
       park_fn = Array.make 8 nop_task;
-      park_arg = Array.make 8 unit_arg;
       park_free = Array.init 8 (fun i -> i);
       park_free_top = 8;
     }

@@ -13,9 +13,9 @@
     The ready queue is a ring buffer of (continuation, argument) pairs
     and dispatch events are pooled by the simulator, so the
     enqueue/dispatch/release cycle allocates nothing — including waking a
-    thread with a value ({!enqueue_app}) and delayed wakeups, which park
-    the continuation in a pooled slot ({!enqueue_app_after}) instead of
-    capturing it in a closure. *)
+    thread with a value ({!enqueue_app}) and delayed enqueues, which park
+    the task in a pooled slot ({!enqueue_after}) instead of capturing it
+    in a closure. *)
 
 open Cm_engine
 
@@ -48,9 +48,6 @@ val enqueue_after : t -> delay:int -> (unit -> unit) -> unit
     have elapsed.  The wait is a pooled park slot plus a pooled simulator
     event — no closure; event timing and ordering are identical to
     [Sim.after _ delay (fun () -> enqueue p task)]. *)
-
-val enqueue_app_after : t -> delay:int -> ('a -> unit) -> 'a -> unit
-(** {!enqueue_after} carrying a value, as {!enqueue_app}. *)
 
 val hold : t -> int -> (unit -> unit) -> unit
 (** [hold p n k] keeps the CPU busy for [n >= 0] cycles, then runs [k]

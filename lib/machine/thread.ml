@@ -226,9 +226,6 @@ let travel_k ~net ~dst ~words ~kind ~recv_work c k =
   c.f_k <- Obj.repr k;
   frame_travel ~net ~dst ~words ~kind ~recv_work ~after:travel_finish c
 
-let travel ~net ~dst ~words ~kind ~recv_work c k =
-  travel_k ~net ~dst ~words ~kind:(Network.kind net kind) ~recv_work c k
-
 (* --- spawning ------------------------------------------------------- *)
 
 let default_exit (_ : Obj.t) = ()

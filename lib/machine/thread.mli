@@ -4,12 +4,12 @@
     continuation-passing style over a mutable thread context.  The
     continuation is a first-class OCaml value, which is exactly the piece
     of state that computation migration ships between processors: the
-    {!travel} primitive sends the current continuation to another
+    {!travel_k} primitive sends the current continuation to another
     processor, where it resumes with the context's processor rebound.
 
     Threads cooperate with the processor model: a running thread owns its
     CPU between dispatch and the next blocking point ({!await}, {!sleep},
-    {!travel}, or termination); {!compute} advances simulated time while
+    {!travel_k}, or termination); {!compute} advances simulated time while
     keeping the CPU. *)
 
 open Cm_engine
@@ -106,21 +106,6 @@ val stall : (resume:('a -> unit) -> unit) -> 'a t
     The continuation runs directly from the resuming event.  [resume] is
     one-shot, as for {!await} (label [Thread.stall resume]). *)
 
-val travel :
-  net:Network.t ->
-  dst:Processor.t ->
-  words:int ->
-  kind:string ->
-  recv_work:int ->
-  unit t
-(** [travel ~net ~dst ~words ~kind ~recv_work] migrates the thread's
-    continuation to [dst]: one [kind] message of [words] payload words is
-    sent, the source CPU is released, and on delivery the continuation
-    queues at [dst], paying [recv_work] cycles of receive-pipeline work
-    once dispatched.  After [travel], {!proc} is [dst].  A no-op message is
-    still sent when [dst] is the current processor (callers should test
-    locality first — the runtime's forwarding check does). *)
-
 val travel_k :
   net:Network.t ->
   dst:Processor.t ->
@@ -128,8 +113,15 @@ val travel_k :
   kind:Network.kind ->
   recv_work:int ->
   unit t
-(** {!travel} with a pre-interned message kind — callers that migrate on
-    every access resolve the kind once at setup instead of per message. *)
+(** [travel_k ~net ~dst ~words ~kind ~recv_work] migrates the thread's
+    continuation to [dst]: one [kind] message of [words] payload words is
+    sent, the source CPU is released, and on delivery the continuation
+    queues at [dst], paying [recv_work] cycles of receive-pipeline work
+    once dispatched.  After [travel_k], {!proc} is [dst].  A no-op message
+    is still sent when [dst] is the current processor (callers should
+    test locality first — the runtime's forwarding check does).  The
+    kind is interned once by the caller ({!Network.kind}), not per
+    message. *)
 
 (** {1 Spawning} *)
 
@@ -232,7 +224,7 @@ module Frame : sig
       and the direct frame paths in [Objmig]/[Replicate]): five int
       operands [m0..m4], the site record slot [ms], and one boxed
       operand slot [mv].  The lane is disjoint from every slot above and
-      survives {!travel} and the transport chains, so a fused call's
+      survives {!travel_k} and the transport chains, so a fused call's
       operands ride through its own migration.  A method-site body owns
       the lane from entry to finish and must not start another
       method-site call meanwhile (nest through the generic {!t} monad
@@ -262,7 +254,7 @@ module Frame : sig
       A per-context stack of ints for a frame body whose activation
       keeps a path across hops (the B-tree insert pushes each node it
       descends from, to absorb a child's split on the way back).  It
-      belongs to the body that pushed, survives {!travel}, and is pooled
+      belongs to the body that pushed, survives {!travel_k}, and is pooled
       with the context: it grows on demand, and recycling empties it
       but keeps its array, so steady-state pushes allocate nothing. *)
 

@@ -87,10 +87,6 @@ let decide t ~site:s ~home =
     a
   end
 
-let call t ~site ~home ~args_words ~result_words body =
-  let* access = decide t ~site ~home in
-  Runtime.call t.rt ~access ~home ~args_words ~result_words body
-
 let chosen_migrations t = t.migrations
 
 let chosen_rpcs t = t.rpcs

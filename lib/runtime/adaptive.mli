@@ -46,19 +46,8 @@ val decide : t -> site:site -> home:int -> Runtime.access Thread.t
     access to an object on [home] ([Rpc] when [home] is the current
     processor, where the access runs inline either way).  The caller
     then performs the access with the chosen mechanism — through
-    {!call}, or a method site built for it.  Must run inside
+    {!Runtime.call}, or a method site built for it.  Must run inside
     {!scope}. *)
-
-val call :
-  t ->
-  site:site ->
-  home:int ->
-  args_words:int ->
-  result_words:int ->
-  'r Thread.t ->
-  'r Thread.t
-(** [call t ~site ~home ...] is {!decide} followed by {!Runtime.call}
-    with the chosen mechanism.  Must run inside {!scope}. *)
 
 (** {1 Introspection} *)
 

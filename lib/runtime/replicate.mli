@@ -33,11 +33,16 @@ val read : 'a t -> 'a Thread.t
     processor uses the master directly. *)
 
 val update : 'a t -> access:Runtime.access -> 'a -> unit Thread.t
-(** [update r ~access v] installs [v] as the new master version.  The
-    update executes at the home (reached by [access] when the calling
-    thread is remote) and pushes [v] to all current replica holders.
-    Under [~access:Migrate] the calling thread stays at the home
-    afterwards. *)
+(** [update r ~access v] installs [v] as the new master version and
+    pushes it to every processor holding a replica when the update is
+    issued (the master, version and holder snapshot change at issue).
+    Both mechanisms run the same fan-out at the home: one send pipeline
+    and one message per holder, in descending processor order.  [access]
+    decides only how the fan-out reaches the home when the calling
+    thread is remote: under [Rpc] the request carries a copy of the
+    holder snapshot to a server thread and the caller resumes where it
+    was; under [Migrate] the calling thread carries it and stays at the
+    home afterwards. *)
 
 val version : 'a t -> int
 (** Number of updates applied so far. *)

@@ -28,7 +28,13 @@
     activation's caller frame lives.  A scope entered [~at_base:true]
     (the activation sits at the base of its portion of the stack, e.g. an
     RPC handler) skips that: its result is delivered wherever the thread
-    ends — the paper's short-circuited return. *)
+    ends — the paper's short-circuited return.
+
+    Each remote job has one code path: every RPC the runtime issues
+    (generic {!call}, method site, replica update, residual fetch) goes
+    through one issue step, and every activation that ends away from its
+    origin ({!scope}, {!msite_scoped}) sends its result home through one
+    return step. *)
 
 open Cm_machine
 
@@ -181,7 +187,8 @@ val fetch_residual : t -> origin:int -> words:int -> unit Thread.t
     [words]-word residual from [origin] with one request/reply round
     trip.  Carrying less is a bet: cheaper hops when the residual is
     never touched, an extra round trip when it is (see the "partial
-    migration" ablation).  A no-op when already at [origin]. *)
+    migration" ablation).  A no-op when already at [origin]: nothing is
+    sent and nothing is counted. *)
 
 val migrate_thread : t -> dst:int -> stack_words:int -> unit Thread.t
 (** [migrate_thread t ~dst ~stack_words] performs whole-thread migration
@@ -190,22 +197,27 @@ val migrate_thread : t -> dst:int -> stack_words:int -> unit Thread.t
     nothing returns to the source.  Provided to quantify why the
     activation is the right grain: the state moved per hop is an order
     of magnitude larger, and the thread's subsequent unrelated work
-    (request loops, think time) now loads the data's processor. *)
+    (request loops, think time) now loads the data's processor.  A
+    no-op when [dst] is the current processor: nothing is sent and
+    nothing is counted. *)
 
 (** {1 Statistics}
 
     Counter names used by the runtime (in the machine's registry):
     ["rt.local_calls"], ["rt.rpc_calls"], ["rt.migrations"],
-    ["rt.scope_returns"]. *)
+    ["rt.scope_returns"], ["rt.residual_fetches"],
+    ["rt.thread_migrations"]. *)
 
 val migrations : t -> int
 (** Number of activation migrations performed. *)
 
 val thread_migrations : t -> int
-(** Number of whole-thread migrations performed. *)
+(** Number of whole-thread migrations performed (a move to the current
+    processor is not one). *)
 
 val residual_fetches : t -> int
-(** Number of residual-state fetches performed. *)
+(** Number of residual-state fetches performed (a fetch at the origin is
+    not one). *)
 
 val rpc_calls : t -> int
 (** Number of RPC round trips performed. *)

@@ -609,12 +609,12 @@ let test_thread_frame_double_resume_checked () =
 let test_thread_travel_moves () =
   let m = machine () in
   let where = ref (-1) in
+  let kind = Network.kind m.Machine.net "migrate" in
   Machine.spawn m ~on:0
     (let* p = Thread.proc in
      Alcotest.(check int) "starts on 0" 0 (Processor.id p);
      let* () =
-       Thread.travel ~net:m.Machine.net ~dst:(Machine.proc m 3) ~words:8 ~kind:"migrate"
-         ~recv_work:50
+       Thread.travel_k ~net:m.Machine.net ~dst:(Machine.proc m 3) ~words:8 ~kind ~recv_work:50
      in
      let+ p' = Thread.proc in
      where := Processor.id p');
@@ -625,9 +625,10 @@ let test_thread_travel_moves () =
 let test_thread_travel_charges_receiver () =
   let m = machine () in
   let arrived_at = ref (-1) in
+  let kind = Network.kind m.Machine.net "m" in
   Machine.spawn m ~on:0
     (let* () =
-       Thread.travel ~net:m.Machine.net ~dst:(Machine.proc m 1) ~words:8 ~kind:"m" ~recv_work:100
+       Thread.travel_k ~net:m.Machine.net ~dst:(Machine.proc m 1) ~words:8 ~kind ~recv_work:100
      in
      arrived_at := Machine.now m;
      Thread.return ());
@@ -638,9 +639,10 @@ let test_thread_travel_charges_receiver () =
 let test_thread_travel_keeps_source_free () =
   let m = Machine.create ~seed:1 ~n_procs:2 ~costs:{ Costs.software with Costs.scheduler = 0 } () in
   let log = ref [] in
+  let kind = Network.kind m.Machine.net "m" in
   Machine.spawn m ~on:0
     (let* () =
-       Thread.travel ~net:m.Machine.net ~dst:(Machine.proc m 1) ~words:4 ~kind:"m" ~recv_work:1000
+       Thread.travel_k ~net:m.Machine.net ~dst:(Machine.proc m 1) ~words:4 ~kind ~recv_work:1000
      in
      log := ("traveller", Machine.now m) :: !log;
      Thread.return ());
@@ -962,6 +964,7 @@ let oracle_digest mode script =
   let req = Transport.kind tp "oracle_rpc" in
   Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
   let reply = Transport.kind tp "oracle_reply" in
+  let migrate_k = Network.kind m.Machine.net "migrate" in
   if mode = Zero_faults then
     Transport.configure_faults tp ~seed:5
       [ ("oracle_rpc", Transport.no_fault); ("oracle_reply", Transport.no_fault) ];
@@ -981,7 +984,7 @@ let oracle_digest mode script =
         | O_yield -> Thread.yield
         | O_sleep n -> Thread.sleep n
         | O_travel d ->
-          Thread.travel ~net:m.Machine.net ~dst:(Machine.proc m d) ~words:8 ~kind:"migrate"
+          Thread.travel_k ~net:m.Machine.net ~dst:(Machine.proc m d) ~words:8 ~kind:migrate_k
             ~recv_work:20
         | O_await d ->
           Thread.await (fun ~resume -> Sim.after m.Machine.sim d (fun () -> resume ()))
