@@ -21,15 +21,18 @@ let quick_arg =
   let doc = "Run with reduced horizons and fewer sweep points (for smoke tests)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-(* A job count is an integer >= 1, from -j or CM_JOBS alike: anything
-   else is a usage error naming that range, not a silent 1. *)
-let jobs_conv =
+(* An integer with a lower bound: anything else is a usage error naming
+   the valid range (exit 124), not a crash or a silent clamp. *)
+let int_at_least ~what lo =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid job count %S: expected an integer >= 1" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid %s %S: expected an integer >= %d" what s lo))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* A job count is an integer >= 1, from -j or CM_JOBS alike. *)
+let jobs_conv = int_at_least ~what:"job count" 1
 
 let jobs_arg =
   let doc = "Run sweep points on $(docv) >= 1 domains.  Output is byte-identical to -j 1." in
@@ -77,43 +80,55 @@ let custom_cmd =
   in
   let app_arg =
     let doc = "Application: counting or btree." in
-    Arg.(value & opt string "btree" & info [ "app" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("counting", `Counting); ("btree", `Btree) ]) `Btree
+      & info [ "app" ] ~doc)
   in
   let think_arg =
-    let doc = "Think time in cycles between requests." in
-    Arg.(value & opt int 0 & info [ "think" ] ~doc)
+    let doc = "Think time in cycles between requests (>= 0)." in
+    Arg.(value & opt (int_at_least ~what:"think time" 0) 0 & info [ "think" ] ~doc)
   in
   let requesters_arg =
-    let doc = "Number of requester threads." in
-    Arg.(value & opt int 16 & info [ "requesters" ] ~doc)
+    let doc = "Number of requester threads (>= 1)." in
+    Arg.(value & opt (int_at_least ~what:"requester count" 1) 16 & info [ "requesters" ] ~doc)
   in
   let horizon_arg =
-    let doc = "Simulated cycles to run." in
+    let doc = "Simulated cycles to run; must exceed the application's warm-up." in
     Arg.(value & opt int 400_000 & info [ "horizon" ] ~doc)
   in
   let fanout_arg =
-    let doc = "B-tree fanout." in
-    Arg.(value & opt int 100 & info [ "fanout" ] ~doc)
+    let doc = "B-tree fanout (>= 4)." in
+    Arg.(value & opt (int_at_least ~what:"fanout" 4) 100 & info [ "fanout" ] ~doc)
   in
   let detail_arg =
     let doc = "Print a post-run machine report (utilizations, traffic by kind)." in
     Arg.(value & flag & info [ "detail" ] ~doc)
   in
   let run scheme app think requesters horizon fanout detail =
+    let name, warmup =
+      match app with
+      | `Counting -> ("counting", Counting_run.default.warmup)
+      | `Btree -> ("btree", Btree_run.default.warmup)
+    in
     match Scheme.of_string scheme with
     | Error e -> `Error (false, e)
+    | Ok _ when horizon <= warmup ->
+      `Error
+        ( true,
+          Printf.sprintf "invalid horizon %d: expected an integer > %d (the %s warm-up)" horizon
+            warmup name )
     | Ok s ->
       let machine, metrics =
         match app with
-        | "counting" ->
+        | `Counting ->
           Counting_run.run_with_machine s
             { Counting_run.default with Counting_run.think; requesters; horizon }
-        | "btree" ->
+        | `Btree ->
           Btree_run.run_with_machine s
             { Btree_run.default with Btree_run.think; requesters; horizon; fanout }
-        | other -> failwith (Printf.sprintf "unknown app %S (counting|btree)" other)
       in
-      Printf.printf "%s on %s: %s (mean op latency %.0f cycles)\n" (Scheme.name s) app
+      Printf.printf "%s on %s: %s (mean op latency %.0f cycles)\n" (Scheme.name s) name
         (Format.asprintf "%a" Cm_workload.Metrics.pp metrics)
         metrics.Cm_workload.Metrics.mean_latency;
       if detail then Cm_workload.Detail.print machine;

@@ -1,9 +1,11 @@
 (** Deterministic pseudo-random number generation.
 
-    A small, fast, splittable generator (SplitMix64).  Every stochastic
-    choice in the simulator draws from an explicitly seeded [Rng.t], so a
-    whole experiment is a pure function of its configuration — reruns are
-    bit-for-bit identical, which the regression tests rely on. *)
+    A small, fast, splittable generator (SplitMix64, computed in native
+    64-bit arithmetic).  Every stochastic choice in the simulator draws
+    from an explicitly seeded [Rng.t], so a whole experiment is a pure
+    function of its configuration — reruns are bit-for-bit identical,
+    which the regression tests rely on.  A draw through [int], [bits53],
+    [bool] or [split_into] allocates nothing. *)
 
 type t
 (** Mutable generator state. *)
@@ -29,7 +31,9 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
+(** [float t bound] is uniform in [\[0, bound)].  The draw allocates
+    nothing, but a call that is not inlined boxes its [float] result;
+    per-op samplers use {!bits53} instead. *)
 
 val bits53 : t -> int
 (** [bits53 t] is the next output's top 53 bits as a non-negative [int]

@@ -9,14 +9,19 @@
     with a guide table (Chen and Asau's cutpoint index): for
     [b = min 16 (ceil (log2 n))], entry [j] is the first rank whose CDF
     value is [>= j/2^b], so the guide holds at most [2^16 + 1] words.
-    Each draw takes one 53-bit uniform deviate [u], uses its top [b] bits
-    to pick a guide bucket, and binary-searches only the ranks between
-    that entry and the next.  Because [u] and every [j/2^b] are exact in
-    floating point, a draw returns the same rank as a binary search over
-    the whole table (the first rank whose CDF value is [>= u]), so the
-    stream of ranks is unchanged by the guide — deterministic for a
-    given generator stream, like every other stochastic choice in the
-    simulator. *)
+    Each draw takes one 53-bit uniform deviate [u] and uses its top [b]
+    bits to pick a guide bucket; the answer lies between that entry and
+    the next.  When the two are equal the draw returns that rank without
+    reading the CDF.  Otherwise the next 16 bits interpolate a guess
+    within the slice, one probe at the guess and one at its neighbour
+    settle it or narrow the range to one side, and a binary search
+    finishes the rest.  Because [u] and every [j/2^b] are exact in
+    floating point and the CDF is non-decreasing, a draw returns the
+    same rank as a binary search over the whole table (the first rank
+    whose CDF value is [>= u]), so the stream of ranks is unchanged by
+    the guide — deterministic for a given generator stream, like every
+    other stochastic choice in the simulator.  A draw allocates
+    nothing. *)
 
 type t
 

@@ -198,23 +198,101 @@ module Rng_ref = struct
   let float t bound =
     let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
     bound *. (raw /. 9007199254740992.0)
+
+  let bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let split t = { state = int64 t }
 end
 
 let test_rng_matches_int64_reference () =
+  (* The limb boundary is where a split of the state into two 32-bit
+     halves would go wrong: carries into and sign bits of the high limb. *)
+  let seeds = [ 0; 1; 42; 12345; -7; max_int; min_int; (1 lsl 32) - 1; 1 lsl 32; -(1 lsl 32); -1 ] in
   List.iter
     (fun seed ->
       let limb = Rng.create ~seed and boxed = Rng_ref.create ~seed in
       for _ = 1 to 1_000 do
         Alcotest.(check int64) "raw output" (Rng_ref.int64 boxed) (Rng.int64 limb)
       done)
-    [ 0; 1; 42; 12345; -7; max_int; min_int ];
-  let limb = Rng.create ~seed:99 and boxed = Rng_ref.create ~seed:99 in
-  for i = 1 to 1_000 do
-    (* Interleave derived draws so slicing (top 62, top 53) is held to
-       the reference too, not just the raw word. *)
-    Alcotest.(check int) "int draw" (Rng_ref.int boxed (i + 1)) (Rng.int limb (i + 1));
-    Alcotest.(check (float 0.)) "float draw" (Rng_ref.float boxed 1.0) (Rng.float limb 1.0)
-  done
+    seeds;
+  List.iter
+    (fun seed ->
+      let limb = Rng.create ~seed and boxed = Rng_ref.create ~seed in
+      for i = 1 to 1_000 do
+        (* Interleave derived draws so slicing (top 62, top 53, low bit)
+           is held to the reference too, not just the raw word. *)
+        Alcotest.(check int) "int draw" (Rng_ref.int boxed (i + 1)) (Rng.int limb (i + 1));
+        Alcotest.(check (float 0.)) "float draw" (Rng_ref.float boxed 1.0) (Rng.float limb 1.0);
+        Alcotest.(check int) "bits53 draw" (Rng_ref.bits53 boxed) (Rng.bits53 limb);
+        Alcotest.(check bool) "bool draw" (Rng_ref.bool boxed) (Rng.bool limb)
+      done;
+      (* A child stream is seeded from the parent's next output: [split]
+         and [split_into] must both seed it as the reference does, and
+         advance the parent alike. *)
+      let child = Rng.split limb and child_ref = Rng_ref.split boxed in
+      let into = Rng.create ~seed:0 and into_ref = Rng_ref.split boxed in
+      Rng.split_into limb into;
+      for _ = 1 to 100 do
+        Alcotest.(check int64) "split child" (Rng_ref.int64 child_ref) (Rng.int64 child);
+        Alcotest.(check int64) "split_into child" (Rng_ref.int64 into_ref) (Rng.int64 into)
+      done;
+      Alcotest.(check int64) "parent after splits" (Rng_ref.int64 boxed) (Rng.int64 limb))
+    (99 :: seeds)
+
+(* Minor words [f] allocates. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Every per-op draw must allocate nothing: this holds only while
+   [Rng.step]'s [int64] locals stay unboxed and it is inlined into each
+   entry point, which the typed hot-alloc lint cannot see.  [Rng.float]
+   is the one exception, and only for its result: a [float] returned
+   across a module boundary is boxed (two words) unless the call is
+   inlined, which the default build's [-opaque] rules out. *)
+let test_samplers_allocate_nothing () =
+  let draws = 100_000 in
+  let r = Rng.create ~seed:5 and dst = Rng.create ~seed:0 in
+  let check name f = Alcotest.(check (float 0.)) name 0. (minor_words_of f) in
+  let acc = ref 0 in
+  check "Rng.int" (fun () ->
+      for i = 1 to draws do
+        acc := !acc + Rng.int r i
+      done);
+  check "Rng.bits53" (fun () ->
+      for _ = 1 to draws do
+        acc := !acc lxor Rng.bits53 r
+      done);
+  let float_words =
+    minor_words_of (fun () ->
+        for _ = 1 to draws do
+          if Rng.float r 1.0 < 0.5 then incr acc
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Rng.float: %.0f words, at most its boxed results" float_words)
+    true
+    (float_words <= float_of_int (2 * draws));
+  check "Rng.bool" (fun () ->
+      for _ = 1 to draws do
+        if Rng.bool r then incr acc
+      done);
+  check "Rng.split_into" (fun () ->
+      for _ = 1 to draws do
+        Rng.split_into r dst
+      done);
+  List.iter
+    (fun s ->
+      let z = Zipf.create ~s ~n:1_000_000 in
+      check (Printf.sprintf "Zipf.sample s=%g" s) (fun () ->
+          for _ = 1 to draws do
+            acc := !acc + Zipf.sample z r
+          done))
+    [ 0.8; 1.3 ];
+  ignore (Sys.opaque_identity !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                               *)
@@ -269,7 +347,7 @@ let prop_zipf_matches_full_search =
     (QCheck.make
        ~print:(fun (s, n, seed) -> Printf.sprintf "s=%.17g n=%d seed=%d" s n seed)
        QCheck.Gen.(
-         triple (frequency [ (1, return 0.); (4, float_range 0. 2.) ]) (oneofl zipf_sizes) int))
+         triple (frequency [ (1, return 0.); (4, float_range 0. 5.) ]) (oneofl zipf_sizes) int))
     (fun (s, n, seed) -> zipf_draws_agree ~s ~n ~seed ~draws:2_000)
 
 let test_zipf_every_size () =
@@ -282,7 +360,17 @@ let test_zipf_every_size () =
             true
             (zipf_draws_agree ~s ~n ~seed:(n + 42) ~draws:5_000))
         [ 0.; 0.99; 1.3; 2. ])
-    zipf_sizes
+    zipf_sizes;
+  (* The workloads' two shapes at their size, and steep exponents whose
+     saturated last guide bucket spans over 10^4 ranks, so the binary
+     search behind the interpolation probes runs. *)
+  List.iter
+    (fun (s, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "s=%g n=%d" s n)
+        true
+        (zipf_draws_agree ~s ~n ~seed:(n + 42) ~draws:20_000))
+    [ (0.8, 1_000_000); (1.3, 1_000_000); (2., 200_000); (5., 200_000) ]
 
 let test_zipf_mass_sums_to_one () =
   List.iter
@@ -828,6 +916,7 @@ let () =
           Alcotest.test_case "pick member" `Quick test_rng_pick;
           Alcotest.test_case "limbs match Int64 reference" `Quick
             test_rng_matches_int64_reference;
+          Alcotest.test_case "samplers allocate nothing" `Quick test_samplers_allocate_nothing;
         ]
         @ qsuite [ prop_rng_int_uniformish ] );
       ( "zipf",
