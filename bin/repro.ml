@@ -128,9 +128,13 @@ let custom_cmd =
           Btree_run.run_with_machine s
             { Btree_run.default with Btree_run.think; requesters; horizon; fanout }
       in
-      Printf.printf "%s on %s: %s (mean op latency %.0f cycles)\n" (Scheme.name s) name
+      let latency =
+        if metrics.Cm_workload.Metrics.ops = 0 then "no op completed in the measured window"
+        else Printf.sprintf "mean op latency %.0f cycles" metrics.mean_latency
+      in
+      Printf.printf "%s on %s: %s (%s)\n" (Scheme.name s) name
         (Format.asprintf "%a" Cm_workload.Metrics.pp metrics)
-        metrics.Cm_workload.Metrics.mean_latency;
+        latency;
       if detail then Cm_workload.Detail.print machine;
       `Ok ()
   in

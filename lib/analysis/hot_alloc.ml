@@ -19,6 +19,9 @@
      array          array literals
      boxed-float    a float component stored into a tuple or a
                     mixed-representation record (each such store boxes)
+     boxed-return   a hot function returning [float], [int64], [int32]
+                    or [nativeint] that is not [@inline]: each call
+                    that is not inlined boxes its result
 
    The pass is deliberately conservative-by-list: it only looks inside
    bindings named by the hot set, and the checked-in baseline
@@ -130,9 +133,12 @@ let default =
           "scr_alloc"; "scr_release"; "scr_scan"; "holds"; "install" ];
     };
     (* The per-op samplers every scale workload draws from: a boxed draw
-       here taxes each operation.  [Rng.step]'s [int64] locals stay
-       unboxed only while it is inlined, which this pass cannot see; the
-       engine tests count the minor words each sampler allocates. *)
+       here taxes each operation.  [Rng.step] returns an [int64] and
+       [Rng.float] a [float], so the boxed-return check holds both to
+       [@inline].  Whether the compiler honours the attribute across
+       modules (it cannot under [-opaque], which the repository's
+       release profile leaves out) is beyond this pass; the engine tests
+       count the minor words each sampler allocates. *)
     { s_unit = "Cm_engine.Rng";
       s_names = [ "set_state"; "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };
@@ -190,6 +196,32 @@ let is_float ty =
   match Types.get_desc ty with
   | Tconstr (p, [], _) -> Cmt_index.strip_stdlib (Path.name p) = "float"
   | _ -> false
+
+(* Unboxed-number types: a function returning one boxes the result
+   unless the call is inlined into a caller that consumes it unboxed. *)
+let is_boxed_number ty =
+  match Types.get_desc ty with
+  | Tconstr (p, [], _) -> (
+    match Cmt_index.strip_stdlib (Path.name p) with
+    | "float" | "Float.t" | "int64" | "Int64.t" | "int32" | "Int32.t" | "nativeint"
+    | "Nativeint.t" ->
+      true
+    | _ -> false)
+  | _ -> false
+
+(* [@inline] or [@inline always] on the binding or on its [fun];
+   [@inline never] does not count. *)
+let marked_inline (vb : Typedtree.value_binding) =
+  let inline (a : Parsetree.attribute) =
+    (a.attr_name.txt = "inline" || a.attr_name.txt = "ocaml.inline")
+    &&
+    match a.attr_payload with
+    | PStr [] -> true
+    | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
+      match e.pexp_desc with Pexp_ident { txt = Lident "always"; _ } -> true | _ -> false)
+    | _ -> false
+  in
+  List.exists inline vb.vb_attributes || List.exists inline vb.vb_expr.exp_attributes
 
 (* Subtrees that never run on the hot path proper: raising an error ends
    the run, so its argument's allocations do not count toward the
@@ -357,7 +389,21 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
               end
             in
             let iter = { Tast_iterator.default_iterator with expr } in
-            iter.expr iter b.b_vb.vb_expr
+            iter.expr iter b.b_vb.vb_expr;
+            let rec result n ty =
+              match Types.get_desc ty with
+              | Tarrow (_, _, rest, _) when n > 0 -> result (n - 1) rest
+              | Tpoly (t, _) -> result n t
+              | _ -> if n = 0 then Some ty else None
+            in
+            let n = syn_arity b.b_vb.vb_expr in
+            match if n > 0 then result n b.b_vb.vb_expr.exp_type else None with
+            | Some ty when is_boxed_number ty && not (marked_inline b.b_vb) ->
+              add ~ui ~b ~loc:b.b_loc ~kind:"boxed-return"
+                (Printf.sprintf
+                   "returns %s, boxed at every call that is not inlined; mark it [@inline]"
+                   (Format.asprintf "%a" Printtyp.type_expr ty))
+            | _ -> ()
           end)
         ui.ui_bindings)
     idx.units;

@@ -5,7 +5,10 @@
    mixes the output with [Int64] operations.  ocamlopt keeps let-bound
    [int64] locals unboxed, and [step] is inlined into each entry point,
    which slices its result to an [int] or [bool] there: a draw
-   allocates nothing.  The regression suite holds every entry point to
+   allocates nothing.  [float] is [@inline] as well, so its result stays
+   unboxed in the caller; that needs cross-module inlining, which the
+   repository's release build profile allows and [-opaque] forbids.
+   The regression suite holds every entry point to
    a boxed-[Int64] reference and counts the minor words each one
    allocates. *)
 
@@ -50,7 +53,7 @@ let split t =
   split_into t child;
   child
 
-let int t bound =
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Take the high 62 bits (they fit a non-negative OCaml int) modulo the
      bound; the modulo bias is negligible for the bounds used in the
@@ -59,7 +62,7 @@ let int t bound =
 
 let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 
-let float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
+let[@inline] float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.to_int (step t) land 1 = 1
 

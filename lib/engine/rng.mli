@@ -32,8 +32,9 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)].  The draw allocates
-    nothing, but a call that is not inlined boxes its [float] result;
-    per-op samplers use {!bits53} instead. *)
+    nothing: [float] is inlined into its caller, where the result stays
+    unboxed.  A build with [-opaque] cannot inline it across modules,
+    and each call then boxes its result. *)
 
 val bits53 : t -> int
 (** [bits53 t] is the next output's top 53 bits as a non-negative [int]

@@ -42,7 +42,7 @@ let create machine =
    lookups are in cm-lint's declared hot set). *)
 let[@inline never] unknown_id i = invalid_arg (Printf.sprintf "Objspace: unknown object %d" i)
 
-let check t i = if i < 0 || i >= t.size then unknown_id i
+let[@inline] check t i = if i < 0 || i >= t.size then unknown_id i
 
 let grow t =
   let cap = max 16 (2 * Bigarray.Array1.dim t.homes) in
@@ -65,11 +65,11 @@ let register t ~home state =
   t.size <- t.size + 1;
   id
 
-let home t i =
+let[@inline] home t i =
   check t i;
   Bigarray.Array1.unsafe_get t.homes i
 
-let state t i =
+let[@inline] state t i =
   check t i;
   Obj.obj (Array.unsafe_get t.payload i)
 

@@ -27,7 +27,7 @@ let () =
 
 (* The fixture modules are not in the real hot set; the pass is
    exercised with a hot-set naming the spin_* functions (and
-   deliberately not cold_pair). *)
+   deliberately not cold_pair or cold_ratio). *)
 let hot_spec =
   [
     {
@@ -35,6 +35,12 @@ let hot_spec =
       s_names =
         [ "spin_closure"; "spin_pair"; "spin_floats"; "spin_partial"; "spin_take";
           "spin_drive"; "spin_fn_read" ];
+    };
+    {
+      Hot_alloc.s_unit = "Lint_fixtures.Fixture_boxed";
+      s_names =
+        [ "spin_ratio"; "spin_mix"; "spin_word"; "spin_native"; "spin_scaled"; "spin_wide";
+          "spin_fun"; "spin_count" ];
     };
   ]
 
@@ -154,7 +160,7 @@ let test_alias_evasion () =
     ~msg:"Cm_machine.Network.send" (findings ());
   let syn = Lazy.force syntactic_only in
   Alcotest.(check int)
-    "syntactic pass scanned the fixtures" 6 syn.Driver.files_scanned;
+    "syntactic pass scanned the fixtures" 7 syn.Driver.files_scanned;
   check_absent "syntactic pass is blind to N.send" ~rule:"raw-send" syn.Driver.findings
 
 (* ------------------------------------------------------------------ *)
@@ -205,6 +211,29 @@ let test_hot_alloc () =
     ~detail:"partial-apply" ~context:"spin_drive" fs;
   check_absent "closure indexed out of an array" ~rule:"hot-alloc" ~detail:"partial-apply"
     ~context:"spin_fn_read" fs
+
+(* A hot function returning a float or a boxed integer allocates the
+   result at every call that is not inlined, although its body holds no
+   allocation the expression walk can see; only [@inline] or
+   [@inline always] clears it. *)
+let test_hot_alloc_boxed_return () =
+  let fs = findings () in
+  List.iter
+    (fun (name, ty) ->
+      check_found
+        (Printf.sprintf "%s returning %s reported" name ty)
+        ~file:"fixture_boxed.ml" ~rule:"hot-alloc" ~detail:"boxed-return"
+        ~context:("Fixture_boxed." ^ name) ~msg:("returns " ^ ty) fs)
+    [
+      ("spin_ratio", "float"); ("spin_mix", "int64"); ("spin_word", "Int32.t");
+      ("spin_native", "nativeint");
+    ];
+  List.iter
+    (fun name ->
+      check_absent
+        (Printf.sprintf "%s not reported" name)
+        ~rule:"hot-alloc" ~detail:"boxed-return" ~context:("Fixture_boxed." ^ name) fs)
+    [ "spin_scaled"; "spin_wide"; "spin_fun"; "spin_count"; "cold_ratio" ]
 
 (* A hot set naming a binding that does not exist (deleted or renamed)
    must be reported, not silently ignored: otherwise the function falls
@@ -315,6 +344,7 @@ let () =
       ( "hot-alloc",
         [
           Alcotest.test_case "custom hot-set" `Quick test_hot_alloc;
+          Alcotest.test_case "boxed numeric return" `Quick test_hot_alloc_boxed_return;
           Alcotest.test_case "stale hot-set names" `Quick test_hot_alloc_stale_names;
         ] );
       ( "output",

@@ -250,9 +250,11 @@ let minor_words_of f =
 (* Every per-op draw must allocate nothing: this holds only while
    [Rng.step]'s [int64] locals stay unboxed and it is inlined into each
    entry point, which the typed hot-alloc lint cannot see.  [Rng.float]
-   is the one exception, and only for its result: a [float] returned
-   across a module boundary is boxed (two words) unless the call is
-   inlined, which the default build's [-opaque] rules out. *)
+   also guards the build: a [float] returned across a module boundary
+   is boxed (two words per call) unless the call is inlined, and
+   ocamlopt inlines across modules only without [-opaque].  The
+   release profile that dune-workspace selects leaves [-opaque] out;
+   built with [-opaque] again (dune's dev profile), this case fails. *)
 let test_samplers_allocate_nothing () =
   let draws = 100_000 in
   let r = Rng.create ~seed:5 and dst = Rng.create ~seed:0 in
@@ -266,16 +268,10 @@ let test_samplers_allocate_nothing () =
       for _ = 1 to draws do
         acc := !acc lxor Rng.bits53 r
       done);
-  let float_words =
-    minor_words_of (fun () ->
-        for _ = 1 to draws do
-          if Rng.float r 1.0 < 0.5 then incr acc
-        done)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "Rng.float: %.0f words, at most its boxed results" float_words)
-    true
-    (float_words <= float_of_int (2 * draws));
+  check "Rng.float" (fun () ->
+      for _ = 1 to draws do
+        if Rng.float r 1.0 < 0.5 then incr acc
+      done);
   check "Rng.bool" (fun () ->
       for _ = 1 to draws do
         if Rng.bool r then incr acc
