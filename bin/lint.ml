@@ -73,6 +73,10 @@ let () =
     | root :: rest -> roots := root :: !roots; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
+  if not (!syntactic || !typed) then begin
+    prerr_endline "cm-lint: --syntactic-only and --typed-only together select no pass";
+    usage ()
+  end;
   let roots = match List.rev !roots with [] -> [ "lib" ] | r -> r in
   let config =
     {

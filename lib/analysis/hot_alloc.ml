@@ -86,8 +86,8 @@ let default =
        pass must catch. *)
     { s_unit = "Cm_runtime.Objspace"; s_names = [ "check"; "home"; "state"; "move" ] };
     (* The flat DHT buckets' scan/write primitives, likewise: every
-       get/put/preload crosses them, and the big-mode A/B probe's >=10x
-       allocation floor depends on their staying allocation-free.
+       get/put/preload crosses them, and test_flatstore's zero-word
+       overwrite floor depends on their staying allocation-free.
        [bkt_grow], the out-of-line growth [bkt_append] calls when a
        bucket's array is full, allocates by design and is absent. *)
     { s_unit = "Cm_apps.Dht";

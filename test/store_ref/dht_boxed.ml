@@ -1,5 +1,5 @@
 (* The pre-PR-8 assoc-list DHT bucket representation (messaging mode
-   only), kept as the boxed side of the bench A/B allocation probe.
+   only), kept as the boxed side of test_flatstore's digest cross-check.
    Costs are computed exactly as the flat [Cm_apps.Dht] computes them —
    [bucket_work] over the entry count, charged before any mutation — so
    a paired run produces the same machine digest while allocating the

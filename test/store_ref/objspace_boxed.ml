@@ -1,11 +1,11 @@
 (* The pre-PR-8 boxed [Objspace] — one mutable record per object —
    kept verbatim as the reference implementation for the flat store's
-   qcheck equivalence oracle and the bench A/B allocation probe.  Note
-   the growth path's latent aliasing hazard this code always had:
-   [Array.make cap { home; state }] fills every spare slot with ONE
-   shared mutable record (masked only because [register] overwrites a
-   slot before it is ever exposed).  The flat store eliminates the
-   hazard by construction; this copy preserves it faithfully. *)
+   qcheck equivalence oracle.  Note the growth path's latent aliasing
+   hazard this code always had: [Array.make cap { home; state }] fills
+   every spare slot with ONE shared mutable record (masked only because
+   [register] overwrites a slot before it is ever exposed).  The flat
+   store eliminates the hazard by construction; this copy preserves it
+   faithfully. *)
 
 open Cm_machine
 

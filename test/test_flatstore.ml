@@ -1,8 +1,10 @@
 (* The flat object space against its boxed reference (kept verbatim in
    store_ref/): qcheck equivalence over random op sequences, a machine-
    digest oracle through objmig-style runs, the growth-aliasing
-   regression the old representation was one refactor away from, and
-   replica bitsets at 1024 processors. *)
+   regression the old representation was one refactor away from, the
+   flat DHT buckets against the assoc-list ones (digest cross-check and
+   a zero-allocation overwrite floor), and replica bitsets at 1024
+   processors. *)
 
 open Cm_engine
 open Cm_machine
@@ -223,6 +225,94 @@ let test_growth_aliasing () =
     rest
 
 (* ------------------------------------------------------------------ *)
+(* DHT: flat int-pair buckets vs the boxed assoc-list reference       *)
+(* ------------------------------------------------------------------ *)
+
+let dht_node_procs = 16
+
+let dht_keys = 20_000
+
+let dht_buckets = 1_024
+
+let dht_nodes = Array.init dht_node_procs (fun i -> i)
+
+let flat_dht env =
+  Cm_apps.Dht.create env ~buckets:dht_buckets ~bucket_capacity:64
+    ~mode:(Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) ~node_procs:dht_nodes ()
+
+(* A uniform-key RPC put stream over a preloaded table, from 8
+   requesters for 120,000 cycles; [make] builds the table and returns
+   its preload and put.  The digest and op count of the run. *)
+let dht_put_run make =
+  let requesters = 8 and horizon = 120_000 in
+  let m = Machine.create ~seed:42 ~n_procs:(dht_node_procs + requesters) ~costs () in
+  let preload, put = make (Cm_apps.Sysenv.make m) in
+  for k = 0 to dht_keys - 1 do
+    preload ~key:k ~value:k
+  done;
+  let request _ =
+    let* r = Thread.rng in
+    let key = Rng.int r dht_keys in
+    put ~key ~value:key
+  in
+  let metrics =
+    Cm_workload.Driver.run m
+      { Cm_workload.Driver.requesters; first_proc = dht_node_procs; think = 0;
+        warmup = horizon / 5; horizon }
+      request
+  in
+  (Machine.digest m, metrics.Cm_workload.Metrics.ops)
+
+(* Both representations charge identical costs over identical request
+   streams, so the machines must end bit-identical: the boxed reference
+   is cost-identical to the live store, and a representation change
+   that moves simulated time fails here. *)
+let test_dht_digest_cross_check () =
+  let flat_digest, flat_ops =
+    dht_put_run (fun env ->
+        let t = flat_dht env in
+        (Cm_apps.Dht.preload t, Cm_apps.Dht.put t))
+  in
+  let boxed_digest, boxed_ops =
+    dht_put_run (fun env ->
+        let t =
+          Store_ref.Dht_boxed.create env.Cm_apps.Sysenv.prelude ~buckets:dht_buckets
+            ~bucket_capacity:64 ~access:Cm_core.Prelude.Rpc ~node_procs:dht_nodes ()
+        in
+        (Store_ref.Dht_boxed.preload t, Store_ref.Dht_boxed.put t))
+  in
+  Alcotest.(check bool) "ops completed" true (flat_ops > 0);
+  Alcotest.(check int) "op count" boxed_ops flat_ops;
+  Alcotest.(check string) "machine digest" boxed_digest flat_digest
+
+(* Flat buckets overwrite a value in place: after a warm prefix, a
+   stream of overwrites allocates nothing (the assoc-list buckets
+   rebuild O(position) cells per update). *)
+let test_dht_overwrite_allocates_nothing () =
+  let warm_ops = 50_000 and measured_ops = 150_000 in
+  let stream =
+    let r = Rng.create ~seed:7 in
+    Array.init (warm_ops + measured_ops) (fun _ -> Rng.int r dht_keys)
+  in
+  let t = flat_dht (Cm_apps.Sysenv.make (Machine.create ~seed:42 ~n_procs:dht_node_procs ~costs ())) in
+  for k = 0 to dht_keys - 1 do
+    Cm_apps.Dht.preload t ~key:k ~value:k
+  done;
+  for j = 0 to warm_ops - 1 do
+    Cm_apps.Dht.preload t ~key:stream.(j) ~value:(stream.(j) lxor j)
+  done;
+  let before = Gc.minor_words () in
+  for j = warm_ops to warm_ops + measured_ops - 1 do
+    Cm_apps.Dht.preload t ~key:stream.(j) ~value:(stream.(j) lxor j)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 150,000 overwrites" 0. words;
+  let last = warm_ops + measured_ops - 1 in
+  Alcotest.(check (option int)) "last overwrite landed"
+    (Some (stream.(last) lxor last))
+    (Cm_apps.Dht.peek t stream.(last))
+
+(* ------------------------------------------------------------------ *)
 (* Replicate: presence bitset at 1024 processors                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -291,6 +381,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest [ prop_store_equivalence; prop_objmig_digest_oracle ]
       );
       ("aliasing", [ Alcotest.test_case "growth boundary" `Quick test_growth_aliasing ]);
+      ( "dht",
+        [
+          Alcotest.test_case "flat = boxed digest" `Quick test_dht_digest_cross_check;
+          Alcotest.test_case "overwrites allocate 0" `Quick test_dht_overwrite_allocates_nothing;
+        ] );
       ( "replicate",
         [
           Alcotest.test_case "bitset at 1024 procs" `Quick test_replicate_bitset_1024;

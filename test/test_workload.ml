@@ -215,6 +215,63 @@ let test_registry_complete () =
   Alcotest.(check bool) "unknown id" true (Registry.find "table9" = None)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation ceilings                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words one experiment run allocates: one warm run, then the
+   [Gc.minor_words] delta of the next.  [Gc.minor_words] reads the
+   allocation pointer, so even table5's single migration reads above 0;
+   allocation is deterministic, so one measured run is exact.
+
+   The ceilings pin the frame engine's allocation levels (measured:
+   fig2 21,076, table1 590,517, dht_zipf 145,621, social_graph 13,302,
+   table5 2,398 words per run): a hot path that starts allocating a
+   closure per event again, the generic scope/call path reappearing on
+   the per-object method-site path, or a sampler boxing its Int64 state
+   per draw blows through them.  fig2/table1 run 32 requesters / zero
+   think over a 60,000-cycle horizon with a 10,000-cycle warm-up (so
+   start-up dominates); dht_zipf and social_graph run at their quick
+   sizes. *)
+let minor_words_of_run run =
+  ignore (run ());
+  let before = Gc.minor_words () in
+  ignore (run ());
+  Gc.minor_words () -. before
+
+let cp = Scheme.Cp { hw = false; repl = false }
+
+let alloc_runs =
+  [
+    ( "fig2 counting",
+      1.0e5,
+      fun () ->
+        Counting_run.run cp
+          { Counting_run.default with Counting_run.requesters = 32; horizon = 60_000; warmup = 10_000 }
+    );
+    ( "table1 btree",
+      7.1e5,
+      fun () ->
+        Btree_run.run cp { Btree_run.default with Btree_run.think = 0; horizon = 60_000; warmup = 10_000 }
+    );
+    ( "dht_zipf hot keys",
+      3.5e5,
+      fun () -> Dht_zipf.measure ~quick:true (Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) 1.3 );
+    ( "social_graph walks",
+      4.0e4,
+      fun () -> Social_bench.measure ~quick:true Social_bench.Walk Cm_core.Prelude.Migrate );
+  ]
+
+let test_alloc_ceiling ceiling run () =
+  let words = minor_words_of_run run in
+  if not (words > 0. && words <= ceiling) then
+    Alcotest.failf "%.0f minor words/run, expected in (0, %.1e]: a hot path regressed to allocating"
+      words ceiling
+
+let test_table5_allocates () =
+  let words = minor_words_of_run Table5.measure_one_migration in
+  Alcotest.(check bool) "table5 minor words/run > 0" true (words > 0.)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "cm_workload"
@@ -250,4 +307,10 @@ let () =
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "detail report" `Quick test_detail_report;
         ] );
+      ( "alloc",
+        List.map
+          (fun (name, ceiling, run) ->
+            Alcotest.test_case (name ^ " ceiling") `Quick (test_alloc_ceiling ceiling run))
+          alloc_runs
+        @ [ Alcotest.test_case "table5 allocates" `Quick test_table5_allocates ] );
     ]
