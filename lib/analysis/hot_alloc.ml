@@ -1,10 +1,10 @@
 (* Hot-path allocation pass.
 
-   ROADMAP item 5 (zero-allocation continuations) needs an *enforced
-   floor*, not a one-off audit: once a hot function is allocation-free,
-   CI must fail when an allocation site reappears.  This pass walks the
-   declared hot-path set and reports every allocation the Typedtree
-   shows:
+   The zero-allocation hot paths (DESIGN.md §14, "Pass: hot-alloc")
+   need an *enforced floor*, not a one-off audit: once a hot function
+   is allocation-free, CI must fail when an allocation site reappears.
+   This pass walks the declared hot-path set and reports every
+   allocation the Typedtree shows:
 
      closure        a [fun]/[function] nested inside a hot body (the
                     outermost curried chain of the definition itself is
@@ -93,6 +93,12 @@ let default =
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
                   "bkt_append"; "ms_bucket" ] };
+    (* The social graph's 32-bit CSR reads: every walk hop reads a
+       degree and a friend, and every visit its degree again.  [get32]
+       returns an [int32], so the boxed-return check holds it to
+       [@inline]. *)
+    { s_unit = "Cm_apps.Social_graph";
+      s_names = [ "get32"; "read"; "deg"; "degree"; "friend"; "visit"; "visit_frame_body" ] };
     (* The call path: the one RPC issue step [rpc_call], the one return
        step [return_home], and the fused per-object method-site steps,
        the RPC server stub [msite_serve] and the tail re-entry

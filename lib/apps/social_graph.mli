@@ -1,8 +1,9 @@
 (** A social-graph traversal workload over the flat object space.
 
-    [n] users, each one index in the prelude's object store, with
-    CSR adjacency (two flat int arrays) — a million-user graph is four
-    int vectors, no per-user records.  Edge targets are Zipf-skewed so
+    [n] users, one contiguous block of ids in the prelude's object
+    store, with CSR adjacency in two flat vectors of 32-bit entries — a
+    million-user graph is its offsets and edge targets, no per-user
+    records and no handle map.  Edge targets are Zipf-skewed so
     low-numbered users are celebrity hubs, as in real follower graphs.
 
     Two traversals exercise the mechanisms differently: {!walk} chains
@@ -32,7 +33,11 @@ val create :
     [node_procs].  Degrees are uniform in [[1, 2*avg_degree)] (default
     average 8); edge targets follow Zipf([skew]) (default 0.8).  Every
     visit runs through the graph's {!Cm_runtime.Runtime.msite}
-    method-sites — allocation-free steady state. *)
+    method-sites — allocation-free steady state.
+    @raise Invalid_argument if [n < 1], [avg_degree < 1], [node_procs]
+    is empty, [n >= 2^31] or [n * (2 * avg_degree - 1) >= 2^31] (the
+    largest possible edge count must fit 32 bits); the size checks come
+    before anything is allocated. *)
 
 val n_users : t -> int
 

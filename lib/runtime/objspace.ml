@@ -44,8 +44,9 @@ let[@inline never] unknown_id i = invalid_arg (Printf.sprintf "Objspace: unknown
 
 let[@inline] check t i = if i < 0 || i >= t.size then unknown_id i
 
-let grow t =
-  let cap = max 16 (2 * Bigarray.Array1.dim t.homes) in
+(* Reallocate both arrays at capacity [cap] (>= [t.size]), keeping
+   every registered object. *)
+let resize t cap =
   let homes = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
   for k = 0 to t.size - 1 do
     Bigarray.Array1.unsafe_set homes k (Bigarray.Array1.unsafe_get t.homes k)
@@ -54,6 +55,16 @@ let grow t =
   Array.blit t.payload 0 payload 0 t.size;
   t.homes <- homes;
   t.payload <- payload
+
+let grow t = resize t (max 16 (2 * Bigarray.Array1.dim t.homes))
+
+(* Exactly [size + n] slots, so a caller that knows its object count
+   registers them with no doubling and no outgrown arrays left for the
+   GC: at 10^6 objects the payload array alone is 7.6 MiB, and the
+   doublings' garbage counts in the peak heap. *)
+let reserve t n =
+  if n < 0 then invalid_arg "Objspace.reserve: negative count";
+  if t.size + n > Bigarray.Array1.dim t.homes then resize t (t.size + n)
 
 let register t ~home state =
   if home < 0 || home >= Machine.n_procs t.machine then

@@ -21,7 +21,19 @@ val create : Machine.t -> 'state t
 
 val register : 'state t -> home:int -> 'state -> id
 (** [register t ~home state] allocates a fresh identifier for an object
-    living on processor [home] with payload [state]. *)
+    living on processor [home] with payload [state].  Identifiers are
+    consecutive: the [k]-th registration into a space returns [k - 1],
+    so [n] objects registered one after another, starting when
+    [count t = b], get the ids [b] to [b + n - 1], and a caller may name
+    them by offset from [b]. *)
+
+val reserve : 'state t -> int -> unit
+(** [reserve t n] makes room for [n] more objects, so the next [n]
+    {!register} calls never grow the store.  When the store must grow,
+    its capacity becomes exactly [count t + n]; when [n] objects
+    already fit, nothing changes.  Identifiers and homes are not
+    affected.
+    @raise Invalid_argument if [n < 0]. *)
 
 val home : 'state t -> id -> int
 (** [home t i] is the object's home processor. *)

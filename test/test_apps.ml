@@ -1,5 +1,6 @@
 (* Tests for the applications: the bitonic counting network and the
-   distributed B-link tree, under all three remote-access mechanisms. *)
+   distributed B-link tree, under all three remote-access mechanisms,
+   and the social graph's storage and walks. *)
 
 open Cm_machine
 open Cm_apps
@@ -693,6 +694,118 @@ let test_btree_minor_words_floor () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Social graph                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The graph as plain int arrays, built from the same stream as
+   [Social_graph.create]: degrees from [Rng.int], then the Zipf edge
+   targets, then the multiplicative-hash homes. *)
+let social_reference ~seed ~n ~avg_degree ~skew ~node_procs =
+  let rng = Cm_engine.Rng.create ~seed in
+  let offsets = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    offsets.(u + 1) <- offsets.(u) + 1 + Cm_engine.Rng.int rng ((2 * avg_degree) - 1)
+  done;
+  let z = Cm_engine.Zipf.create ~s:skew ~n in
+  let edges = Array.init offsets.(n) (fun _ -> Cm_engine.Zipf.sample z rng) in
+  let k = Array.length node_procs in
+  let homes = Array.init n (fun u -> node_procs.(abs (u * 2654435761) mod k)) in
+  (offsets, edges, homes)
+
+let social_node_procs = Array.init 16 (fun i -> i)
+
+let check_social_matches_reference ~seed ~n g =
+  let offsets, edges, homes =
+    social_reference ~seed ~n ~avg_degree:8 ~skew:0.8 ~node_procs:social_node_procs
+  in
+  let ctx = Printf.sprintf "seed %d, n %d" seed n in
+  Alcotest.(check int) (ctx ^ ": n_users") n (Social_graph.n_users g);
+  for u = 0 to n - 1 do
+    let d = offsets.(u + 1) - offsets.(u) in
+    if Social_graph.degree g u <> d then
+      Alcotest.failf "%s: degree %d is %d, expected %d" ctx u (Social_graph.degree g u) d;
+    for j = 0 to d - 1 do
+      if Social_graph.friend g u j <> edges.(offsets.(u) + j) then
+        Alcotest.failf "%s: friend %d of %d is %d, expected %d" ctx j u
+          (Social_graph.friend g u j) edges.(offsets.(u) + j)
+    done;
+    if Social_graph.home g u <> homes.(u) then
+      Alcotest.failf "%s: home of %d is %d, expected %d" ctx u (Social_graph.home g u) homes.(u)
+  done
+
+let social_graph ?(before = 0) ~seed ~n () =
+  let e = env ~n:20 () in
+  (* Objects registered ahead of the graph move its id block off 0. *)
+  for i = 1 to before do
+    ignore (Cm_core.Prelude.make_obj e.Sysenv.prelude ~home:(19 - (i mod 4)) i : int Cm_core.Prelude.obj)
+  done;
+  (e, Social_graph.create e ~n ~node_procs:social_node_procs ~seed ())
+
+let test_social_matches_reference () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun n ->
+          let _, g = social_graph ~seed ~n () in
+          check_social_matches_reference ~seed ~n g)
+        [ 1; 2; 4000 ])
+    [ 1; 7; 42 ]
+
+(* Four walks from processors 16-19; returns their visited-degree sums
+   and the machine's finishing cycle and message count. *)
+let run_social_walks (e, g) access =
+  let sums = Array.make 4 (-1) in
+  for r = 0 to 3 do
+    Machine.spawn e.Sysenv.machine ~on:(16 + r)
+      (let+ s = Social_graph.walk g ~access ~start:(r * 97 mod Social_graph.n_users g) ~steps:12 in
+       sums.(r) <- s)
+  done;
+  Machine.run e.Sysenv.machine;
+  (sums, Machine.now e.Sysenv.machine, Network.total_messages e.Sysenv.machine.Machine.net)
+
+(* A graph whose users are not ids 0..n-1: homes still follow the user
+   index, and every visit reaches the same processor, so the simulated
+   run is identical to a graph registered first. *)
+let test_social_offset_ids () =
+  let _, g = social_graph ~before:37 ~seed:7 ~n:4000 () in
+  check_social_matches_reference ~seed:7 ~n:4000 g;
+  List.iter
+    (fun access ->
+      let fresh = run_social_walks (social_graph ~seed:7 ~n:4000 ()) access in
+      let offset = run_social_walks (social_graph ~before:37 ~seed:7 ~n:4000 ()) access in
+      Alcotest.(check bool) "same sums, cycles and messages" true (fresh = offset))
+    [ Cm_core.Prelude.Rpc; Cm_core.Prelude.Migrate ]
+
+let test_social_walk_mechanisms_agree () =
+  let rpc, _, rpc_msgs = run_social_walks (social_graph ~seed:42 ~n:4000 ()) Cm_core.Prelude.Rpc in
+  let mig, _, mig_msgs =
+    run_social_walks (social_graph ~seed:42 ~n:4000 ()) Cm_core.Prelude.Migrate
+  in
+  Alcotest.(check (array int)) "visited-degree sums" rpc mig;
+  (* Twelve visits of degree >= 1 each. *)
+  Array.iter (fun s -> Alcotest.(check bool) "sum >= steps" true (s >= 12)) rpc;
+  Alcotest.(check bool) "migration sends fewer messages" true (mig_msgs < rpc_msgs)
+
+(* Graphs whose values would not fit 32 bits are refused before any
+   vector is allocated: the arrays would be 8 GiB and 512 MiB here. *)
+let test_social_size_guards () =
+  let e = env ~n:20 () in
+  let refused ~n ~avg_degree msg =
+    let before = Gc.allocated_bytes () in
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Social_graph.create e ~n ~avg_degree ~node_procs:social_node_procs ~seed:1 ()));
+    let bytes = Gc.allocated_bytes () -. before in
+    if bytes > 65536. then Alcotest.failf "%s: %.0f bytes allocated before refusing" msg bytes
+  in
+  refused ~n:(1 lsl 31) ~avg_degree:8 "Social_graph.create: n must be below 2^31";
+  refused ~n:(1 lsl 27) ~avg_degree:16
+    "Social_graph.create: n * (2 * avg_degree - 1) must be below 2^31";
+  refused ~n:1 ~avg_degree:max_int
+    "Social_graph.create: n * (2 * avg_degree - 1) must be below 2^31";
+  Alcotest.(check int) "no user registered" 0
+    (Cm_runtime.Objspace.count (Cm_core.Prelude.space e.Sysenv.prelude))
+
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let () =
@@ -717,6 +830,13 @@ let () =
           Alcotest.test_case "rpc ~2x messages" `Quick test_counting_rpc_twice_the_messages;
           Alcotest.test_case "sm bandwidth highest" `Quick test_counting_sm_bandwidth_highest;
           Alcotest.test_case "bad wire" `Quick test_counting_bad_wire;
+        ] );
+      ( "social_graph",
+        [
+          Alcotest.test_case "matches reference" `Quick test_social_matches_reference;
+          Alcotest.test_case "ids offset by earlier objects" `Quick test_social_offset_ids;
+          Alcotest.test_case "walk rpc = migrate" `Quick test_social_walk_mechanisms_agree;
+          Alcotest.test_case "size guards" `Quick test_social_size_guards;
         ] );
       ( "btree_node",
         [

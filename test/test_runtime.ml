@@ -69,6 +69,62 @@ let test_objspace_growth () =
       Alcotest.(check int) "state survives growth" (i * 2) (Objspace.state space id))
     ids
 
+(* Words allocated by [f ()], direct major allocations included (a
+   payload array of more than 256 slots goes straight to the major
+   heap).  The two clock reads box a float each. *)
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let register_n space n =
+  for i = 1 to n do
+    ignore (Objspace.register space ~home:(i mod 8) (-i))
+  done
+
+let test_objspace_reserve_keeps () =
+  let m = machine () in
+  let space = Objspace.create m in
+  let early = List.init 20 (fun i -> Objspace.register space ~home:(i mod 8) (i * 3)) in
+  List.iteri (fun i (id : Objspace.id) -> Alcotest.(check int) "ids are consecutive" i (id :> int)) early;
+  Objspace.reserve space 1000;
+  Alcotest.(check int) "count unchanged" 20 (Objspace.count space);
+  List.iteri
+    (fun i id ->
+      Alcotest.(check int) "home survives reserve" (i mod 8) (Objspace.home space id);
+      Alcotest.(check int) "state survives reserve" (i * 3) (Objspace.state space id))
+    early;
+  Alcotest.(check int) "next id follows" 20 (Objspace.register space ~home:1 7 :> int)
+
+(* After [reserve t n] on a space of [size] objects the capacity is
+   exactly [size + n]: [n] registrations allocate nothing and the next
+   one grows the arrays. *)
+let test_objspace_reserve_exact () =
+  let m = machine () in
+  let space = Objspace.create m in
+  register_n space 5;
+  Objspace.reserve space 3000;
+  let w = words_allocated (fun () -> register_n space 3000) in
+  if w > 16. then Alcotest.failf "%.0f words allocated by 3000 reserved registrations" w;
+  let w = words_allocated (fun () -> register_n space 1) in
+  if w < 3005. then Alcotest.failf "registration past the reserve allocated only %.0f words" w;
+  Alcotest.(check int) "count" 3006 (Objspace.count space)
+
+let test_objspace_reserve_validates () =
+  let m = machine () in
+  let space = Objspace.create m in
+  Alcotest.check_raises "negative" (Invalid_argument "Objspace.reserve: negative count") (fun () ->
+      Objspace.reserve space (-1));
+  Objspace.reserve space 500;
+  register_n space 100;
+  (* 400 slots are left: a reserve they cover changes nothing. *)
+  let w = words_allocated (fun () -> Objspace.reserve space 400; Objspace.reserve space 0) in
+  if w > 16. then Alcotest.failf "%.0f words allocated by a reserve that fits" w;
+  let w = words_allocated (fun () -> register_n space 400) in
+  if w > 16. then Alcotest.failf "%.0f words allocated inside the first reserve" w;
+  let w = words_allocated (fun () -> register_n space 1) in
+  if w < 500. then Alcotest.failf "capacity changed: growth allocated only %.0f words" w
+
 let test_prelude_proc_at_base () =
   let m = machine () in
   let p = Prelude.create m in
@@ -1421,6 +1477,9 @@ let () =
           Alcotest.test_case "unknown" `Quick test_objspace_unknown;
           Alcotest.test_case "iter" `Quick test_objspace_iter;
           Alcotest.test_case "growth" `Quick test_objspace_growth;
+          Alcotest.test_case "reserve keeps objects" `Quick test_objspace_reserve_keeps;
+          Alcotest.test_case "reserve is exact" `Quick test_objspace_reserve_exact;
+          Alcotest.test_case "reserve validates" `Quick test_objspace_reserve_validates;
         ] );
       ( "call",
         [
