@@ -148,6 +148,10 @@ let default =
     { s_unit = "Cm_engine.Rng";
       s_names = [ "set_state"; "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };
+    (* The counter-handle updates behind every message, dispatch and
+       coherence event.  The string API's [add]/[incr] create a cell on
+       a miss and stay out. *)
+    { s_unit = "Cm_engine.Stats"; s_names = [ "counter_add"; "counter_incr" ] };
   ]
 
 let in_hot_set specs (b : Cmt_index.binding) (ui : Cmt_index.unit_info) =

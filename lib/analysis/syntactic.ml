@@ -171,8 +171,7 @@ let check_expr st (e : Parsetree.expression) =
            (String.concat "." path));
     if printing_ident path then
       report st ~line ~rule:"printf"
-        (Printf.sprintf "%s prints from library code; route through Cm_engine.Trace or the \
-                         report layer"
+        (Printf.sprintf "%s prints from library code; route through the report layer"
            (String.concat "." path));
     if
       path = [ "compare" ]

@@ -134,8 +134,7 @@ let run (idx : Cmt_index.t) =
           if printing canon then
             add ~line ~rule:"printf"
               (Printf.sprintf
-                 "%s prints from library code; route through Cm_engine.Trace or the \
-                  report layer"
+                 "%s prints from library code; route through the report layer"
                  canon);
           if
             canon = "compare"

@@ -9,8 +9,8 @@ type t = {
 (* The coherent-memory substrate is built on first use: it allocates a
    cache per processor, which the message-passing modes (RPC,
    computation migration) never touch.  Construction has no observable
-   side effect — its counters register lazily too — so forcing it late
-   is invisible to the statistics and the selfcheck digests. *)
+   side effect — its counters are listed only once written — so forcing
+   it late is invisible to the statistics and the selfcheck digests. *)
 let make ?shmem_config machine =
   {
     machine;

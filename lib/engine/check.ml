@@ -100,12 +100,6 @@ module Trail = struct
     List.iter
       (fun (name, v) -> Buffer.add_string b (Printf.sprintf " %s=%d" name v))
       (Stats.counters stats);
-    List.iter
-      (fun (name, s) ->
-        Buffer.add_string b
-          (Printf.sprintf " %s:n=%d,sum=%h,min=%h,max=%h" name s.Stats.count s.Stats.sum
-             s.Stats.min s.Stats.max))
-      (Stats.distributions stats);
     Digest.to_hex (Digest.string (Buffer.contents b))
 
   let record_run ~clock ~fired ~stats =

@@ -1,10 +1,10 @@
 (** Runtime sanitizers for the simulation stack.
 
     [Check] is the dynamic half of the correctness tooling (the static
-    half is [bin/lint.ml]).  It is a toggleable checking layer in the
-    spirit of {!Trace}: when disabled (the default) every hook is a
-    single flag test and the instrumented code paths are unchanged, so
-    production runs pay nothing.  When enabled, subsystems verify their
+    half is [bin/lint.ml]).  It is a toggleable checking layer: when
+    disabled (the default) every hook is a single flag test and the
+    instrumented code paths are unchanged, so production runs pay
+    nothing.  When enabled, subsystems verify their
     own invariants on every transition and raise {!Violation} at the
     first breach:
 
@@ -100,7 +100,7 @@ module Trail : sig
 
   val digest_of_run : clock:int -> fired:int -> stats:Stats.t -> string
   (** The digest itself (an MD5 hex string over the final clock, event
-      count, and every counter and distribution, name-sorted). *)
+      count, and every written counter, name-sorted). *)
 
   val trail : unit -> string list
   (** All digests recorded so far on this domain, in run order. *)

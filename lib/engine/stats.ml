@@ -1,148 +1,50 @@
-type summary = { count : int; sum : float; min : float; max : float }
+(* One cell per name, created by the first lookup through either API and
+   shared by every later one: a handle is the cell itself.  [written]
+   keeps the listing — and so every run digest — to the names actually
+   written, as if cells were made on first write: a name resolved at
+   construction but never written stays out, one written with 0 is in. *)
+type counter = { name : string; mutable value : int; mutable written : bool }
 
-(* Accumulator cells stored in the registry tables.  Handles (below) bind
-   to these cells so hot paths touch a bare ref/record, not the table. *)
-type dist_cell = {
-  mutable d_count : int;
-  mutable d_sum : float;
-  mutable d_min : float;
-  mutable d_max : float;
-}
+type t = (string, counter) Hashtbl.t
 
-type t = { counters : (string, int ref) Hashtbl.t; dists : (string, dist_cell) Hashtbl.t }
+let create () : t = Hashtbl.create 64
 
-let create () = { counters = Hashtbl.create 64; dists = Hashtbl.create 16 }
+let counter t name =
+  match Hashtbl.find t name with
+  | c -> c
+  | exception Not_found ->
+    let c = { name; value = 0; written = false } in
+    Hashtbl.add t name c;
+    c
 
-let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.add t.counters name r;
-    r
+(* The handle updates, under names of their own so cm-lint's hot set
+   can hold them allocation-free without also naming the string API. *)
+let[@inline] counter_add c n =
+  c.value <- c.value + n;
+  c.written <- true
 
-let incr t name = Stdlib.incr (counter_ref t name)
+let[@inline] counter_incr c = counter_add c 1
 
-let add t name n =
-  let r = counter_ref t name in
-  r := !r + n
+let incr t name = counter_incr (counter t name)
 
-let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let add t name n = counter_add (counter t name) n
 
-let dist_cell t name =
-  match Hashtbl.find_opt t.dists name with
-  | Some d -> d
-  | None ->
-    let d = { d_count = 0; d_sum = 0.; d_min = infinity; d_max = neg_infinity } in
-    Hashtbl.add t.dists name d;
-    d
-
-let observe_cell d v =
-  d.d_count <- d.d_count + 1;
-  d.d_sum <- d.d_sum +. v;
-  if v < d.d_min then d.d_min <- v;
-  if v > d.d_max then d.d_max <- v
-
-let observe t name v = observe_cell (dist_cell t name) v
-
-(* --- Interned handles ---------------------------------------------- *)
-
-(* A handle memoizes the registry cell for one name so that steady-state
-   updates are a single branch plus a ref update — no hashing, no string
-   traversal.  Binding to the registry is lazy: creating a handle does
-   NOT create the counter.  A name only appears in listings/merges/
-   digests once it is first written, through either API, exactly as the
-   string API behaves — so pre-resolving handles at subsystem
-   construction time cannot perturb reports or determinism digests. *)
-
-type counter = { c_stats : t; c_name : string; mutable c_cell : int ref option }
-
-let counter t name = { c_stats = t; c_name = name; c_cell = Hashtbl.find_opt t.counters name }
+let get t name = match Hashtbl.find t name with c -> c.value | exception Not_found -> 0
 
 module Counter = struct
-  let name c = c.c_name
+  let add = counter_add
 
-  let cell c =
-    match c.c_cell with
-    | Some r -> r
-    | None ->
-      (* Bind to the registry's cell (adopting one the string API may
-         have created since the handle was made). *)
-      let r = counter_ref c.c_stats c.c_name in
-      c.c_cell <- Some r;
-      r
+  let incr = counter_incr
 
-  let add c n =
-    let r = cell c in
-    r := !r + n
+  let get c = c.value
 
-  let incr c =
-    let r = cell c in
-    r := !r + 1
-
-  let get c = match c.c_cell with Some r -> !r | None -> get c.c_stats c.c_name
+  let name c = c.name
 end
 
-type dist = { o_stats : t; o_name : string; mutable o_cell : dist_cell option }
-
-let dist t name = { o_stats = t; o_name = name; o_cell = Hashtbl.find_opt t.dists name }
-
-module Dist = struct
-  let name d = d.o_name
-
-  let cell d =
-    match d.o_cell with
-    | Some c -> c
-    | None ->
-      let c = dist_cell d.o_stats d.o_name in
-      d.o_cell <- Some c;
-      c
-
-  let observe d v = observe_cell (cell d) v
-end
-
-(* --- Read-out ------------------------------------------------------ *)
-
-let summary_of_cell d = { count = d.d_count; sum = d.d_sum; min = d.d_min; max = d.d_max }
-
-let summary t name =
-  match Hashtbl.find_opt t.dists name with
-  | Some d -> summary_of_cell d
-  | None -> { count = 0; sum = 0.; min = infinity; max = neg_infinity }
-
-let mean t name =
-  let s = summary t name in
-  if s.count = 0 then nan else s.sum /. float_of_int s.count
-
-(* The folds below feed a name sort, so the unspecified hashtable order
-   never reaches callers — reports stay byte-stable across runs. *)
+(* The fold feeds a name sort, so the unspecified hashtable order never
+   reaches callers — reports stay byte-stable across runs. *)
 let counters t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters [] (* lint: allow hashtbl-order *)
+  Hashtbl.fold (* lint: allow hashtbl-order *)
+    (fun name c acc -> if c.written then (name, c.value) :: acc else acc)
+    t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let distributions t =
-  Hashtbl.fold (fun name d acc -> (name, summary_of_cell d) :: acc) t.dists [] (* lint: allow hashtbl-order *)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let merge_into ~dst src =
-  (* Merging is commutative (sum/min/max), so iteration order is inert. *)
-  Hashtbl.iter (fun name r -> add dst name !r) src.counters (* lint: allow hashtbl-order *);
-  Hashtbl.iter (* lint: allow hashtbl-order *)
-    (fun name d ->
-      let target = dist_cell dst name in
-      target.d_count <- target.d_count + d.d_count;
-      target.d_sum <- target.d_sum +. d.d_sum;
-      if d.d_min < target.d_min then target.d_min <- d.d_min;
-      if d.d_max > target.d_max then target.d_max <- d.d_max)
-    src.dists
-
-let pp ppf t =
-  let pp_counter ppf (name, v) = Format.fprintf ppf "%s = %d" name v in
-  let pp_dist ppf (name, s) =
-    Format.fprintf ppf "%s: n=%d sum=%g min=%g max=%g" name s.count s.sum s.min s.max
-  in
-  Format.fprintf ppf "@[<v>%a@,%a@]"
-    (Format.pp_print_list pp_counter)
-    (counters t)
-    (Format.pp_print_list pp_dist)
-    (distributions t)

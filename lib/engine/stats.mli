@@ -1,49 +1,46 @@
 (** Measurement counters for a simulation run.
 
-    A [Stats.t] is a registry of named counters and value distributions.
-    Experiments create one registry per run; subsystems record into it and
-    the harness reads it out at the end.  Counters are plain integers
-    (message counts, words sent, cache hits); distributions additionally
-    track min/max/mean for quantities like queue residence times. *)
+    A [Stats.t] is a registry of named integer counters (message counts,
+    words sent, cache hits).  Each machine owns one; subsystems record
+    into it and the harness reads it out at the end of the run. *)
 
 type t
-(** A registry of counters and distributions. *)
+(** A registry of counters. *)
 
 val create : unit -> t
 (** [create ()] is an empty registry. *)
 
-(** {1 Counters} *)
+(** {1 Counters by name} *)
 
 val incr : t -> string -> unit
-(** [incr t name] adds 1 to counter [name], creating it at 0 if absent. *)
+(** [incr t name] adds 1 to counter [name]. *)
 
 val add : t -> string -> int -> unit
-(** [add t name n] adds [n] to counter [name], creating it if absent. *)
+(** [add t name n] adds [n] to counter [name]. *)
 
 val get : t -> string -> int
 (** [get t name] is the current value of counter [name], or 0 if it was
     never written. *)
 
-(** {1 Interned handles}
+(** {1 Handles}
 
-    The string-keyed operations above hash the name on every call.  Hot
-    paths (one update per simulated message or memory access) instead
-    resolve a handle once and update through it: steady-state
-    {!Counter.incr}/{!Counter.add}/{!Dist.observe} are a branch and a
-    ref/record update — no hashing, no allocation.
+    The operations above hash the name on every call.  Hot paths (one
+    update per simulated message or memory access) resolve a handle once
+    instead: {!Counter.incr}/{!Counter.add} are two field writes — no
+    hashing, no allocation.
 
-    Handles bind to the registry lazily: {!counter}/{!dist} do not
-    create the underlying counter, so a name first appears in
-    {!counters}/{!distributions}/{!merge_into} only once it is written —
-    exactly the observable behavior of the string API.  Both APIs may be
-    mixed freely on the same name; they converge on the same cell. *)
+    A handle is the registry's cell for its name, shared by every lookup
+    of that name through either API.  Resolving a handle does not make
+    the name appear in {!counters}: a name is listed once it is first
+    written (with any value, 0 included), exactly as if the cell were
+    created by that write. *)
 
 type counter
-(** An interned handle to one named counter of one registry. *)
+(** The cell of one named counter of one registry. *)
 
 val counter : t -> string -> counter
-(** [counter t name] is a handle to counter [name] of [t].  O(1) updates
-    thereafter; does not create the counter until first written. *)
+(** [counter t name] is the cell of counter [name] of [t], created (but
+    not listed) on the first lookup of [name]. *)
 
 module Counter : sig
   val incr : counter -> unit
@@ -56,57 +53,11 @@ module Counter : sig
   (** [get c] is the current value (0 if never written). *)
 
   val name : counter -> string
-  (** The name the handle was interned under. *)
+  (** The name the cell was created under. *)
 end
-
-type dist
-(** An interned handle to one named distribution of one registry. *)
-
-val dist : t -> string -> dist
-(** [dist t name] is a handle to distribution [name] of [t]; lazy like
-    {!counter}. *)
-
-module Dist : sig
-  val observe : dist -> float -> unit
-  (** [observe d v] records one sample — equivalent to {!val-observe}. *)
-
-  val name : dist -> string
-  (** The name the handle was interned under. *)
-end
-
-(** {1 Distributions} *)
-
-val observe : t -> string -> float -> unit
-(** [observe t name v] records one sample [v] into distribution [name]. *)
-
-type summary = {
-  count : int;
-  sum : float;
-  min : float;  (** [infinity] when [count = 0] *)
-  max : float;  (** [neg_infinity] when [count = 0] *)
-}
-(** Summary of a distribution's samples. *)
-
-val summary : t -> string -> summary
-(** [summary t name] is the current summary of distribution [name]; an
-    all-zero summary if it was never written. *)
-
-val mean : t -> string -> float
-(** [mean t name] is [sum /. count] for distribution [name], or [nan] when
-    no sample was recorded. *)
 
 (** {1 Inspection} *)
 
 val counters : t -> (string * int) list
-(** [counters t] is every counter with its value, sorted by name. *)
-
-val distributions : t -> (string * summary) list
-(** [distributions t] is every distribution with its summary, sorted by
+(** [counters t] is every written counter with its value, sorted by
     name. *)
-
-val merge_into : dst:t -> t -> unit
-(** [merge_into ~dst src] adds every counter and distribution of [src] into
-    [dst]. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp ppf t] prints a human-readable dump of the registry. *)

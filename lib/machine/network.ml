@@ -82,20 +82,13 @@ let contended_latency t ~src ~dst ~wire_words =
   end
   else 1
 
-(* Out of line: the trace line formats (and boxes its optional time)
-   only when event tracing is on. *)
-let[@inline never] trace_send t ~now ~src ~dst ~wire_words ~kind latency =
-  Trace.eventf ~time:now "net: %s %d->%d %dw (%d hops, %d cyc)" kind.k_name src dst wire_words
-    (Topology.hops t.topo ~src ~dst)
-    latency
-
 (* Latency assignment plus all traffic accounting for one message —
    everything a send does except scheduling the delivery, shared by the
    closure ({!send_k}) and pooled-handler ({!post_k}) entry points.  The
    uncontended latency is computed per message from the topology's
    per-processor coordinates (a few loads, no allocation), so the network
    holds no per-pair state unless the contention model is on. *)
-let accounted_latency t ~now ~src ~dst ~words ~kind =
+let accounted_latency t ~src ~dst ~words ~kind =
   if words < 0 then invalid_arg "Network.send: negative size";
   let wire_words = words + t.costs.Costs.header_words in
   let latency =
@@ -106,16 +99,15 @@ let accounted_latency t ~now ~src ~dst ~words ~kind =
   Stats.Counter.incr t.messages_c;
   Stats.Counter.add kind.k_words wire_words;
   Stats.Counter.incr kind.k_messages;
-  if Trace.enabled Trace.Events then trace_send t ~now ~src ~dst ~wire_words ~kind latency;
   latency
 
 let send_k t ~src ~dst ~words ~kind deliver =
-  let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
+  let latency = accounted_latency t ~src ~dst ~words ~kind in
   Sim.after t.sim latency deliver;
   latency
 
 let post_k t ~src ~dst ~words ~kind ~hid ~arg =
-  let latency = accounted_latency t ~now:(Sim.now t.sim) ~src ~dst ~words ~kind in
+  let latency = accounted_latency t ~src ~dst ~words ~kind in
   Sim.post_after t.sim ~delay:latency hid arg;
   latency
 
@@ -128,8 +120,7 @@ let total_words t = Stats.Counter.get t.words_c
 let total_messages t = Stats.Counter.get t.messages_c
 
 (* Per-kind queries go through the interned kind record: no string
-   rebuild or registry hash per call, and a never-sent kind still reads
-   0 (handles bind lazily). *)
+   rebuild or registry hash per call, and a never-sent kind reads 0. *)
 let words_of_kind t name = Stats.Counter.get (kind t name).k_words
 
 let messages_of_kind t name = Stats.Counter.get (kind t name).k_messages

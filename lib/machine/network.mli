@@ -57,8 +57,8 @@ type kind
 
 val kind : t -> string -> kind
 (** [kind t name] interns [name] (idempotent).  The per-kind counters
-    are created lazily on first send, so interning a kind that is never
-    sent leaves the statistics untouched. *)
+    are listed only once a message of the kind is sent, so interning a
+    kind that is never sent leaves the statistics untouched. *)
 
 val kind_name : kind -> string
 (** The label [kind] was interned under. *)

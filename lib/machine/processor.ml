@@ -19,7 +19,7 @@ let unit_arg : Obj.t = Obj.repr 0
 type t = {
   id : int;
   sim : Sim.t;
-  dispatches : Stats.counter;  (* lazily bound — registered on first dispatch *)
+  dispatches : Stats.counter;
   scheduler_cost : int;
   hid : Sim.hid;  (* pooled dispatch handler: pops and runs the ring head *)
   wake_hid : Sim.hid;  (* pooled delayed-enqueue handler: arg = park slot *)

@@ -20,8 +20,8 @@ let create ~n_slots ~line_words ~stats =
     slots = Array.init n_slots (fun _ -> { tag = no_line; st = Shared; data = [||] });
     words_per_line = line_words;
     stats;
-    (* Handles bind lazily: the counters appear in [stats] on the first
-       recorded access, not at cache creation. *)
+    (* The counters are listed in [stats] from the first recorded
+       access, not from cache creation. *)
     hits = Stats.counter stats "cache.hits";
     misses = Stats.counter stats "cache.misses";
   }

@@ -4,11 +4,11 @@ open Thread.Infix
 
 (* Counter handles and message kinds are resolved once here — every
    annotated access counts and sends, so per-call string interning would
-   sit on the hot path.  The handles bind lazily (see Stats), keeping
-   the registered-counter set, and hence the report digests, identical
-   to the string API.  All traffic flows through the machine's
-   [Transport]: the RPC request carries the server computation as its
-   payload, and migrations ship the current continuation. *)
+   sit on the hot path.  A counter is listed only once written (see
+   Stats), so resolving them here leaves the report digests as they
+   were.  All traffic flows through the machine's [Transport]: the RPC
+   request carries the server computation as its payload, and
+   migrations ship the current continuation. *)
 type t = {
   machine : Machine.t;
   tp : Transport.t;
@@ -57,8 +57,6 @@ let transport t = t.tp
 let access_name = function Rpc -> "rpc" | Migrate -> "migrate"
 
 let costs t = t.machine.Machine.costs
-
-let stats t = t.machine.Machine.stats
 
 (* The one RPC issue step: every remote procedure call the runtime
    makes, generic or method-site, counts and sends here.  Saturated, so
@@ -295,7 +293,7 @@ let fetch_residual t ~origin ~words =
          (Thread.compute (Costs.copy_packet c ~words)))
   end
 
-let residual_fetches t = Stats.get (stats t) "rt.residual_fetches"
+let residual_fetches t = Stats.Counter.get t.residual_fetches_c
 
 (* Whole-thread migration (paper S2.3): ship the thread's entire stack,
    permanently relocating it.  No scope bookkeeping applies — there is
@@ -310,10 +308,10 @@ let migrate_thread t ~dst ~stack_words =
       ~words:stack_words ~fresh:true
   end
 
-let thread_migrations t = Stats.get (stats t) "rt.thread_migrations"
+let thread_migrations t = Stats.Counter.get t.thread_migrations_c
 
-let migrations t = Stats.get (stats t) "rt.migrations"
+let migrations t = Stats.Counter.get t.migrations_c
 
-let rpc_calls t = Stats.get (stats t) "rt.rpc_calls"
+let rpc_calls t = Stats.Counter.get t.rpc_calls_c
 
-let local_calls t = Stats.get (stats t) "rt.local_calls"
+let local_calls t = Stats.Counter.get t.local_calls_c

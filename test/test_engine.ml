@@ -407,33 +407,21 @@ let test_stats_listing () =
   Stats.add s "a" 1;
   Alcotest.(check (list (pair string int))) "sorted" [ ("a", 1); ("b", 2) ] (Stats.counters s)
 
-let test_stats_distribution () =
-  let s = Stats.create () in
-  List.iter (Stats.observe s "d") [ 1.0; 5.0; 3.0 ];
-  let sum = Stats.summary s "d" in
-  Alcotest.(check int) "count" 3 sum.Stats.count;
-  Alcotest.(check (float 1e-9)) "sum" 9.0 sum.Stats.sum;
-  Alcotest.(check (float 1e-9)) "min" 1.0 sum.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 5.0 sum.Stats.max;
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.mean s "d")
-
-let test_stats_mean_empty () =
-  let s = Stats.create () in
-  Alcotest.(check bool) "nan mean" true (Float.is_nan (Stats.mean s "none"))
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.add a "c" 1;
-  Stats.add b "c" 2;
-  Stats.add b "only_b" 4;
-  Stats.observe a "d" 1.0;
-  Stats.observe b "d" 9.0;
-  Stats.merge_into ~dst:a b;
-  Alcotest.(check int) "merged counter" 3 (Stats.get a "c");
-  Alcotest.(check int) "new counter" 4 (Stats.get a "only_b");
-  let s = Stats.summary a "d" in
-  Alcotest.(check int) "merged dist count" 2 s.Stats.count;
-  Alcotest.(check (float 1e-9)) "merged max" 9.0 s.Stats.max
+(* A cell resolved but never written is not listed, so the run digest
+   equals that of a registry that never resolved it; writing 0 lists it. *)
+let test_stats_unwritten_unlisted () =
+  let plain = Stats.create () and resolved = Stats.create () in
+  Stats.add plain "a" 1;
+  Stats.add resolved "a" 1;
+  let c = Stats.counter resolved "b" in
+  let digest stats = Check.Trail.digest_of_run ~clock:7 ~fired:3 ~stats in
+  Alcotest.(check (list (pair string int))) "resolved unlisted" [ ("a", 1) ]
+    (Stats.counters resolved);
+  Alcotest.(check string) "digest as if never resolved" (digest plain) (digest resolved);
+  Stats.Counter.add c 0;
+  Alcotest.(check (list (pair string int))) "zero write listed" [ ("a", 1); ("b", 0) ]
+    (Stats.counters resolved);
+  Alcotest.(check bool) "digest moves" true (digest plain <> digest resolved)
 
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                *)
@@ -757,38 +745,6 @@ let prop_sim_cancel_subset =
 
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_levels () =
-  Trace.set_level Trace.Quiet;
-  Alcotest.(check bool) "quiet disables events" false (Trace.enabled Trace.Events);
-  Alcotest.(check bool) "quiet disables debug" false (Trace.enabled Trace.Debug);
-  Trace.set_level Trace.Events;
-  Alcotest.(check bool) "events enabled" true (Trace.enabled Trace.Events);
-  Alcotest.(check bool) "debug still off" false (Trace.enabled Trace.Debug);
-  Trace.set_level Trace.Debug;
-  Alcotest.(check bool) "debug enables events too" true (Trace.enabled Trace.Events);
-  Alcotest.(check bool) "level readable" true (Trace.level () = Trace.Debug);
-  Trace.set_level Trace.Quiet
-
-let test_trace_emit_lazy () =
-  Trace.set_level Trace.Quiet;
-  let evaluated = ref false in
-  Trace.emit Trace.Events (fun () ->
-      evaluated := true;
-      "should not run");
-  Alcotest.(check bool) "closure not evaluated when off" false !evaluated
-
-let test_trace_eventf_lazy () =
-  Trace.set_level Trace.Quiet;
-  let formatted = ref false in
-  (* %t only invokes its printer during formatting, so it observes whether
-     the disabled path really skips the formatting work. *)
-  Trace.eventf "%t" (fun _ppf -> formatted := true);
-  Alcotest.(check bool) "no formatting when off" false !formatted
-
-(* ------------------------------------------------------------------ *)
 (* Heap / Sim edges                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -816,38 +772,20 @@ let test_sim_schedule_inside_handler () =
   Sim.run sim;
   Alcotest.(check (list int)) "nested events fire in order" [ 10; 100; 15 ] (List.rev !fired)
 
-let prop_stats_merge_commutes_on_counters =
-  QCheck.Test.make ~name:"stats merge accumulates counters" ~count:50
-    QCheck.(pair (list (pair (string_of_size (Gen.return 3)) small_int))
-              (list (pair (string_of_size (Gen.return 3)) small_int)))
-    (fun (a_ops, b_ops) ->
-      let a = Stats.create () and b = Stats.create () in
-      List.iter (fun (k, v) -> Stats.add a k v) a_ops;
-      List.iter (fun (k, v) -> Stats.add b k v) b_ops;
-      Stats.merge_into ~dst:a b;
-      List.for_all
-        (fun (k, _) ->
-          let expect =
-            List.fold_left (fun acc (k2, v) -> if k2 = k then acc + v else acc) 0 (a_ops @ b_ops)
-          in
-          Stats.get a k = expect)
-        (a_ops @ b_ops))
-
 (* Observational equivalence of the interned-handle API and the
    string-keyed API: the same interleaving of operations, one registry
    driven through handles wherever possible and one through strings
    only, must yield identical listings — including which names exist at
-   all (handles bind lazily, so interning alone must not register). *)
+   all (a resolved cell is listed only once written, 0 included). *)
 let prop_stats_handles_equal_strings =
   QCheck.Test.make ~name:"interned handles = string API" ~count:200
-    QCheck.(list (triple (int_range 0 3) (int_range 0 5) small_int))
+    QCheck.(list (triple (int_range 0 3) (int_range 0 4) small_int))
     (fun ops ->
       let names = [| "alpha"; "beta"; "gamma"; "delta" |] in
       let s = Stats.create () and h = Stats.create () in
-      (* Interned before any write: must not create the counters. *)
+      (* Resolved before any write: must not list the counters. *)
       let hc = Array.map (fun n -> Stats.counter h n) names in
-      let hd = Array.map (fun n -> Stats.dist h n) names in
-      let pre_ok = Stats.counters h = [] && Stats.distributions h = [] in
+      let pre_ok = Stats.counters h = [] in
       List.iter
         (fun (k, op, n) ->
           let name = names.(k) in
@@ -863,19 +801,16 @@ let prop_stats_handles_equal_strings =
             Stats.incr s name;
             Stats.incr h name
           | 3 ->
-            (* A handle interned mid-stream binds to the existing cell. *)
+            (* A handle resolved mid-stream is the existing cell. *)
             Stats.add s name n;
             Stats.Counter.add (Stats.counter h name) n
-          | 4 ->
-            Stats.observe s name (float_of_int n);
-            Stats.Dist.observe hd.(k) (float_of_int n)
           | _ ->
-            Stats.observe s name (float_of_int n);
-            Stats.observe h name (float_of_int n))
+            (* A zero write still lists the name. *)
+            Stats.add s name 0;
+            Stats.Counter.add hc.(k) 0)
         ops;
       pre_ok
       && Stats.counters s = Stats.counters h
-      && Stats.distributions s = Stats.distributions h
       && Array.for_all
            (fun c -> Stats.Counter.get c = Stats.get h (Stats.Counter.name c))
            hc)
@@ -927,22 +862,14 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "listing" `Quick test_stats_listing;
-          Alcotest.test_case "distribution" `Quick test_stats_distribution;
-          Alcotest.test_case "mean empty" `Quick test_stats_mean_empty;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "levels" `Quick test_trace_levels;
-          Alcotest.test_case "lazy emit" `Quick test_trace_emit_lazy;
-          Alcotest.test_case "lazy eventf" `Quick test_trace_eventf_lazy;
+          Alcotest.test_case "unwritten cells unlisted" `Quick test_stats_unwritten_unlisted;
         ] );
       ( "edges",
         [
           Alcotest.test_case "heap large grow" `Quick test_heap_large_grow;
           Alcotest.test_case "sim nested scheduling" `Quick test_sim_schedule_inside_handler;
         ]
-        @ qsuite [ prop_stats_merge_commutes_on_counters; prop_stats_handles_equal_strings ] );
+        @ qsuite [ prop_stats_handles_equal_strings ] );
       ( "sim",
         [
           Alcotest.test_case "order" `Quick test_sim_order;
