@@ -84,11 +84,11 @@ let canon_path ui (p : Path.t) =
 (* Loading                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_cmts acc path =
+let rec find_files suffix acc path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left (fun acc e -> find_cmts acc (Filename.concat path e)) acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
+    |> List.fold_left (fun acc e -> find_files suffix acc (Filename.concat path e)) acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
 
 let rec peel_module (m : Typedtree.module_expr) =
@@ -161,7 +161,7 @@ let load ~roots =
     }
   in
   let cmts =
-    List.fold_left (fun acc r -> if Sys.file_exists r then find_cmts acc r else acc) [] roots
+    List.fold_left (fun acc r -> if Sys.file_exists r then find_files ".cmt" acc r else acc) [] roots
     |> List.sort String.compare
   in
   let units = ref [] and errors = ref [] in

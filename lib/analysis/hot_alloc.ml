@@ -22,6 +22,16 @@
      boxed-return   a hot function returning [float], [int64], [int32]
                     or [nativeint] that is not [@inline]: each call
                     that is not inlined boxes its result
+     ref            a [ref] cell the compiler cannot keep in a register:
+                    one not let-bound, or whose variable is used other
+                    than under [!], [:=], [incr] and [decr], or inside a
+                    nested closure
+
+   A *builder* is a function run once per [create] that returns the
+   closures a hot path then calls (a method site's frame body).  What it
+   builds — the closures it makes outside any other closure, and the
+   code around them — is not a finding; the bodies of those closures
+   are checked as hot.
 
    The pass is deliberately conservative-by-list: it only looks inside
    bindings named by the hot set, and the checked-in baseline
@@ -30,8 +40,11 @@
 
 let rule = "hot-alloc"
 
-type spec = { s_unit : string;  (* canonical unit, e.g. "Cm_engine.Sim" *)
-              s_names : string list  (* toplevel binding names within it *) }
+type spec = {
+  s_unit : string;  (* canonical unit, e.g. "Cm_engine.Sim" *)
+  s_names : string list;  (* toplevel binding names within it *)
+  s_builders : string list;  (* toplevel builders whose built closures are hot *)
+}
 
 (* The declared hot-path set: the event core's schedule/extract/fire
    cycle, the transport's send/receive pipelines, the CPS thread
@@ -45,6 +58,7 @@ let default =
       s_names =
         [ "alloc"; "schedule"; "extract"; "fire"; "post"; "post_after"; "timer"; "cancel";
           "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf" ];
+      s_builders = [];
     };
     {
       s_unit = "Cm_machine.Transport";
@@ -52,6 +66,7 @@ let default =
         [ "dispatch"; "post"; "call"; "migrate"; "launch"; "signal_app"; "inject";
           "fault_spec"; "fault_hits"; "post_frame"; "send_faulty"; "send_pooled";
           "af_release"; "af_arrive"; "delay_step" ];
+      s_builders = [];
     };
     (* The steady-state call path walks frame steps, not the generic
        [bind]/[map] combinators, so those are not in the set; neither is
@@ -72,33 +87,46 @@ let default =
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
           "set_mlane"; "setms"; "getms"; "setmv"; "getmv"; "push"; "pop"; "top"; "depth" ];
+      s_builders = [];
     };
     { s_unit = "Cm_machine.Processor";
-      s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
+      s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ];
+      s_builders = [] };
     (* Every message's latency: the uncontended path computes hops from
        the topology's coordinate arrays per send, with no table behind
        it, so a tuple or a boxed raiser here costs every message. *)
-    { s_unit = "Cm_machine.Topology"; s_names = [ "hops"; "check" ] };
-    { s_unit = "Cm_machine.Network"; s_names = [ "accounted_latency"; "post_k"; "send_k" ] };
+    { s_unit = "Cm_machine.Topology"; s_names = [ "hops"; "check" ]; s_builders = [] };
+    { s_unit = "Cm_machine.Network"; s_names = [ "accounted_latency"; "post_k"; "send_k" ];
+      s_builders = [] };
     (* The flat object space: home/state lookups and moves sit on every
        remote access's fast path, and at 10^6 objects any per-lookup box
        (a tuple key, a sprintf on the success path) is a regression the
        pass must catch. *)
-    { s_unit = "Cm_runtime.Objspace"; s_names = [ "check"; "home"; "state"; "move" ] };
+    { s_unit = "Cm_runtime.Objspace"; s_names = [ "check"; "home"; "state"; "move" ];
+      s_builders = [] };
     (* The flat DHT buckets' scan/write primitives, likewise: every
        get/put/preload crosses them, and test_flatstore's zero-word
        overwrite floor depends on their staying allocation-free.
        [bkt_grow], the out-of-line growth [bkt_append] calls when a
-       bucket's array is full, allocates by design and is absent. *)
+       bucket's array is full, allocates by design and is absent.  The
+       get and put method sites' frame bodies are built once per table;
+       every get and put runs them.  [sum_frame_body] (range scans)
+       stays out. *)
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_value"; "bkt_set";
-                  "bkt_append"; "ms_bucket" ] };
+                  "bkt_append"; "ms_bucket" ];
+      s_builders = [ "get_frame_body"; "put_frame_body" ] };
+    (* The counting network's balancer and counter visits, one per stage
+       of every token's traversal. *)
+    { s_unit = "Cm_apps.Counting_network"; s_names = [];
+      s_builders = [ "bal_frame_body"; "cnt_frame_body" ] };
     (* The social graph's 32-bit CSR reads: every walk hop reads a
        degree and a friend, and every visit its degree again.  [get32]
        returns an [int32], so the boxed-return check holds it to
        [@inline]. *)
     { s_unit = "Cm_apps.Social_graph";
-      s_names = [ "get32"; "read"; "deg"; "degree"; "friend"; "visit"; "visit_frame_body" ] };
+      s_names = [ "get32"; "read"; "deg"; "degree"; "friend"; "visit" ];
+      s_builders = [ "visit_frame_body" ] };
     (* The call path: the one RPC issue step [rpc_call], the one return
        step [return_home], and the fused per-object method-site steps,
        the RPC server stub [msite_serve] and the tail re-entry
@@ -111,6 +139,7 @@ let default =
           "msite_obj"; "msite_arg_a"; "msite_arg_b"; "msite_arrived_step"; "msite_send_step";
           "msite_serve"; "msite_call_step"; "msite_enter"; "msite_next"; "msite_finish";
           "msite_call"; "msite_scoped" ];
+      s_builders = [];
     };
     (* The B-tree descents on method-site frames: every lookup and insert
        walks these steps.  Two suppressions, each with its reason:
@@ -124,12 +153,14 @@ let default =
         [ "visit_next"; "lookup_at"; "unwind"; "hand_off"; "rpc_return"; "park_rpc_return";
           "insert_next"; "leaf_done"; "insert_at"; "leaf_inserted_at"; "lookup_from";
           "insert_from"; "settled" ];
+      s_builders = [];
     };
     {
       s_unit = "Cm_runtime.Objmig";
       s_names =
         [ "om_done_step"; "om_reply_step"; "om_resume_step"; "om_send_step";
           "om_call_step"; "call"; "rs_alloc"; "rs_release"; "hint_key"; "learn" ];
+      s_builders = [];
     };
     {
       s_unit = "Cm_runtime.Replicate";
@@ -137,6 +168,7 @@ let default =
         [ "upd_fan_step"; "upd_body_run"; "upd_serve"; "issue"; "load_lane";
           "read_home_step"; "read_copy_step"; "read"; "update";
           "scr_alloc"; "scr_release"; "scr_scan"; "holds"; "install" ];
+      s_builders = [];
     };
     (* The per-op samplers every scale workload draws from: a boxed draw
        here taxes each operation.  [Rng.step] returns an [int64] and
@@ -146,16 +178,21 @@ let default =
        release profile leaves out) is beyond this pass; the engine tests
        count the minor words each sampler allocates. *)
     { s_unit = "Cm_engine.Rng";
-      s_names = [ "set_state"; "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
-    { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };
+      s_names = [ "set_state"; "step"; "int"; "bits53"; "float"; "bool"; "split_into" ];
+      s_builders = [] };
+    { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ]; s_builders = [] };
     (* The counter-handle updates behind every message, dispatch and
        coherence event.  The string API's [add]/[incr] create a cell on
        a miss and stay out. *)
-    { s_unit = "Cm_engine.Stats"; s_names = [ "counter_add"; "counter_incr" ] };
+    { s_unit = "Cm_engine.Stats"; s_names = [ "counter_add"; "counter_incr" ];
+      s_builders = [] };
   ]
 
-let in_hot_set specs (b : Cmt_index.binding) (ui : Cmt_index.unit_info) =
-  List.exists (fun s -> s.s_unit = ui.ui_canon && List.mem b.b_name s.s_names) specs
+let declared names specs (b : Cmt_index.binding) (ui : Cmt_index.unit_info) =
+  List.exists (fun s -> s.s_unit = ui.ui_canon && List.mem b.b_name (names s)) specs
+
+let in_hot_set = declared (fun s -> s.s_names @ s.s_builders)
+let is_builder = declared (fun s -> s.s_builders)
 
 (* A hot-set name with no binding behind it (deleted or renamed) would
    silently leave the zero-allocation floor, so it is a finding: one per
@@ -185,7 +222,9 @@ let stale_names (idx : Cmt_index.t) specs =
         let bound name =
           List.exists (fun (b : Cmt_index.binding) -> b.b_name = name) ui.ui_bindings
         in
-        stale ui.ui_source (List.filter (fun n -> not (bound n)) s.s_names) "has no such binding"
+        stale ui.ui_source
+          (List.filter (fun n -> not (bound n)) (s.s_names @ s.s_builders))
+          "has no such binding"
       | None -> (
         let lib, base = split s.s_unit in
         match
@@ -199,7 +238,7 @@ let stale_names (idx : Cmt_index.t) specs =
             Filename.concat (Filename.dirname sibling.ui_source)
               (String.uncapitalize_ascii base ^ ".ml")
           in
-          stale file s.s_names "is not a unit of its library"))
+          stale file (s.s_names @ s.s_builders) "is not a unit of its library"))
     specs
 
 let is_float ty =
@@ -288,6 +327,56 @@ let arity idx ty =
   in
   go 0 ty
 
+(* Positions of the [ref] cells in [e] the compiler keeps in a
+   register: [let x = ref v in body] where [body] names [x] only as the
+   direct operand of [!], [:=], [incr] or [decr], and not inside a
+   closure. *)
+let register_refs ui (e : Typedtree.expression) =
+  let heads names (f : Typedtree.expression) =
+    match f.exp_desc with
+    | Texp_ident (p, _, _) -> List.mem (Cmt_index.canon_path ui p) names
+    | _ -> false
+  in
+  let only_through_ops id body =
+    let ok = ref true and depth = ref 0 in
+    let is_id (a : Typedtree.expression) =
+      match a.exp_desc with Texp_ident (Path.Pident i, _, _) -> Ident.same i id | _ -> false
+    in
+    let expr sub (e : Typedtree.expression) =
+      match e.exp_desc with
+      | Texp_apply (f, (_, Some a) :: rest) when heads [ "!"; ":="; "incr"; "decr" ] f && is_id a ->
+        if !depth > 0 then ok := false;
+        List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a) rest
+      | Texp_ident _ when is_id e -> ok := false
+      | Texp_function _ ->
+        incr depth;
+        Tast_iterator.default_iterator.expr sub e;
+        decr depth
+      | _ -> Tast_iterator.default_iterator.expr sub e
+    in
+    let iter = { Tast_iterator.default_iterator with expr } in
+    iter.expr iter body;
+    !ok
+  in
+  let found = Hashtbl.create 4 in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_let (_, vbs, body) ->
+      List.iter
+        (fun (vb : Typedtree.value_binding) ->
+          match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+          | Tpat_var (id, _), Texp_apply (f, [ _ ]) when heads [ "ref" ] f && only_through_ops id body
+            ->
+            Hashtbl.replace found vb.vb_expr.exp_loc.loc_start.Lexing.pos_cnum ()
+          | _ -> ())
+        vbs
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let iter = { Tast_iterator.default_iterator with expr } in
+  iter.expr iter e;
+  found
+
 let run (idx : Cmt_index.t) ?(hot = default) () =
   let findings = ref [] in
   let add ~ui ~(b : Cmt_index.binding) ~loc ~kind msg =
@@ -314,6 +403,10 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
               Hashtbl.mem chain e.exp_loc.loc_start.Lexing.pos_cnum
             in
             mark b.b_vb.vb_expr;
+            let in_register = register_refs ui b.b_vb.vb_expr in
+            (* Closures entered below the definition's own chain; in a
+               builder, code at depth 0 runs once per [create]. *)
+            let builder = is_builder hot b ui and depth = ref 0 in
             let skip (e : Typedtree.expression) =
               match e.exp_desc with
               | Texp_assert _ -> true
@@ -324,15 +417,22 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
             let expr sub (e : Typedtree.expression) =
               if skip e then ()
               else begin
+              let opens =
+                match e.exp_desc with
+                | Texp_function { cases; _ } ->
+                  List.iter
+                    (fun (c : Typedtree.value Typedtree.case) ->
+                      match c.c_rhs.exp_desc with
+                      | Texp_function _ -> mark c.c_rhs
+                      | _ -> ())
+                    cases;
+                  not (in_chain e)
+                | _ -> false
+              in
+              if not (builder && !depth = 0) then
               (match e.exp_desc with
-              | Texp_function { cases; _ } ->
-                List.iter
-                  (fun (c : Typedtree.value Typedtree.case) ->
-                    match c.c_rhs.exp_desc with
-                    | Texp_function _ -> mark c.c_rhs
-                    | _ -> ())
-                  cases;
-                if not (in_chain e) then
+              | Texp_function _ ->
+                if opens then
                   add ~ui ~b ~loc:e.exp_loc ~kind:"closure"
                     "closure allocated per call; hoist it or defunctionalize (pooled \
                      frames, Sim handler ids)"
@@ -364,6 +464,14 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
               | Texp_array (_ :: _) ->
                 add ~ui ~b ~loc:e.exp_loc ~kind:"array" "array literal allocated per call"
               | Texp_apply (head, args) ->
+                (match head.exp_desc with
+                | Texp_ident (p, _, _)
+                  when Cmt_index.canon_path ui p = "ref"
+                       && not (Hashtbl.mem in_register e.exp_loc.loc_start.Lexing.pos_cnum) ->
+                  add ~ui ~b ~loc:e.exp_loc ~kind:"ref"
+                    "ref cell allocated per call; a let-bound ref used only through \
+                     !, :=, incr and decr, outside closures, stays in a register"
+                | _ -> ());
                 let supplied =
                   List.length (List.filter (fun (_, a) -> a <> None) args)
                 in
@@ -395,7 +503,9 @@ let run (idx : Cmt_index.t) ?(hot = default) () =
                        "partial application (%d of %d arguments) builds a closure per call"
                        supplied ar)
               | _ -> ());
-              Tast_iterator.default_iterator.expr sub e
+              if opens then incr depth;
+              Tast_iterator.default_iterator.expr sub e;
+              if opens then decr depth
               end
             in
             let iter = { Tast_iterator.default_iterator with expr } in

@@ -2,11 +2,6 @@ open Cm_core
 
 type mode = Messaging of Prelude.access | Shared_memory
 
-let mode_name = function
-  | Messaging Prelude.Rpc -> "rpc"
-  | Messaging Prelude.Migrate -> "migrate"
-  | Shared_memory -> "shared_memory"
-
 type repr = Msg of Btree_msg.t | Sm of Btree_sm.t
 
 type t = { mode : mode; repr : repr }
@@ -32,12 +27,7 @@ let lookup t key = match t.repr with Msg b -> Btree_msg.lookup b key | Sm b -> B
 
 let insert t key = match t.repr with Msg b -> Btree_msg.insert b key | Sm b -> Btree_sm.insert b key
 
-let mode t = t.mode
-
 let height t = match t.repr with Msg b -> Btree_msg.height b | Sm b -> Btree_sm.height b
-
-let root_children t =
-  match t.repr with Msg b -> Btree_msg.root_children b | Sm b -> Btree_sm.root_children b
 
 let splits t = match t.repr with Msg b -> Btree_msg.splits b | Sm b -> Btree_sm.splits b
 
@@ -48,8 +38,3 @@ let all_keys t = match t.repr with Msg b -> Btree_msg.all_keys b | Sm b -> Btree
 
 let check_invariants t =
   match t.repr with Msg b -> Btree_msg.check_invariants b | Sm b -> Btree_sm.check_invariants b
-
-let dump t =
-  match t.repr with
-  | Msg b -> Btree_msg.dump b
-  | Sm _ -> "(dump: not implemented for shared-memory trees)"

@@ -12,9 +12,6 @@ open Cm_machine
 
 type mode = Messaging of Cm_core.Prelude.access | Shared_memory
 
-val mode_name : mode -> string
-(** ["rpc"], ["migrate"] or ["shared_memory"]. *)
-
 type t
 
 val create :
@@ -43,9 +40,7 @@ val lookup : t -> int -> bool Thread.t
 val insert : t -> int -> bool Thread.t
 (** Insert a key; [false] when it was already present. *)
 
-val mode : t -> mode
 val height : t -> int
-val root_children : t -> int
 val root_home : t -> int
 val splits : t -> int
 
@@ -54,6 +49,3 @@ val all_keys : t -> int list
 
 val check_invariants : t -> (unit, string) result
 (** Structural soundness at quiescence. *)
-
-val dump : t -> string
-(** Indented rendering of the tree (debugging aid). *)

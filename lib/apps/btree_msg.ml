@@ -609,10 +609,6 @@ let height { tree = t; _ } = t.anchor.height
 
 let root_home { tree = t; _ } = node_home t t.anchor.root
 
-let root_children { tree = t; _ } =
-  let r = node t t.anchor.root in
-  if r.is_leaf then 0 else r.nkeys
-
 let splits { tree = t; _ } = t.n_splits
 
 let leftmost_leaf t =
@@ -631,27 +627,6 @@ let leaf_keys t =
   walk (leftmost_leaf t) []
 
 let all_keys { tree = t; _ } = leaf_keys t
-
-let dump { tree = t; _ } =
-  let buf = Buffer.create 256 in
-  let rec go nid indent =
-    let n = node t nid in
-    Buffer.add_string buf
-      (Printf.sprintf "%s#%d %s nkeys=%d high=%s right=%d keys=[%s]\n" indent nid
-         (if n.is_leaf then "leaf" else "node")
-         n.nkeys
-         (if n.high = max_int then "inf" else string_of_int n.high)
-         n.right
-         (String.concat ";"
-            (List.init n.nkeys (fun i ->
-                 if n.keys.(i) = max_int then "inf" else string_of_int n.keys.(i)))));
-    if not n.is_leaf then
-      for i = 0 to n.nkeys - 1 do
-        go n.children.(i) (indent ^ "  ")
-      done
-  in
-  go t.anchor.root "";
-  Buffer.contents buf
 
 let check_invariants { tree = t; _ } =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

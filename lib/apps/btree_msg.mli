@@ -46,9 +46,6 @@ val insert : t -> int -> bool Thread.t
 val height : t -> int
 (** Current tree height (a lone leaf is 1). *)
 
-val root_children : t -> int
-(** Child count of the current root (0 when the root is a leaf). *)
-
 val root_home : t -> int
 (** The current root node's home processor. *)
 
@@ -63,7 +60,3 @@ val check_invariants : t -> (unit, string) result
 (** Structural invariants at quiescence: sorted keys, child coverage
     matching separators, consistent high keys and right links, leaf
     chain agreeing with the tree walk. *)
-
-val dump : t -> string
-(** Indented rendering of the tree structure (not simulated; for
-    debugging and tests). *)

@@ -495,10 +495,6 @@ let peek_node t idx =
 
 let root_home t = Shmem.home_of (mem t) (node t t.root).base
 
-let root_children t =
-  let is_leaf, nkeys, _, _, _, _ = peek_node t t.root in
-  if is_leaf then 0 else nkeys
-
 let all_keys t =
   let rec leftmost idx =
     let is_leaf, _, _, _, _, children = peek_node t idx in

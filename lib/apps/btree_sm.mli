@@ -46,7 +46,6 @@ val insert : t -> int -> bool Thread.t
 (** Insert; [false] if already present. *)
 
 val height : t -> int
-val root_children : t -> int
 val root_home : t -> int
 val splits : t -> int
 

@@ -78,6 +78,7 @@ let cnt_frame_body space issued w =
     let count = st.count in
     st.count <- st.count + 1;
     let value = (count * w) + st.wire in
+    (* lint: allow hot-alloc the issued-value log [values_issued] reads: one cons per token *)
     issued := value :: !issued;
     Runtime.msite_finish c value
   in
@@ -147,8 +148,6 @@ let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512
 let width t = Balancer_net.width t.net
 
 let n_balancers t = Balancer_net.n_balancers t.net
-
-let mode t = t.mode
 
 let record t v = t.issued_rev := v :: !(t.issued_rev)
 

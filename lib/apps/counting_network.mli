@@ -51,16 +51,12 @@ val create :
 
 val width : t -> int
 val n_balancers : t -> int
-val mode : t -> mode
 
 val traverse : t -> input_wire:int -> int Thread.t
 (** [traverse t ~input_wire] pushes one token through the network from
     [input_wire] and returns the counter value it obtained.  Runs inside
     a requester thread; under [Messaging Migrate] the activation returns
     to the requester's processor when done. *)
-
-val output_counts : t -> int array
-(** Tokens seen per exit wire so far (not simulated; for checking). *)
 
 val tokens_delivered : t -> int
 (** Total tokens that have exited. *)

@@ -64,8 +64,6 @@ type repr =
 
 type t = { env : Sysenv.t; buckets : int; capacity : int; repr : repr }
 
-let n_buckets t = t.buckets
-
 let bucket_of_key t key = abs (key * 2654435761) mod t.buckets
 
 (* ------------------------------------------------------------------ *)
@@ -126,6 +124,7 @@ let get_frame_body space =
     let b = ms_bucket space c in
     match bkt_find b (Runtime.msite_arg_a c) with
     | -1 -> Runtime.msite_finish c None
+    (* lint: allow hot-alloc a hit returns its value as an option: one [Some] per successful get *)
     | s -> Runtime.msite_finish c (Some (bkt_value b s))
   in
   fun c ->

@@ -61,8 +61,6 @@ val range_sum : t -> first_bucket:int -> n_buckets:int -> int Thread.t
 (** [range_sum t ~first_bucket ~n_buckets] sums every value stored in
     [n_buckets] consecutive buckets (wrapping) — a chained traversal. *)
 
-val n_buckets : t -> int
-
 val bucket_of_key : t -> int -> int
 (** The bucket index [key] hashes to. *)
 

@@ -54,12 +54,10 @@ let visit_work deg = 30 + (3 * deg)
    either mechanism.  Its two closures are built once per graph, when
    [create] makes the method-sites; a visit allocates nothing. *)
 let visit_frame_body offsets =
-  (* lint: allow hot-alloc built once per graph by [create], not per visit *)
   let done_ c =
     let u = Runtime.msite_arg_a c in
     Runtime.msite_finish c (deg offsets u)
   in
-  (* lint: allow hot-alloc built once per graph by [create], not per visit *)
   fun c ->
     let u = Runtime.msite_arg_a c in
     Thread.Frame.hold_then c (visit_work (deg offsets u)) done_

@@ -56,6 +56,3 @@ val walk : t -> access:Runtime.access -> start:int -> steps:int -> int Thread.t
 val friends_of_friends : t -> access:Runtime.access -> ?fanout:int -> int -> int Thread.t
 (** [friends_of_friends t ~access u] visits [u] then its first [fanout]
     (default 8) friends; returns the sum of the friends' degrees. *)
-
-val visit_work : int -> int
-(** CPU cycles charged for visiting a user of the given degree. *)

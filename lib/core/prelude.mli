@@ -39,7 +39,6 @@ val create : Machine.t -> t
 (** [create machine] is a fresh instance. *)
 
 val runtime : t -> Runtime.t
-val machine : t -> Machine.t
 
 val space : t -> Obj.t Objspace.t
 (** The instance's flat object store — for building

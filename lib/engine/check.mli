@@ -38,11 +38,8 @@ val enabled : unit -> bool
 (** [enabled ()] is true when sanitizers are active.  Instrumented code
     guards any non-trivial checking work behind this test. *)
 
-val fail : string -> 'a
-(** [fail msg] raises {!Violation} unconditionally. *)
-
 val failf : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** [failf fmt ...] is {!fail} with a formatted message. *)
+(** [failf fmt ...] raises {!Violation} with the formatted message. *)
 
 val require : bool -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [require cond fmt ...] raises {!Violation} with the formatted
@@ -76,8 +73,6 @@ module Linear : sig
 
   val outstanding_whats : unit -> string list
   (** Labels of the outstanding tokens, sorted. *)
-
-  val reset : unit -> unit
 end
 
 val linear : what:string -> ('a -> 'b) -> 'a -> 'b
@@ -105,13 +100,6 @@ module Trail : sig
   val trail : unit -> string list
   (** All digests recorded so far on this domain, in run order. *)
 
-  val reset : unit -> unit
-
-  val capture : (unit -> 'a) -> 'a * string list
-  (** [capture f] runs [f] against an empty trail and returns what it
-      recorded (in run order), restoring the caller's trail untouched.
-      How a pool worker bounds one job's digests. *)
-
   val append : string list -> unit
   (** [append fragment] appends captured digests (in order) to the
       calling domain's trail. *)
@@ -119,6 +107,7 @@ end
 
 val capture_job : (unit -> 'a) -> 'a * string list
 (** [capture_job f] runs [f] as one pool job: a fresh {!Linear} scope
-    (tokens cannot leak between jobs sharing a worker domain) and a
-    {!Trail.capture}d trail fragment for {!Pool.await} to splice back
-    in submission order. *)
+    (tokens cannot leak between jobs sharing a worker domain) against
+    an empty trail, returning what it recorded (in run order) for
+    {!Pool.await} to splice back in submission order; the caller's
+    trail is restored untouched. *)

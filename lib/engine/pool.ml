@@ -11,7 +11,6 @@ type t = {
   queue : job Queue.t;
   mutable accepting : bool;
   mutable workers : unit Domain.t array;
-  n_domains : int;
 }
 
 type 'a outcome =
@@ -50,13 +49,10 @@ let create ~domains =
       queue = Queue.create ();
       accepting = true;
       workers = [||];
-      n_domains = domains;
     }
   in
   pool.workers <- Array.init domains (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
-
-let size t = t.n_domains
 
 let submit pool f =
   let task =

@@ -34,9 +34,6 @@ val create : domains:int -> t
     the workers do all job execution and the main domain only submits,
     awaits and prints. *)
 
-val size : t -> int
-(** Number of worker domains the pool was created with. *)
-
 type 'a task
 (** A submitted job: a slot that will hold the job's result (or the
     exception it raised). *)

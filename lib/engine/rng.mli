@@ -48,7 +48,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place, uniformly (Fisher-Yates). *)
-
-val pick : t -> 'a array -> 'a
-(** [pick t a] is a uniformly chosen element of [a].  [a] must be
-    non-empty. *)

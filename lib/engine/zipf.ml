@@ -42,8 +42,6 @@ let create ~s ~n =
   done;
   { cdf; guide; shift = 53 - b }
 
-let n t = Array.length t.cdf
-
 (* The deviate is drawn as an integer ({!Rng.bits53}) and converted
    here, so [u] lives and dies unboxed inside this frame, and the search
    runs in place (non-escaping refs compile to mutable locals): a sample

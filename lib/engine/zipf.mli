@@ -30,8 +30,6 @@ val create : s:float -> n:int -> t
     @raise Invalid_argument unless [n >= 1] and [s >= 0] (so a nan
     exponent is rejected). *)
 
-val n : t -> int
-
 val sample : t -> Rng.t -> int
 (** [sample t rng] draws a rank. *)
 

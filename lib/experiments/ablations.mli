@@ -4,8 +4,6 @@
     migration granularity, partial activation migration, and the
     link-contention network model. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

@@ -32,7 +32,6 @@ let default =
     seed = 42;
   }
 
-let fanout10 = { default with fanout = 10; fill = 0.75 }
 
 let preload_keys config =
   (* Distinct keys drawn deterministically from the key space. *)

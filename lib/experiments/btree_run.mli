@@ -23,9 +23,6 @@ val default : config
 (** The paper's fanout-100 setup: 10 000 keys, 48 node processors, 16
     requesters, 50% lookups, zero think time. *)
 
-val fanout10 : config
-(** The §4.2 contention-relief variant: nodes of at most 10 keys. *)
-
 val run : Scheme.t -> config -> Cm_workload.Metrics.t
 (** Build machine + tree for the scheme and drive the request mix. *)
 

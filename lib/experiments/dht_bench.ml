@@ -89,5 +89,3 @@ let render results =
   Report.print_note "tracks the better static choice on each workload."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

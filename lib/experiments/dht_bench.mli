@@ -7,8 +7,6 @@
     demonstrates the claim quantitatively and shows the §6 future-work
     adaptive policy tracking the best static choice on each workload. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

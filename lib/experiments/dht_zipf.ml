@@ -122,5 +122,3 @@ let render ~quick results =
   Report.print_note "static choice as skew rises."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

@@ -9,11 +9,4 @@
 val measure : quick:bool -> Cm_apps.Dht.mode -> float -> Cm_workload.Metrics.t
 (** [measure ~quick mode skew] runs one sweep point. *)
 
-val measure_with_machine :
-  quick:bool -> Cm_apps.Dht.mode -> float -> Cm_machine.Machine.t * Cm_workload.Metrics.t
-(** [measure] exposing the machine — the bench harness's digest and
-    event-count probes. *)
-
 val plan : ?quick:bool -> unit -> Plan.t
-
-val run : ?quick:bool -> unit -> unit

@@ -51,5 +51,3 @@ let render results =
   Report.print_note "down from ~1.6x at fanout 100)."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

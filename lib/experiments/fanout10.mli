@@ -3,8 +3,6 @@
     migration with a replicated root closes to within ~20% of shared
     memory. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

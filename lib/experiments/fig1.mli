@@ -8,9 +8,6 @@ val run_messaging : access:Cm_runtime.Runtime.access -> n:int -> m:int -> int
 val run_shmem : n:int -> m:int -> int
 (** The same workload over coherent shared memory (model: [2m]). *)
 
-val run : ?quick:bool -> unit -> unit
-(** Print the sweep with the closed forms alongside. *)
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

@@ -65,5 +65,3 @@ let render ~quick results =
     "Paper shape: curves rise with offered load; SM slightly ahead of CP w/HW; RPC lowest."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

@@ -1,8 +1,6 @@
 (** Figure 2: counting-network throughput vs number of requesters, for
     the paper's five schemes at both think times. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

@@ -57,5 +57,3 @@ let render ~quick results =
     "of RPC's); shared memory's coherence traffic dominates under high contention."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

@@ -1,8 +1,6 @@
 (** Figure 3: counting-network bandwidth (words/10 cycles) vs number of
     requesters, for RPC, shared memory and computation migration. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

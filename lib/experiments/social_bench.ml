@@ -26,8 +26,6 @@ let workload_name = function
 
 let accesses = [ Cm_core.Prelude.Rpc; Cm_core.Prelude.Migrate ]
 
-let access_name = function Cm_core.Prelude.Rpc -> "rpc" | Cm_core.Prelude.Migrate -> "migrate"
-
 (* Direct-style requester: the start user is drawn from the thread's
    stream, the traversal is a saturated application, and the
    result-dropping continuation is cached per requester (the driver
@@ -96,7 +94,7 @@ let render ~quick results =
       List.iter2
         (fun access m ->
           Printf.printf "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
-            (access_name access) m.Cm_workload.Metrics.throughput
+            (Cm_runtime.Runtime.access_name access) m.Cm_workload.Metrics.throughput
             m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
         accesses ms)
     workloads
@@ -110,5 +108,3 @@ let render ~quick results =
   Report.print_note "S1 claim (no mechanism wins everywhere) at graph scale."
 
 let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

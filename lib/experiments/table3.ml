@@ -12,5 +12,3 @@ let render ms =
 
 let plan ?(quick = false) () =
   Plan.sweep ~jobs:(Btree_tables.jobs ~quick ~think:10_000 Btree_tables.think_schemes) ~render
-
-let run ?(quick = false) () = Plan.execute (plan ~quick ())

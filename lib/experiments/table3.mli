@@ -1,7 +1,5 @@
 (** Table 3 of the paper's B-tree evaluation (see {!Btree_tables}). *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

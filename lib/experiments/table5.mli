@@ -8,8 +8,6 @@ val measure_one_migration : unit -> int
 (** End-to-end cycles for one 32-byte activation migration over two mesh
     hops, including the 150-cycle method body. *)
 
-val run : ?quick:bool -> unit -> unit
-
 val plan : ?quick:bool -> unit -> Plan.t
 (** The experiment as a {!Plan} — sweep experiments expose their points
     as pool-schedulable jobs; bespoke ones stay serial. *)

@@ -60,7 +60,6 @@ let kind t name =
     Hashtbl.add t.kinds name k;
     k
 
-let kind_name k = k.k_name
 
 (* Store-and-forward over the message's route: each link is occupied for
    the message's transmission time and messages sharing a link queue
@@ -124,6 +123,3 @@ let total_messages t = Stats.Counter.get t.messages_c
 let words_of_kind t name = Stats.Counter.get (kind t name).k_words
 
 let messages_of_kind t name = Stats.Counter.get (kind t name).k_messages
-
-let bandwidth_per_10_cycles t ~now =
-  if now = 0 then 0. else 10. *. float_of_int (total_words t) /. float_of_int now

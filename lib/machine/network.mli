@@ -60,9 +60,6 @@ val kind : t -> string -> kind
     are listed only once a message of the kind is sent, so interning a
     kind that is never sent leaves the statistics untouched. *)
 
-val kind_name : kind -> string
-(** The label [kind] was interned under. *)
-
 val send_k :
   t -> src:int -> dst:int -> words:int -> kind:kind -> (unit -> unit) -> int
 (** [send_k] is {!send} with a pre-interned kind. *)
@@ -88,7 +85,3 @@ val words_of_kind : t -> string -> int
 
 val messages_of_kind : t -> string -> int
 (** [messages_of_kind t kind] is the message count attributed to [kind]. *)
-
-val bandwidth_per_10_cycles : t -> now:int -> float
-(** [bandwidth_per_10_cycles t ~now] is [total_words * 10 / now] — the
-    paper's bandwidth metric. *)

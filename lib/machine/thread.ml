@@ -112,7 +112,6 @@ let map f m c k = m c (fun x -> k (f x))
 module Infix = struct
   let ( let* ) = bind
   let ( let+ ) m f = map f m
-  let ( >>= ) = bind
 end
 
 let tid c k = k c.thread_id

@@ -54,13 +54,10 @@ type 'a t = ctx -> ('a -> unit) -> unit
 (** {1 Monad} *)
 
 val return : 'a -> 'a t
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-val map : ('a -> 'b) -> 'a t -> 'b t
 
 module Infix : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
   val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
-  val ( >>= ) : 'a t -> ('a -> 'b t) -> 'b t
 end
 
 (** {1 Context access} *)
@@ -282,7 +279,7 @@ module Frame : sig
   val hold_then : ctx -> int -> (ctx -> unit) -> unit
   (** [hold_then c n step] charges [n] CPU cycles at the current
       processor, then runs [step c], still holding the CPU — the frame
-      equivalent of [compute n >>= step]. *)
+      equivalent of [let* () = compute n in step ()]. *)
 
   val enqueue_then : ctx -> (ctx -> unit) -> unit
   (** [enqueue_then c step] requeues the thread at its current processor

@@ -105,18 +105,3 @@ let route t ~src ~dst =
         end
       in
       go (coords t src) []
-
-let mean_hops t =
-  if t.size <= 1 then 0.
-  else begin
-    let total = ref 0 in
-    for src = 0 to t.size - 1 do
-      for dst = 0 to t.size - 1 do
-        if src <> dst then total := !total + hops t ~src ~dst
-      done
-    done;
-    float_of_int !total /. float_of_int (t.size * (t.size - 1))
-  end
-
-let kind_name t =
-  match t.shape with Mesh -> "mesh" | Torus -> "torus" | Crossbar -> "crossbar"

@@ -30,10 +30,3 @@ val route : t -> src:int -> dst:int -> (int * int) list
 (** [route t ~src ~dst] is the ordered list of directed links a message
     crosses under dimension-ordered (X-then-Y) routing; empty when
     [src = dst].  A crossbar has a single direct link per pair. *)
-
-val mean_hops : t -> float
-(** [mean_hops t] is the average hop count over all ordered pairs of
-    distinct processors — useful for calibrating latency constants. *)
-
-val kind_name : t -> string
-(** [kind_name t] is ["mesh"], ["torus"] or ["crossbar"]. *)

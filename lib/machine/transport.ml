@@ -110,8 +110,6 @@ let kind t ?(recv = Recv_pipeline) name =
     f_spec = None;
   }
 
-let kind_name k = k.ctrs.c_name
-
 (* The arrival-side accounting of [migrate_f]'s chain, for the runtime's
    fused call sites, which run their own arrival step. *)
 let account_delivered k ~pid =

@@ -70,9 +70,6 @@ val kind : t -> ?recv:recv -> string -> 'a kind
     independent subsystem instances can carry differently-typed payloads
     under one label. *)
 
-val kind_name : _ kind -> string
-(** The label [kind] was declared under. *)
-
 val account_delivered : _ kind -> pid:int -> unit
 (** Bump [kind]'s delivered counter and processor [pid]'s endpoint
     tally — the arrival-side accounting of {!migrate_f}'s chain, for

@@ -6,8 +6,6 @@ type slot = { mutable tag : int; mutable st : state; mutable data : int array }
 
 type t = {
   slots : slot array;
-  words_per_line : int;
-  stats : Stats.t;
   hits : Stats.counter;
   misses : Stats.counter;
 }
@@ -18,15 +16,11 @@ let create ~n_slots ~line_words ~stats =
   if n_slots <= 0 || line_words <= 0 then invalid_arg "Cache.create: bad geometry";
   {
     slots = Array.init n_slots (fun _ -> { tag = no_line; st = Shared; data = [||] });
-    words_per_line = line_words;
-    stats;
     (* The counters are listed in [stats] from the first recorded
        access, not from cache creation. *)
     hits = Stats.counter stats "cache.hits";
     misses = Stats.counter stats "cache.misses";
   }
-
-let line_words t = t.words_per_line
 
 let slot_of t line = t.slots.(line mod Array.length t.slots)
 
@@ -73,14 +67,6 @@ let invalidate t ~line =
   end
   else None
 
-let resident_lines t =
-  Array.fold_left (fun acc s -> if s.tag <> no_line then acc + 1 else acc) 0 t.slots
-
 let record_hit t = Stats.Counter.incr t.hits
 
 let record_miss t = Stats.Counter.incr t.misses
-
-let hit_rate ~stats =
-  let hits = Stats.get stats "cache.hits" and misses = Stats.get stats "cache.misses" in
-  let total = hits + misses in
-  if total = 0 then nan else float_of_int hits /. float_of_int total

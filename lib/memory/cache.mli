@@ -17,9 +17,6 @@ type t
 val create : n_slots:int -> line_words:int -> stats:Cm_engine.Stats.t -> t
 (** [create ~n_slots ~line_words ~stats] is an empty cache. *)
 
-val line_words : t -> int
-(** Words per line. *)
-
 val lookup : t -> line:int -> (state * int array) option
 (** [lookup t ~line] is the state and data of [line] if resident (the
     returned array is the live copy — the protocol mutates it in place). *)
@@ -48,15 +45,8 @@ val invalidate : t -> line:int -> int array option
     resident in [Modified] state (the caller propagates the dirty data),
     [None] otherwise. *)
 
-val resident_lines : t -> int
-(** Number of slots currently holding a line. *)
-
 val record_hit : t -> unit
 (** Count one hit (under ["cache.hits"]). *)
 
 val record_miss : t -> unit
 (** Count one miss (under ["cache.misses"]). *)
-
-val hit_rate : stats:Cm_engine.Stats.t -> float
-(** Machine-wide hit rate from the accumulated counters ([nan] when no
-    access was recorded). *)

@@ -18,7 +18,6 @@ let create ?(base_backoff = default_base_backoff) ?(max_backoff = default_max_ba
     =
   { mem; word = Shmem.alloc mem ~home ~words:1; base_backoff; max_backoff; holder = None }
 
-let addr l = l.word
 
 let acquire l =
   let rec attempt backoff =

@@ -21,9 +21,6 @@ val create : ?base_backoff:int -> ?max_backoff:int -> Shmem.t -> home:int -> t
     the randomized exponential backoff between spin probes; high-traffic
     locks want large values (fewer probes, at some handoff latency). *)
 
-val addr : t -> Shmem.addr
-(** The lock word's address (e.g. for co-locating diagnostics). *)
-
 val acquire : t -> unit Thread.t
 (** [acquire l] blocks (spinning with backoff) until the lock is taken. *)
 

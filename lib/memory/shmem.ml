@@ -165,8 +165,6 @@ let create ?(config = default_config) machine =
     wait_hid;
   }
 
-let config t = t.cfg
-
 let alloc t ~home ~words =
   if words <= 0 then invalid_arg "Shmem.alloc: words must be positive";
   if home < 0 || home >= t.n_procs then invalid_arg "Shmem.alloc: bad home";
@@ -194,8 +192,6 @@ let info_exn t line =
   else invalid_arg (Printf.sprintf "Shmem: unallocated line %d" line)
 
 let home_of t a = (info_exn t (line_of t a)).home
-
-let stats t = t.machine.Machine.stats
 
 let sim t = t.machine.Machine.sim
 
@@ -530,8 +526,6 @@ let poke t a v =
   | Uncached | Owned _ -> ())
 
 let cache_of t p = t.caches.(p)
-
-let hit_rate t = Cache.hit_rate ~stats:(stats t)
 
 module For_testing = struct
   let force_second_owner t a ~pid =

@@ -48,8 +48,6 @@ val create : ?config:config -> Machine.t -> t
 (** [create machine] attaches a coherent memory system (one cache per
     processor) to [machine]. *)
 
-val config : t -> config
-
 val alloc : t -> home:int -> words:int -> addr
 (** [alloc t ~home ~words] reserves [words] words of line-aligned shared
     memory whose directory lives on processor [home]; returns the base
@@ -94,9 +92,6 @@ val peek : t -> addr -> int
 
 val cache_of : t -> int -> Cache.t
 (** [cache_of t p] is processor [p]'s cache. *)
-
-val hit_rate : t -> float
-(** Machine-wide cache hit rate so far. *)
 
 (** {1 Sanitizers} *)
 

@@ -160,7 +160,6 @@ let create rt ~home ~words_of v =
       k ());
   t
 
-let home t = t.home
 
 (* A replica read costs a few cycles of pointer chasing. *)
 let local_read_cost = 4

@@ -24,9 +24,6 @@ val create : Runtime.t -> home:int -> words_of:('a -> int) -> 'a -> 'a t
 (** [create rt ~home ~words_of v] is a replicated object with master copy
     [v] at [home]; [words_of] sizes a value in message words. *)
 
-val home : 'a t -> int
-(** Home processor of the master copy. *)
-
 val read : 'a t -> 'a Thread.t
 (** [read r] is the local replica's value, installing a replica first
     (one RPC to the home) if this processor has none.  A read on the home

@@ -27,20 +27,23 @@ let () =
 
 (* The fixture modules are not in the real hot set; the pass is
    exercised with a hot-set naming the spin_* functions (and
-   deliberately not cold_pair or cold_ratio). *)
+   deliberately not cold_pair or cold_ratio), spin_builder as a
+   builder. *)
 let hot_spec =
   [
     {
       Hot_alloc.s_unit = "Lint_fixtures.Fixture_hot";
       s_names =
         [ "spin_closure"; "spin_pair"; "spin_floats"; "spin_partial"; "spin_take";
-          "spin_drive"; "spin_fn_read" ];
+          "spin_drive"; "spin_fn_read"; "spin_ref_local"; "spin_ref_escape" ];
+      s_builders = [ "spin_builder" ];
     };
     {
       Hot_alloc.s_unit = "Lint_fixtures.Fixture_boxed";
       s_names =
         [ "spin_ratio"; "spin_mix"; "spin_word"; "spin_native"; "spin_scaled"; "spin_wide";
           "spin_fun"; "spin_count" ];
+      s_builders = [];
     };
   ]
 
@@ -160,7 +163,7 @@ let test_alias_evasion () =
     ~msg:"Cm_machine.Network.send" (findings ());
   let syn = Lazy.force syntactic_only in
   Alcotest.(check int)
-    "syntactic pass scanned the fixtures" 7 syn.Driver.files_scanned;
+    "syntactic pass scanned the fixtures" 9 syn.Driver.files_scanned;
   check_absent "syntactic pass is blind to N.send" ~rule:"raw-send" syn.Driver.findings
 
 (* ------------------------------------------------------------------ *)
@@ -210,7 +213,18 @@ let test_hot_alloc () =
   check_absent "full application through a 1-ary reader" ~rule:"hot-alloc"
     ~detail:"partial-apply" ~context:"spin_drive" fs;
   check_absent "closure indexed out of an array" ~rule:"hot-alloc" ~detail:"partial-apply"
-    ~context:"spin_fn_read" fs
+    ~context:"spin_fn_read" fs;
+  (* a ref is a heap cell unless the compiler keeps it in a register *)
+  check_found "escaping ref in hot path" ~file:"fixture_hot.ml" ~rule:"hot-alloc" ~detail:"ref"
+    ~context:"spin_ref_escape" fs;
+  check_absent "register ref not flagged" ~rule:"hot-alloc" ~context:"spin_ref_local" fs;
+  (* a builder's own closures and set-up run once per construction;
+     what the built closures do per call is checked *)
+  check_absent "closures a builder builds" ~rule:"hot-alloc" ~detail:"closure"
+    ~context:"spin_builder" fs;
+  check_absent "builder set-up" ~rule:"hot-alloc" ~detail:"array" ~context:"spin_builder" fs;
+  check_found "allocation inside a built closure" ~file:"fixture_hot.ml" ~rule:"hot-alloc"
+    ~detail:"tuple" ~context:"spin_builder" fs
 
 (* A hot function returning a float or a boxed integer allocates the
    result at every call that is not inlined, although its body holds no
@@ -246,9 +260,10 @@ let test_hot_alloc_stale_names () =
   let stale_hot =
     hot_spec
     @ [
-        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_hot"; s_names = [ "spin_closure"; "spin_gone" ] };
-        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_gone"; s_names = [ "spin" ] };
-        { Hot_alloc.s_unit = "Cm_elsewhere.Unit"; s_names = [ "spin" ] };
+        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_hot"; s_names = [ "spin_closure" ];
+          s_builders = [ "spin_gone" ] };
+        { Hot_alloc.s_unit = "Lint_fixtures.Fixture_gone"; s_names = [ "spin" ]; s_builders = [] };
+        { Hot_alloc.s_unit = "Cm_elsewhere.Unit"; s_names = [ "spin" ]; s_builders = [] };
       ]
   in
   let fs = (Driver.run { config with Driver.hot = stale_hot }).Driver.findings in
@@ -263,6 +278,33 @@ let test_hot_alloc_stale_names () =
     ~detail:"stale-name" ~context:"Lint_fixtures.Fixture_gone" fs;
   check_absent "library outside the roots" ~rule:"hot-alloc" ~detail:"stale-name"
     ~context:"Cm_elsewhere" fs
+
+(* ------------------------------------------------------------------ *)
+(* Dead exports                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let dead_lines fs = String.concat "\n" (List.map Finding.to_string fs)
+
+(* Fixture_export exports [used] (named by Fixture_export_use),
+   [Infix.( let+ )] (used only as a letop) and [unused] (called only by
+   its own unit): exactly the last is dead. *)
+let test_dead_export_fixture () =
+  let fs = Dead_export.run ~skip:[] ~exports:[ fixture_dir ] ~users:[ fixture_dir ] () in
+  Alcotest.(check (list string))
+    "only the unused export" [ "Lint_fixtures.Fixture_export.unused" ]
+    (List.map (fun (f : Finding.t) -> f.Finding.context) fs);
+  Alcotest.(check string) "finding line"
+    "test/typed_fixtures/fixture_export.mli:6: dead-export: Lint_fixtures.Fixture_export.unused"
+    (dead_lines fs)
+
+(* Every value the simulation libraries' interfaces export has a user in
+   another unit of lib/, bin/, perfbench/, examples/ or test/. *)
+let test_dead_export_tree () =
+  match
+    Dead_export.run ~exports:Dead_export.export_roots ~users:Dead_export.user_roots ()
+  with
+  | [] -> ()
+  | fs -> Alcotest.failf "%d dead exports:\n%s" (List.length fs) (dead_lines fs)
 
 (* ------------------------------------------------------------------ *)
 (* Output order, JSON, baseline                                       *)
@@ -346,6 +388,11 @@ let () =
           Alcotest.test_case "custom hot-set" `Quick test_hot_alloc;
           Alcotest.test_case "boxed numeric return" `Quick test_hot_alloc_boxed_return;
           Alcotest.test_case "stale hot-set names" `Quick test_hot_alloc_stale_names;
+        ] );
+      ( "dead-export",
+        [
+          Alcotest.test_case "fixture" `Quick test_dead_export_fixture;
+          Alcotest.test_case "library surface" `Quick test_dead_export_tree;
         ] );
       ( "output",
         [

@@ -31,3 +31,25 @@ let spin_drive n = spin_take () n
 
 let spin_cell : (int -> int) array = [| (fun x -> x + 1) |]
 let spin_fn_read i = spin_cell.(i)
+
+(* a ref the compiler keeps in a register (let-bound, used only through
+   [!] and [:=], no closure captures it): not flagged *)
+let spin_ref_local n =
+  let r = ref 0 in
+  for i = 1 to n do
+    r := !r + i
+  done;
+  !r
+
+(* a ref that escapes into a call is a heap cell per call: flagged *)
+let spin_ref_escape n = Sys.opaque_identity (ref n)
+
+(* a builder: its array and the two closures it returns are made once
+   per construction and are not flagged; the tuple inside the returned
+   closure is made per call and is *)
+let spin_builder n =
+  let table = [| n |] in
+  let done_ x = table.(0) <- x in
+  fun x ->
+    done_ x;
+    (x, n)
