@@ -5,18 +5,18 @@
    ([Cm_machine.Network.send]), through dune's mangled unit name
    ([Cm_machine__Network.send]), or through a local module alias
    ([module N = Network ... N.send]) — maps to one spelling,
-   "Cm_machine.Network.send".  That is what closes the module-alias
-   blind spot of the syntactic pass: the Typedtree records resolved
-   [Path.t]s, and local aliases are expanded with an alias table
-   collected from the same tree.
+   "Cm_machine.Network.send".  That is what makes the rules
+   alias-proof: the Typedtree records resolved [Path.t]s, and local
+   aliases are expanded with an alias table collected from the same
+   tree.
 
    The index also records, for every compilation unit:
    - its toplevel value bindings (including nested [struct]s), keyed
      both by canonical path and by definition location, so a
      [Texp_ident] whose [Path.t] is a bare ident (same-unit reference)
      can be resolved through [val_loc];
-   - every type declaration's [Types.type_declaration], powering the
-     structural mutability query used by the domain-safety pass. *)
+   - every type declaration's [Types.type_declaration], so the
+     closure-compare and hot-alloc checks can expand abbreviations. *)
 
 type binding = {
   b_name : string;
@@ -143,7 +143,7 @@ let index_unit idx ui =
       match peel_module mb.mb_expr with
       | Tmod_ident (p, _) ->
         (* A module alias: record the expansion so [canon_path] sees
-           through it — this is the hole the syntactic lint documents. *)
+           through it. *)
         Hashtbl.replace ui.ui_aliases name (canon_path ui p)
       | Tmod_structure s -> str (prefix ^ "." ^ name) s
       | _ -> ())
@@ -220,138 +220,6 @@ let refs_of_expr idx ui (e : Typedtree.expression) =
   let iter = { Tast_iterator.default_iterator with expr } in
   iter.expr iter e;
   List.sort_uniq String.compare !acc
-
-(* ------------------------------------------------------------------ *)
-(* Structural type mutability                                         *)
-(* ------------------------------------------------------------------ *)
-
-type mut =
-  | Mutable of string  (* witness: which component is mutable *)
-  | Synchronized  (* Atomic.t / Mutex.t / DLS key — shared by design *)
-  | Immutable
-  | Unknown  (* abstract with no visible definition; not flagged *)
-
-let builtin_mutable =
-  [ "ref"; "array"; "bytes"; "Bytes.t"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t";
-    "Ephemeron.K1.t"; "Weak.t"; "Bigarray.Array1.t" ]
-
-let builtin_synchronized =
-  [ "Atomic.t"; "Mutex.t"; "Condition.t"; "Semaphore.Counting.t"; "Semaphore.Binary.t";
-    "Domain.DLS.key" ]
-
-(* Immutable containers whose type arguments must still be inspected:
-   a [Hashtbl.t list] payload is as shared-mutable as the table itself. *)
-let transparent_containers = [ "list"; "option"; "Option.t"; "result"; "Result.t"; "Either.t"; "Lazy.t"; "lazy_t"; "Seq.t" ]
-
-let join a b =
-  match (a, b) with
-  | (Mutable _ as m), _ | _, (Mutable _ as m) -> m
-  | Unknown, _ | _, Unknown -> Unknown
-  | Synchronized, x | x, Synchronized -> x
-  | Immutable, Immutable -> Immutable
-
-(* Canonical name of a *type* path: like [canon_path] but without the
-   per-unit alias table (type expressions in [Types.t] carry resolved
-   paths, where a cross-unit reference shows up under the mangled unit
-   name, e.g. "Cm_machine__Transport.t"). *)
-let canon_type_path (p : Path.t) =
-  let rec go = function
-    | Path.Pident id -> canon_unit (Ident.name id)
-    | Path.Pdot (p', s) -> go p' ^ "." ^ s
-    | Path.Papply (p', _) -> go p'
-    | Path.Pextra_ty (p', _) -> go p'
-  in
-  strip_stdlib (go p)
-
-(* [mutability idx ty] walks [ty] structurally: through tuples,
-   transparent containers, record fields, variant constructor arguments
-   and manifests, consulting the whole-library type index for user
-   types.  Arrows are treated as immutable (a closure may capture
-   mutable state, but flagging every function payload would drown the
-   signal — the capture is caught where the state is created).
-   [?self] is the unit the inspected expression lives in: a same-unit
-   type reference is a bare ident ("req", not "Unit.req"), so the
-   declaration table is also tried under [self]'s canonical prefix. *)
-let mutability ?self idx ty =
-  let seen = Hashtbl.create 16 in
-  let rec go depth ty =
-    if depth > 12 then Unknown
-    else
-      let id = Types.get_id ty in
-      if Hashtbl.mem seen id then Immutable  (* recursive occurrence: decided above *)
-      else begin
-        Hashtbl.add seen id ();
-        match Types.get_desc ty with
-        | Tarrow _ -> Immutable
-        | Ttuple tys -> List.fold_left (fun acc t -> join acc (go (depth + 1) t)) Immutable tys
-        | Tconstr (p, args, _) -> constr depth p args
-        | Tvar _ | Tunivar _ -> Unknown
-        | Tpoly (t, _) -> go depth t
-        | Tlink t | Tsubst (t, _) -> go depth t
-        | _ -> Unknown
-      end
-  and constr depth p args =
-    let name = strip_stdlib (Path.name p) in
-    if List.mem name builtin_mutable then Mutable name
-    else if List.mem name builtin_synchronized then Synchronized
-    else if List.mem name transparent_containers then
-      List.fold_left (fun acc t -> join acc (go (depth + 1) t)) Immutable args
-    else
-      let decl =
-        match Hashtbl.find_opt idx.type_decls (canon_type_path p) with
-        | Some d -> Some d
-        | None -> (
-          match (p, self) with
-          | Path.Pident _, Some (ui : unit_info) ->
-            Hashtbl.find_opt idx.type_decls (ui.ui_canon ^ "." ^ name)
-          | _ -> None)
-      in
-      match decl with
-      | None ->
-        (* int, float, string, unit, user abstract types from outside
-           the indexed roots... primitive scalars are immutable; the
-           rest are unknown. *)
-        if List.mem name
-             [ "int"; "float"; "char"; "bool"; "unit"; "string"; "int32"; "int64";
-               "nativeint"; "exn"; "floatarray" ]
-        then if name = "floatarray" then Mutable name else Immutable
-        else Unknown
-      | Some decl -> decl_mut depth name decl args
-  and decl_mut depth name (decl : Types.type_declaration) args =
-    let from_args = List.fold_left (fun acc t -> join acc (go (depth + 1) t)) Immutable args in
-    let own =
-      match decl.type_kind with
-      | Type_record (lds, _) ->
-        List.fold_left
-          (fun acc (ld : Types.label_declaration) ->
-            match ld.ld_mutable with
-            | Mutable ->
-              join acc (Mutable (Printf.sprintf "mutable field %s.%s" name (Ident.name ld.ld_id)))
-            | Immutable -> join acc (go (depth + 1) ld.ld_type))
-          Immutable lds
-      | Type_variant (cds, _) ->
-        List.fold_left
-          (fun acc (cd : Types.constructor_declaration) ->
-            match cd.cd_args with
-            | Cstr_tuple tys ->
-              List.fold_left (fun acc t -> join acc (go (depth + 1) t)) acc tys
-            | Cstr_record lds ->
-              List.fold_left
-                (fun acc (ld : Types.label_declaration) ->
-                  match ld.ld_mutable with
-                  | Mutable ->
-                    join acc
-                      (Mutable (Printf.sprintf "mutable field %s.%s" name (Ident.name ld.ld_id)))
-                  | Immutable -> join acc (go (depth + 1) ld.ld_type))
-                acc lds)
-          Immutable cds
-      | Type_abstract -> (
-        match decl.type_manifest with Some t -> go (depth + 1) t | None -> Unknown)
-      | Type_open -> Unknown
-    in
-    join own from_args
-  in
-  go 0 ty
 
 let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 

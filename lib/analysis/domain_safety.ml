@@ -15,8 +15,9 @@
       per-call state — but does see through [let]:
       [let t = Hashtbl.create 8 in fun () -> ...] allocates the table
       once and captures it.  Ownership classes:
-        - [Atomic.make]          -> atomic        (safe; vetting is the
-                                                   global-state rule's job)
+        - [Atomic.make]          -> atomic        (reported under the
+                                                   global-state rule: each
+                                                   one needs an allow comment)
         - [Domain.DLS.new_key]   -> dls           (safe)
         - [Mutex.create] etc.    -> sync          (safe: a lock is *for*
                                                    sharing)
@@ -29,11 +30,6 @@
       to every caller — the classic "hashtable behind a getter".  The
       reachability walk runs over the whole-library reference graph and
       the finding carries the call-chain witness.
-
-   3. *Mutable payloads through the transport.*  A value whose type
-      contains unsynchronized mutable components ([Transport.post]/
-      [dispatch] payload) crosses a shard boundary by construction: the
-      sender keeps a reference and the receiving shard gets another.
 
    Escapes: a binding carrying [@cm.shard_safe "why"] is vetted (an
    empty justification is itself a finding), as is one suppressed with
@@ -189,7 +185,14 @@ let run (idx : Cmt_index.t) ~vetted =
               let line = Cmt_index.line_of loc in
               classified := (b.b_canon, class_name cls) :: !classified;
               match cls with
-              | Atomic | Dls | Sync | Guarded _ -> ()
+              | Dls | Sync | Guarded _ -> ()
+              | Atomic ->
+                add
+                  (Finding.v ~file:ui.ui_source ~line ~rule:"global-state" ~context:b.b_canon
+                     ~detail:"atomic"
+                     "toplevel Atomic.make is mutable state shared across domains and runs; \
+                      move it into the machine/runtime instance or Domain.DLS, or vet it as \
+                      an Atomic with an allow comment")
               | Shared ctor ->
                 if vet || vetted ~file:ui.ui_source ~line then ()
                 else begin
@@ -270,47 +273,5 @@ let run (idx : Cmt_index.t) ~vetted =
   List.iter
     (fun (ui : Cmt_index.unit_info) ->
       List.iter (fun (b : Cmt_index.binding) -> bfs_from b.b_canon ui) ui.ui_bindings)
-    idx.units;
-  (* Pass 3: mutable payloads through the transport. *)
-  let send_heads = [ "Cm_machine.Transport.post"; "Cm_machine.Transport.dispatch" ] in
-  List.iter
-    (fun (ui : Cmt_index.unit_info) ->
-      List.iter
-        (fun (b : Cmt_index.binding) ->
-          let expr sub (e : Typedtree.expression) =
-            (match e.exp_desc with
-            | Texp_apply (head, args) -> (
-              match head_canon idx ui head with
-              | Some h when List.mem h send_heads -> (
-                let payload =
-                  List.filter_map
-                    (fun (lbl, (a : Typedtree.expression option)) ->
-                      match (lbl, a) with Asttypes.Nolabel, Some a -> Some a | _ -> None)
-                    args
-                  |> List.rev
-                  |> function [] -> None | last :: _ -> Some last
-                in
-                match payload with
-                | Some p -> (
-                  match Cmt_index.mutability ~self:ui idx p.exp_type with
-                  | Cmt_index.Mutable what ->
-                    let line = Cmt_index.line_of e.exp_loc in
-                    if not (vetted ~file:ui.ui_source ~line) then
-                      add
-                        (Finding.v ~file:ui.ui_source ~line ~rule ~context:b.b_canon
-                           ~detail:"escaping-payload" ~witness:[ b.b_canon; h ]
-                           (Printf.sprintf
-                              "payload of %s contains unsynchronized mutable state (%s): \
-                               sender and receiving shard both hold a reference"
-                              h what))
-                  | _ -> ())
-                | None -> ())
-              | _ -> ())
-            | _ -> ());
-            Tast_iterator.default_iterator.expr sub e
-          in
-          let iter = { Tast_iterator.default_iterator with expr } in
-          iter.expr iter b.b_vb.vb_expr)
-        ui.ui_bindings)
     idx.units;
   { findings = !findings; classified = List.rev !classified }

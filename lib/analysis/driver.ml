@@ -1,72 +1,23 @@
-(* Orchestrates the passes: syntactic tripwire over sources, typed
-   passes over .cmt files, suppression filtering, dedup, stable sort.
-   Used by bin/lint.ml and exercised directly by test/test_analysis.ml. *)
+(* Orchestrates the typed passes over .cmt files, suppression filtering
+   and the suppression audit, and sorts the result.  Used by
+   bin/lint.ml and exercised directly by test/test_analysis.ml. *)
 
 type config = {
-  roots : string list;  (* directories: sources and .cmt files are found beneath *)
+  roots : string list;  (* directories: .cmt files are found beneath *)
   source_root : string;  (* prefix tried when a compiler path does not resolve *)
-  syntactic : bool;
-  typed : bool;
   hot : Hot_alloc.spec list;
 }
 
-let default_config roots =
-  { roots; source_root = "."; syntactic = true; typed = true; hot = Hot_alloc.default }
+let default_config roots = { roots; source_root = "."; hot = Hot_alloc.default }
 
 type outcome = {
-  findings : Finding.t list;  (* unsuppressed, deduped, sorted *)
-  files_scanned : int;  (* .ml files seen by the syntactic pass *)
+  findings : Finding.t list;  (* unsuppressed, sorted *)
   units_analyzed : int;  (* compilation units seen by the typed passes *)
   classified : (string * string) list;  (* domain-safety ownership classes *)
-  errors : string list;  (* parse failures, unreadable cmts *)
+  errors : string list;  (* unreadable cmts *)
 }
 
-(* .ml sources for the syntactic pass: skip build/hidden directories
-   (the .cmt walk below is the one that descends into .objs). *)
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc entry ->
-           if String.length entry > 0 && (entry.[0] = '_' || entry.[0] = '.') then acc
-           else collect_ml acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let dedup_by_site findings =
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun (f : Finding.t) ->
-      let k = (f.file, f.line, f.rule) in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    (Finding.sort findings)
-
 let run config =
-  let errors = ref [] in
-  (* --- syntactic pass --- *)
-  let ml_files =
-    if not config.syntactic then []
-    else
-      try List.fold_left collect_ml [] config.roots |> List.sort String.compare
-      with Sys_error msg ->
-        errors := ("lint: " ^ msg) :: !errors;
-        []
-  in
-  let syntactic_findings =
-    List.concat_map
-      (fun file ->
-        try Syntactic.lint_file file
-        with Syntactic.Parse_error (f, msg) ->
-          errors := Printf.sprintf "%s: parse-error: %s" f msg :: !errors;
-          [])
-      ml_files
-  in
-  (* --- typed passes --- *)
   let suppress_cache : (string, Suppress.t) Hashtbl.t = Hashtbl.create 64 in
   let suppressions_of file =
     match Hashtbl.find_opt suppress_cache file with
@@ -76,25 +27,18 @@ let run config =
       Hashtbl.add suppress_cache file s;
       s
   in
-  let typed_findings, units, classified =
-    if not config.typed then ([], 0, [])
-    else begin
-      let idx = Cmt_index.load ~roots:config.roots in
-      errors := !errors @ idx.errors;
-      let vetted ~file ~line =
-        Suppress.suppressed (suppressions_of file) ~line ~rule:Domain_safety.rule
-      in
-      let ds = Domain_safety.run idx ~vetted in
-      let ha = Hot_alloc.run idx ~hot:config.hot () in
-      let tr = Typed_rules.run idx in
-      (ds.findings @ ha @ tr, List.length idx.units, ds.classified)
-    end
+  let idx = Cmt_index.load ~roots:config.roots in
+  let vetted ~file ~line =
+    Suppress.suppressed (suppressions_of file) ~line ~rule:Domain_safety.rule
   in
-  (* --- suppression filtering + suppression audit --- *)
-  let raw = syntactic_findings @ typed_findings in
+  let ds = Domain_safety.run idx ~vetted in
+  let raw = ds.findings @ Hot_alloc.run idx ~hot:config.hot () @ Typed_rules.run idx in
+  (* The audit covers every analyzed unit's source, plus any file a
+     finding names. *)
   let audited_files =
     List.sort_uniq String.compare
-      (ml_files @ List.map (fun (f : Finding.t) -> f.file) raw)
+      (List.map (fun (ui : Cmt_index.unit_info) -> ui.ui_source) idx.units
+      @ List.map (fun (f : Finding.t) -> f.file) raw)
   in
   let audit_findings = List.concat_map (fun f -> Suppress.audit (suppressions_of f)) audited_files in
   let surviving =
@@ -104,9 +48,8 @@ let run config =
       (raw @ audit_findings)
   in
   {
-    findings = dedup_by_site surviving;
-    files_scanned = List.length ml_files;
-    units_analyzed = units;
-    classified;
-    errors = !errors;
+    findings = Finding.sort surviving;
+    units_analyzed = List.length idx.units;
+    classified = ds.classified;
+    errors = idx.errors;
   }

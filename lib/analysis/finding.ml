@@ -1,5 +1,4 @@
-(* A lint finding, shared by the syntactic (parsetree) and typed
-   (.cmt/Typedtree) passes.
+(* A lint finding, shared by every pass and by the dead-export check.
 
    [context] is the enclosing toplevel binding ("Cm_machine.Transport.post")
    or "" when the finding is not inside one; [detail] is a pass-specific

@@ -4,7 +4,7 @@
    "(* lint: allow <rule> [justification] *)", or the file carries
    "(* lint: allow-file <rule> [justification] *)" anywhere.
 
-   Two hardenings over the old purely-syntactic lint:
+   Two hardenings over a plain allow-comment filter:
 
    - a suppression naming a rule the analyzer does not know is itself a
      finding ([bad-suppress]) instead of silently doing nothing — a typo

@@ -1,15 +1,11 @@
-(* Typed re-implementations of the identifier rules.
+(* The identifier rules: determinism, hashtbl-order, raw-send, printf,
+   poly-compare and closure-compare.
 
-   The syntactic pass matches identifiers as written; these run over the
-   Typedtree with resolved, alias-expanded canonical paths, so
-   [module N = Network let f = N.send] or [module R = Random] cannot
-   hide a call.  Rule names match the syntactic pass exactly — one
-   suppression comment covers both — and the driver merges duplicate
-   findings by (file, line, rule).
-
-   The typed closure-compare check is also *stronger*, not just
-   alias-proof: instead of guessing from variable names it asks the type
-   checker whether a compared operand's type contains an arrow. *)
+   They run over the Typedtree with resolved, alias-expanded canonical
+   paths, so [module N = Network let f = N.send] or [module R = Random]
+   cannot hide a call.  closure-compare does not guess from variable
+   names: it asks the type checker whether a compared operand's type
+   contains an arrow. *)
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in

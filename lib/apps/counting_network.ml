@@ -47,7 +47,6 @@ type repr =
 type t = {
   env : Sysenv.t;
   net : Balancer_net.t;
-  mode : mode;
   repr : repr;
   issued_rev : int list ref;  (* instrumentation: every value handed out *)
 }
@@ -143,7 +142,7 @@ let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512
       let cnt_addr = Array.init width (fun w -> Shmem.alloc mem ~home:(counter_proc w) ~words:1) in
       Sm { bal_addr; locks; cnt_addr; sync = sm_sync }
   in
-  { env; net; mode; repr; issued_rev }
+  { env; net; repr; issued_rev }
 
 let width t = Balancer_net.width t.net
 

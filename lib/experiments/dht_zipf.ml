@@ -59,7 +59,7 @@ let request table zipf _i =
     let key = Zipf.sample zipf r in
     if Rng.int r 10 < 8 then Dht.get table key c dropk else Dht.put table ~key ~value:key c k
 
-let measure_with_machine ~quick mode skew =
+let measure ~quick mode skew =
   let sz = size ~quick in
   let machine =
     Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
@@ -77,20 +77,15 @@ let measure_with_machine ~quick mode skew =
     Dht.preload table ~key:k ~value:k
   done;
   let zipf = Zipf.create ~s:skew ~n:sz.keys in
-  let metrics =
-    Cm_workload.Driver.run machine
-      {
-        Cm_workload.Driver.requesters = sz.requesters;
-        first_proc = sz.node_procs;
-        think = 0;
-        warmup = sz.horizon / 5;
-        horizon = sz.horizon;
-      }
-      (request table zipf)
-  in
-  (machine, metrics)
-
-let measure ~quick mode skew = snd (measure_with_machine ~quick mode skew)
+  Cm_workload.Driver.run machine
+    {
+      Cm_workload.Driver.requesters = sz.requesters;
+      first_proc = sz.node_procs;
+      think = 0;
+      warmup = sz.horizon / 5;
+      horizon = sz.horizon;
+    }
+    (request table zipf)
 
 let jobs ~quick =
   List.concat_map (fun skew -> List.map (fun mode () -> measure ~quick mode skew) modes) skews

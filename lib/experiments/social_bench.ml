@@ -48,7 +48,7 @@ let request graph workload access _i =
     | Walk -> Social_graph.walk graph ~access ~start:u ~steps:walk_steps c dropk
     | Fof -> Social_graph.friends_of_friends graph ~access u c dropk
 
-let measure_with_machine ~quick workload access =
+let measure ~quick workload access =
   let sz = size ~quick in
   let machine =
     Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
@@ -61,20 +61,15 @@ let measure_with_machine ~quick workload access =
       ~node_procs:(Array.init sz.node_procs (fun i -> i))
       ~seed:7 ()
   in
-  let metrics =
-    Cm_workload.Driver.run machine
-      {
-        Cm_workload.Driver.requesters = sz.requesters;
-        first_proc = sz.node_procs;
-        think = 0;
-        warmup = sz.horizon / 5;
-        horizon = sz.horizon;
-      }
-      (request graph workload access)
-  in
-  (machine, metrics)
-
-let measure ~quick workload access = snd (measure_with_machine ~quick workload access)
+  Cm_workload.Driver.run machine
+    {
+      Cm_workload.Driver.requesters = sz.requesters;
+      first_proc = sz.node_procs;
+      think = 0;
+      warmup = sz.horizon / 5;
+      horizon = sz.horizon;
+    }
+    (request graph workload access)
 
 let workloads = [ Walk; Fof ]
 

@@ -4,7 +4,6 @@ open Cm_engine
    once, so a send does not rebuild "net.words.<kind>" strings or hash
    them per message. *)
 type kind = {
-  k_name : string;
   k_words : Stats.counter;
   k_messages : Stats.counter;
 }
@@ -52,7 +51,6 @@ let kind t name =
   | None ->
     let k =
       {
-        k_name = name;
         k_words = Stats.counter t.stats ("net.words." ^ name);
         k_messages = Stats.counter t.stats ("net.messages." ^ name);
       }

@@ -12,8 +12,8 @@ type t = {
 
 let no_line = -1
 
-let create ~n_slots ~line_words ~stats =
-  if n_slots <= 0 || line_words <= 0 then invalid_arg "Cache.create: bad geometry";
+let create ~n_slots ~stats =
+  if n_slots <= 0 then invalid_arg "Cache.create: bad geometry";
   {
     slots = Array.init n_slots (fun _ -> { tag = no_line; st = Shared; data = [||] });
     (* The counters are listed in [stats] from the first recorded

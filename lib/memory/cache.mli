@@ -14,8 +14,9 @@ type state = Shared | Modified
 
 type t
 
-val create : n_slots:int -> line_words:int -> stats:Cm_engine.Stats.t -> t
-(** [create ~n_slots ~line_words ~stats] is an empty cache. *)
+val create : n_slots:int -> stats:Cm_engine.Stats.t -> t
+(** [create ~n_slots ~stats] is an empty cache.  The line size lives in
+    {!Shmem.config}, which validates it. *)
 
 val lookup : t -> line:int -> (state * int array) option
 (** [lookup t ~line] is the state and data of [line] if resident (the

@@ -117,10 +117,11 @@ let wp_alloc wp =
 let unallocated = { home = -1; dstate = Uncached; mem = [||]; busy_until = 0 }
 
 let create ?(config = default_config) machine =
+  if config.line_words <= 0 then invalid_arg "Shmem.create: line_words must be positive";
+  if config.cache_slots <= 0 then invalid_arg "Shmem.create: cache_slots must be positive";
   let caches =
     Array.init (Machine.n_procs machine) (fun _ ->
-        Cache.create ~n_slots:config.cache_slots ~line_words:config.line_words
-          ~stats:machine.Machine.stats)
+        Cache.create ~n_slots:config.cache_slots ~stats:machine.Machine.stats)
   in
   let tp = Machine.transport machine in
   let stats = machine.Machine.stats in

@@ -46,7 +46,8 @@ type addr = int
 
 val create : ?config:config -> Machine.t -> t
 (** [create machine] attaches a coherent memory system (one cache per
-    processor) to [machine]. *)
+    processor) to [machine].  Raises [Invalid_argument] naming the field
+    when [config.line_words] or [config.cache_slots] is not positive. *)
 
 val alloc : t -> home:int -> words:int -> addr
 (** [alloc t ~home ~words] reserves [words] words of line-aligned shared

@@ -1,6 +1,7 @@
-(* Typed-analyzer tests (lib/analysis), driven over the compiled
-   negative fixtures in test/typed_fixtures: seeded shard-escape
-   violations, call-chain witnesses, module-alias evasion, the
+(* Analyzer tests (lib/analysis), driven over the compiled negative
+   fixtures in test/typed_fixtures: the exact findings of every
+   identifier rule, seeded shard-escape violations, call-chain
+   witnesses, module-alias evasion, the
    suppression machinery (on-line / line-above / attribute /
    allow-file / misuse audit), the hot-alloc pass under a custom
    hot-set, stable output order, lint.json shape, and baseline
@@ -49,7 +50,6 @@ let hot_spec =
 
 let config = { (Driver.default_config [ fixture_dir ]) with Driver.hot = hot_spec }
 let outcome = lazy (Driver.run config)
-let syntactic_only = lazy (Driver.run { config with Driver.typed = false })
 let findings () = (Lazy.force outcome).Driver.findings
 
 let contains s sub =
@@ -142,29 +142,42 @@ let test_getter_witness () =
   check_absent "owner mutator not an escape" ~rule:"domain-safety" ~context:"Fixture_store.bump"
     fs
 
-let test_payload () =
-  let fs = findings () in
-  match
-    find_all ~file:"fixture_evade.ml" ~rule:"domain-safety" ~detail:"escaping-payload" fs
-  with
-  | [ f ] ->
-    Alcotest.(check bool) "names the mutable field" true (contains f.Finding.msg "mutable field req.seen");
-    Alcotest.(check bool)
-      "witness names the send head" true
-      (List.mem "Cm_machine.Transport.post" f.Finding.witness)
-  | fs' -> Alcotest.failf "expected exactly one escaping-payload, got %d" (List.length fs')
+(* ------------------------------------------------------------------ *)
+(* Identifier rules: exact findings, module-alias evasion             *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Module-alias evasion: typed catches what syntactic cannot          *)
-(* ------------------------------------------------------------------ *)
+(* Every (line, rule) fixture_rules.ml reports; the four toplevel
+   ref/Hashtbl roots are domain-safety findings and the toplevel
+   Atomic.make is global-state. *)
+let rules_expected =
+  [
+    (5, "determinism"); (7, "determinism"); (9, "determinism"); (11, "determinism");
+    (11, "domain-safety"); (13, "hashtbl-order"); (13, "printf"); (15, "hashtbl-order");
+    (17, "closure-compare"); (19, "printf"); (21, "poly-compare"); (23, "poly-compare");
+    (28, "raw-send"); (30, "raw-send"); (33, "raw-send"); (43, "domain-safety");
+    (45, "domain-safety"); (47, "global-state"); (50, "domain-safety");
+  ]
+
+let test_rules_exact () =
+  let got =
+    List.map
+      (fun (f : Finding.t) -> (f.Finding.line, f.Finding.rule))
+      (find_all ~file:"fixture_rules.ml" (findings ()))
+  in
+  Alcotest.(check (list (pair int string))) "fixture_rules.ml (line, rule) set" rules_expected got;
+  (* the _ok_* and _allowed* bindings: applied compare, local state and
+     the four allow comments *)
+  List.iter
+    (fun line ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "line %d reports nothing" line)
+        []
+        (List.filter_map (fun (l, r) -> if l = line then Some r else None) got))
+    [ 26; 35; 37; 39; 54; 56 ]
 
 let test_alias_evasion () =
   check_found "typed pass sees through the alias" ~file:"fixture_evade.ml" ~rule:"raw-send"
-    ~msg:"Cm_machine.Network.send" (findings ());
-  let syn = Lazy.force syntactic_only in
-  Alcotest.(check int)
-    "syntactic pass scanned the fixtures" 9 syn.Driver.files_scanned;
-  check_absent "syntactic pass is blind to N.send" ~rule:"raw-send" syn.Driver.findings
+    ~msg:"Cm_machine.Network.send" (findings ())
 
 (* ------------------------------------------------------------------ *)
 (* Suppression machinery                                              *)
@@ -327,7 +340,7 @@ let test_json () =
     [
       "\"rule\":\"domain-safety\"";
       "\"class\":\"escaping-getter\"";
-      "\"class\":\"escaping-payload\"";
+      "\"class\":\"escaping\"";
       "\"witness\":[\"Lint_fixtures.Fixture_getter.lookup\",\"Lint_fixtures.Fixture_getter.raw_table\",\"Lint_fixtures.Fixture_store.table\"]";
       "\"rule\":\"hot-alloc\"";
     ]
@@ -374,8 +387,8 @@ let () =
           Alcotest.test_case "seeded roots" `Quick test_seeded_roots;
           Alcotest.test_case "ownership classes" `Quick test_ownership_classes;
           Alcotest.test_case "getter witness chains" `Quick test_getter_witness;
-          Alcotest.test_case "mutable payload" `Quick test_payload;
         ] );
+      ("rules", [ Alcotest.test_case "exact fixture findings" `Quick test_rules_exact ]);
       ( "typed-vs-syntactic",
         [ Alcotest.test_case "module-alias evasion" `Quick test_alias_evasion ] );
       ( "suppressions",

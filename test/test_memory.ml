@@ -16,7 +16,7 @@ let small_config = { Shmem.default_config with Shmem.cache_slots = 8 }
 (* Cache                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let mk_cache ?(slots = 4) () = Cache.create ~n_slots:slots ~line_words:4 ~stats:(Stats.create ())
+let mk_cache ?(slots = 4) () = Cache.create ~n_slots:slots ~stats:(Stats.create ())
 
 let test_cache_insert_lookup () =
   let c = mk_cache () in
@@ -101,6 +101,17 @@ let test_shmem_unallocated () =
   let mem = Shmem.create m in
   Alcotest.check_raises "unallocated" (Invalid_argument "Shmem: unallocated line 250") (fun () ->
       ignore (Shmem.home_of mem 1000))
+
+(* A zero line size would divide by zero in every address lookup, and
+   zero cache slots in every cache index: both are refused up front. *)
+let test_shmem_bad_geometry () =
+  let m = machine () in
+  Alcotest.check_raises "line_words 0"
+    (Invalid_argument "Shmem.create: line_words must be positive") (fun () ->
+      ignore (Shmem.create ~config:{ Shmem.default_config with Shmem.line_words = 0 } m));
+  Alcotest.check_raises "cache_slots 0"
+    (Invalid_argument "Shmem.create: cache_slots must be positive") (fun () ->
+      ignore (Shmem.create ~config:{ Shmem.default_config with Shmem.cache_slots = 0 } m))
 
 let test_shmem_read_after_write_local () =
   let m = machine () in
@@ -638,6 +649,7 @@ let () =
         [
           Alcotest.test_case "alloc homes" `Quick test_shmem_alloc_homes;
           Alcotest.test_case "unallocated" `Quick test_shmem_unallocated;
+          Alcotest.test_case "bad geometry" `Quick test_shmem_bad_geometry;
           Alcotest.test_case "read after write" `Quick test_shmem_read_after_write_local;
           Alcotest.test_case "zero initialized" `Quick test_shmem_zero_initialized;
           Alcotest.test_case "cross-processor visibility" `Quick test_shmem_cross_processor_visibility;

@@ -7,4 +7,8 @@ let file_wide_a = ref 0
 
 let file_wide_b : (int, int) Hashtbl.t = Hashtbl.create 4
 
+(* The allow-file names only domain-safety: this atomic root is still
+   reported under global-state. *)
+let file_wide_flag = Atomic.make false
+
 let read_both () = !file_wide_a + Hashtbl.length file_wide_b
