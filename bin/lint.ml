@@ -25,35 +25,29 @@
    rules, call-chain witnesses.
 
    Suppression: "(* lint: allow <rule> [why] *)" on the line or the line
-   above, "(* lint: allow-file <rule> [why] *)" anywhere in the file, or
-   [@cm.shard_safe "why"] on a binding (domain-safety only).
+   above, or "(* lint: allow-file <rule> [why] *)" anywhere in the file.
    domain-safety and hot-alloc demand the written justification; a
    suppression naming an unknown rule is itself a finding
    (bad-suppress).
 
    Findings print as "file:line: rule: msg", sorted by (file, line,
    rule); --json writes the machine-readable form (rule, path, ownership
-   class, call-chain witness); --baseline FILE tolerates the checked-in
-   debt and fails only on findings beyond it.  Exit status: 0 clean,
-   1 findings, 2 usage error or no .cmt file under the roots. *)
+   class, call-chain witness).  Exit status: 0 clean, 1 findings (any
+   finding fails the run), 2 usage error or no .cmt file under the
+   roots. *)
 
 let usage () =
   prerr_endline
-    "usage: lint.exe [--json FILE] [--baseline FILE] [--write-baseline FILE]\n\
-    \                [--source-root DIR] [root...]   (default root: lib)";
+    "usage: lint.exe [--json FILE] [--source-root DIR] [root...]   (default root: lib)";
   exit 2
 
 let () =
   let json_out = ref None
-  and baseline_in = ref None
-  and baseline_out = ref None
   and source_root = ref "."
   and roots = ref [] in
   let rec parse = function
     | [] -> ()
     | "--json" :: f :: rest -> json_out := Some f; parse rest
-    | "--baseline" :: f :: rest -> baseline_in := Some f; parse rest
-    | "--write-baseline" :: f :: rest -> baseline_out := Some f; parse rest
     | "--source-root" :: d :: rest -> source_root := d; parse rest
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       Printf.eprintf "cm-lint: unknown option %s\n" arg;
@@ -78,36 +72,10 @@ let () =
     output_string oc (Cm_analysis.Finding.list_to_json outcome.findings);
     close_out oc
   | None -> ());
-  (match !baseline_out with
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc (Cm_analysis.Baseline.render outcome.findings);
-    close_out oc;
-    Printf.printf "cm-lint: baseline of %d finding(s) written to %s\n"
-      (List.length outcome.findings) path
-  | None -> ());
-  let to_report =
-    match !baseline_in with
-    | None -> outcome.findings
-    | Some path ->
-      let verdict = Cm_analysis.Baseline.check ~baseline:(Cm_analysis.Baseline.load path) outcome.findings in
-      List.iter
-        (fun (key, allowed, have) ->
-          Printf.eprintf
-            "cm-lint: stale baseline entry (%d allowed, %d present): %s\n" allowed have key)
-        verdict.stale;
-      verdict.fresh
-  in
-  List.iter (fun f -> print_endline (Cm_analysis.Finding.to_string f)) to_report;
-  if to_report <> [] || outcome.errors <> [] then begin
-    Printf.eprintf "cm-lint: %d finding(s)%s in %d typed unit(s)\n"
-      (List.length to_report)
-      (if !baseline_in <> None then " beyond baseline" else "")
-      outcome.units_analyzed;
+  List.iter (fun f -> print_endline (Cm_analysis.Finding.to_string f)) outcome.findings;
+  if outcome.findings <> [] || outcome.errors <> [] then begin
+    Printf.eprintf "cm-lint: %d finding(s) in %d typed unit(s)\n"
+      (List.length outcome.findings) outcome.units_analyzed;
     exit 1
   end
-  else if !baseline_out = None then
-    Printf.printf "cm-lint: clean — %d typed unit(s)%s\n" outcome.units_analyzed
-      (match !baseline_in with
-      | Some _ -> Printf.sprintf " (baseline absorbed %d)" (List.length outcome.findings)
-      | None -> "")
+  else Printf.printf "cm-lint: clean — %d typed unit(s)\n" outcome.units_analyzed

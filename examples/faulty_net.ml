@@ -30,10 +30,13 @@ let run ~fault_seed () =
   let machine = Machine.create ~seed:42 ~n_procs:8 ~costs:Costs.software () in
   let tp = Machine.transport machine in
   let ping = Transport.kind tp "ping" in
-  let handled = ref 0 in
-  Transport.Endpoint.register_all tp ~kind:ping (fun () ->
-      incr handled;
-      Thread.compute 20);
+  (* Per-processor deliveries, counted by each endpoint's handler. *)
+  let handled = Array.make 8 0 in
+  for p = 0 to 7 do
+    Transport.Endpoint.register tp ~proc:p ~kind:ping (fun () ->
+        handled.(p) <- handled.(p) + 1;
+        Thread.compute 20)
+  done;
   (match fault_seed with
   | Some seed -> Transport.configure_faults tp ~seed [ ("ping", flaky) ]
   | None -> ());
@@ -48,11 +51,9 @@ let run ~fault_seed () =
   Transport.check_all_delivered tp;
   Printf.printf "  posted=%-4d delivered=%-4d dropped=%-3d handler ran %d times\n"
     (Transport.posted tp "ping") (Transport.delivered tp "ping") (Transport.dropped tp "ping")
-    !handled;
+    (Array.fold_left ( + ) 0 handled);
   Printf.printf "  per endpoint:";
-  for p = 0 to 7 do
-    Printf.printf " %d" (Transport.Endpoint.delivered ~kind:ping ~proc:p)
-  done;
+  Array.iter (Printf.printf " %d") handled;
   print_newline ()
 
 (* A message that never arrives: post it, then stop the clock before

@@ -31,10 +31,10 @@
       reachability walk runs over the whole-library reference graph and
       the finding carries the call-chain witness.
 
-   Escapes: a binding carrying [@cm.shard_safe "why"] is vetted (an
-   empty justification is itself a finding), as is one suppressed with
-   "(* lint: allow domain-safety — why *)" (the driver's [vetted]
-   predicate folds comment suppressions in). *)
+   Escape: a root suppressed with "(* lint: allow domain-safety — why *)"
+   on its line or the line above is vetted (the driver's [vetted]
+   predicate folds comment suppressions in; an empty justification is
+   itself a finding). *)
 
 let rule = "domain-safety"
 
@@ -96,28 +96,6 @@ let creation idx ui (e : Typedtree.expression) =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* [@cm.shard_safe "..."] vetting attribute                           *)
-(* ------------------------------------------------------------------ *)
-
-let shard_safe_attr (vb : Typedtree.value_binding) =
-  List.find_map
-    (fun (a : Parsetree.attribute) ->
-      if a.attr_name.txt <> "cm.shard_safe" then None
-      else
-        match a.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-                _;
-              };
-            ] ->
-          Some (String.trim s)
-        | _ -> Some "")
-    vb.vb_attributes
-
-(* ------------------------------------------------------------------ *)
 (* The pass                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -163,23 +141,11 @@ let run (idx : Cmt_index.t) ~vetted =
   let roots : (string, Cmt_index.unit_info * Location.t * string) Hashtbl.t =
     Hashtbl.create 32
   in
-  (* Pass 1: module-init-time state, attribute handling, root set. *)
+  (* Pass 1: module-init-time state and the root set. *)
   List.iter
     (fun (ui : Cmt_index.unit_info) ->
       List.iter
         (fun (b : Cmt_index.binding) ->
-          let attr = shard_safe_attr b.b_vb in
-          (match attr with
-          | Some "" ->
-            add
-              (Finding.v ~file:ui.ui_source ~line:(Cmt_index.line_of b.b_loc)
-                 ~rule:"bad-suppress" ~context:b.b_canon ~detail:"missing-justification"
-                 (Printf.sprintf
-                    "[@cm.shard_safe] on %s needs a justification string, e.g. \
-                     [@cm.shard_safe \"owned by the sweep driver\"]"
-                    b.b_canon))
-          | _ -> ());
-          let vet = match attr with Some j when j <> "" -> true | _ -> false in
           List.iter
             (fun ((loc : Location.t), cls) ->
               let line = Cmt_index.line_of loc in
@@ -194,7 +160,7 @@ let run (idx : Cmt_index.t) ~vetted =
                       move it into the machine/runtime instance or Domain.DLS, or vet it as \
                       an Atomic with an allow comment")
               | Shared ctor ->
-                if vet || vetted ~file:ui.ui_source ~line then ()
+                if vetted ~file:ui.ui_source ~line then ()
                 else begin
                   Hashtbl.replace roots b.b_canon (ui, loc, ctor);
                   add
@@ -203,8 +169,7 @@ let run (idx : Cmt_index.t) ~vetted =
                        (Printf.sprintf
                           "module-init-time %s in %s is one location shared by every \
                            domain; own it per machine/runtime instance, use Domain.DLS, \
-                           or vet it with [@cm.shard_safe \"why\"] / (* lint: allow \
-                           domain-safety — why *)"
+                           or vet it with (* lint: allow domain-safety — why *)"
                           ctor b.b_canon))
                 end)
             (init_creations idx ui b.b_vb))

@@ -4,9 +4,7 @@
    or "" when the finding is not inside one; [detail] is a pass-specific
    classification (the domain-safety ownership class, the hot-alloc
    allocation kind); [witness] is a call/reachability chain of canonical
-   value paths justifying the finding interprocedurally.  [context] and
-   [detail] — but never [line] — feed the baseline key, so baselines
-   survive unrelated edits that renumber lines. *)
+   value paths justifying the finding interprocedurally. *)
 
 type t = {
   file : string;
@@ -37,11 +35,6 @@ let compare a b =
 let sort findings = List.sort_uniq compare findings
 
 let to_string f = Printf.sprintf "%s:%d: %s: %s" f.file f.line f.rule f.msg
-
-(* Line-independent identity used by the baseline: a finding survives
-   reformatting but not a move to another function or a change of class. *)
-let baseline_key f =
-  String.concat "|" [ f.rule; f.file; f.context; f.detail ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON (hand-rolled: the lint links only compiler-libs)              *)

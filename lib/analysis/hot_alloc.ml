@@ -34,9 +34,8 @@
    are checked as hot.
 
    The pass is deliberately conservative-by-list: it only looks inside
-   bindings named by the hot set, and the checked-in baseline
-   (lint.baseline) captures the *current* debt so "no new findings" is
-   enforceable while the debt is burned down explicitly. *)
+   bindings named by the hot set.  Every finding fails the run; an
+   allocation a hot path needs carries an allow comment saying why. *)
 
 let rule = "hot-alloc"
 

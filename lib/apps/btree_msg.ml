@@ -1,12 +1,8 @@
 open Cm_engine
 open Cm_machine
-open Cm_memory
 open Cm_runtime
 open Cm_core
 open Thread.Infix
-
-(* Silence an unused-open warning: Shmem is not used in this mode. *)
-module _ = Shmem
 
 type node = {
   is_leaf : bool;
@@ -611,60 +607,18 @@ let root_home { tree = t; _ } = node_home t t.anchor.root
 
 let splits { tree = t; _ } = t.n_splits
 
-let leftmost_leaf t =
-  let rec go nid =
-    let n = node t nid in
-    if n.is_leaf then nid else go n.children.(0)
-  in
-  go t.anchor.root
+let view t nid =
+  let n = node t nid in
+  {
+    Btree_node.is_leaf = n.is_leaf;
+    nkeys = n.nkeys;
+    high = n.high;
+    right = n.right;
+    keys = n.keys;
+    children = n.children;
+  }
 
-let leaf_keys t =
-  let rec walk nid acc =
-    let n = node t nid in
-    let acc = List.rev_append (List.init n.nkeys (fun i -> n.keys.(i))) acc in
-    if n.right >= 0 then walk n.right acc else List.rev acc
-  in
-  walk (leftmost_leaf t) []
-
-let all_keys { tree = t; _ } = leaf_keys t
+let all_keys { tree = t; _ } = Btree_node.leaf_keys ~root:t.anchor.root (view t)
 
 let check_invariants { tree = t; _ } =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec check_node nid ~low ~high_bound =
-    let n = node t nid in
-    let rec sorted i =
-      if i >= n.nkeys - 1 then true else n.keys.(i) < n.keys.(i + 1) && sorted (i + 1)
-    in
-    if n.nkeys = 0 then fail "node %d empty" nid
-    else if not (sorted 0) then fail "node %d keys not sorted" nid
-    else if n.high <> high_bound then fail "node %d high %d <> bound %d" nid n.high high_bound
-    else if n.nkeys > t.fanout then fail "node %d overfull" nid
-    else if n.keys.(0) <= low then fail "node %d key %d below low bound %d" nid n.keys.(0) low
-    else if n.is_leaf then Ok ()
-    else if n.keys.(n.nkeys - 1) <> n.high then
-      fail "internal %d last key %d <> high %d" nid n.keys.(n.nkeys - 1) n.high
-    else begin
-      let rec children i low =
-        if i >= n.nkeys then Ok ()
-        else
-          match check_node n.children.(i) ~low ~high_bound:n.keys.(i) with
-          | Error _ as e -> e
-          | Ok () ->
-            (* Consecutive children must be linked. *)
-            if i + 1 < n.nkeys && (node t n.children.(i)).right <> n.children.(i + 1) then
-              fail "node %d: child %d not linked to next sibling" nid n.children.(i)
-            else children (i + 1) n.keys.(i)
-      in
-      children 0 low
-    end
-  in
-  match check_node t.anchor.root ~low:min_int ~high_bound:max_int with
-  | Error _ as e -> e
-  | Ok () ->
-    (* The leaf chain must enumerate keys in ascending order. *)
-    let keys = leaf_keys t in
-    let rec ascending = function
-      | a :: (b :: _ as rest) -> if a < b then ascending rest else fail "leaf chain unsorted"
-      | [ _ ] | [] -> Ok ()
-    in
-    ascending keys
+  Btree_node.check ~fanout:t.fanout ~root:t.anchor.root (view t)

@@ -123,3 +123,68 @@ let rec plan_keys = function
   | Node { children; _ } -> List.concat_map plan_keys (Array.to_list children)
 
 let plan_root_children = function Leaf _ -> 0 | Node { children; _ } -> Array.length children
+
+(* ------------------------------------------------------------------ *)
+(* Inspection                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type view = {
+  is_leaf : bool;
+  nkeys : int;
+  high : int;
+  right : int;
+  keys : int array;
+  children : int array;
+}
+
+let leaf_keys ~root view =
+  let rec leftmost id =
+    let n = view id in
+    if n.is_leaf then id else leftmost n.children.(0)
+  in
+  let rec walk id acc =
+    let n = view id in
+    let acc = List.rev_append (List.init n.nkeys (fun i -> n.keys.(i))) acc in
+    if n.right >= 0 then walk n.right acc else List.rev acc
+  in
+  walk (leftmost root) []
+
+let check ~fanout ~root view =
+  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let rec check_node id ~low ~high_bound =
+    let n = view id in
+    let rec sorted i =
+      if i >= n.nkeys - 1 then true else n.keys.(i) < n.keys.(i + 1) && sorted (i + 1)
+    in
+    if n.nkeys = 0 then fail "node %d empty" id
+    else if not (sorted 0) then fail "node %d keys not sorted" id
+    else if n.high <> high_bound then fail "node %d high %d <> bound %d" id n.high high_bound
+    else if n.nkeys > fanout then fail "node %d overfull" id
+    else if n.keys.(0) <= low then fail "node %d key %d below low bound %d" id n.keys.(0) low
+    else if n.is_leaf then Ok ()
+    else if n.keys.(n.nkeys - 1) <> n.high then
+      fail "internal %d last key %d <> high %d" id n.keys.(n.nkeys - 1) n.high
+    else begin
+      let rec children i low =
+        if i >= n.nkeys then Ok ()
+        else
+          match check_node n.children.(i) ~low ~high_bound:n.keys.(i) with
+          | Error _ as e -> e
+          | Ok () ->
+            (* Consecutive children must be linked. *)
+            if i + 1 < n.nkeys && (view n.children.(i)).right <> n.children.(i + 1) then
+              fail "node %d: child %d not linked to next sibling" id n.children.(i)
+            else children (i + 1) n.keys.(i)
+      in
+      children 0 low
+    end
+  in
+  match check_node root ~low:min_int ~high_bound:max_int with
+  | Error _ as e -> e
+  | Ok () ->
+    (* The leaf chain must enumerate keys in ascending order. *)
+    let rec ascending = function
+      | a :: (b :: _ as rest) -> if a < b then ascending rest else fail "leaf chain unsorted"
+      | [ _ ] | [] -> Ok ()
+    in
+    ascending (leaf_keys ~root view)

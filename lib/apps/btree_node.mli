@@ -15,7 +15,8 @@
 
     Also provides the bulk loader used to preconstruct the paper's
     10 000-key trees with a fixed fill factor, which reproduces the
-    paper's tree shapes (e.g. a 3-child root for fanout 100). *)
+    paper's tree shapes (e.g. a 3-child root for fanout 100), and the
+    structural checks both execution modes run at quiescence. *)
 
 val find_child_index : keys:int array -> nkeys:int -> key:int -> int
 (** [find_child_index ~keys ~nkeys ~key] is the smallest [i] with
@@ -40,6 +41,34 @@ val insert_at : keys:int array -> nkeys:int -> pos:int -> int -> unit
 val split_point : nkeys:int -> int
 (** How many entries the left half keeps when a node splits:
     [(nkeys + 1) / 2]. *)
+
+(** {1 Inspection}
+
+    Read through a [view] function, so the message-passing tree (nodes
+    in an object space) and the shared-memory one (nodes in simulated
+    memory) share one leaf walk and one invariant checker. *)
+
+type view = {
+  is_leaf : bool;
+  nkeys : int;
+  high : int;
+  right : int;  (** right sibling's id, -1 = none *)
+  keys : int array;  (** at least [nkeys] entries; the first [nkeys] are live *)
+  children : int array;  (** child ids, parallel to [keys]; internal nodes only *)
+}
+
+val leaf_keys : root:int -> (int -> view) -> int list
+(** [leaf_keys ~root view] is every key of the tree rooted at node
+    [root], in leaf-chain order: down the leftmost spine, then along the
+    right links. *)
+
+val check : fanout:int -> root:int -> (int -> view) -> (unit, string) result
+(** [check ~fanout ~root view] verifies the tree's structure: every
+    node non-empty, sorted, at most [fanout] keys, its high key equal to
+    its parent's separator and its keys above the left separator; an
+    internal node's last key equal to its high key; consecutive
+    children linked by right links; and the leaf chain ascending.
+    [Error] names the first violation found. *)
 
 (** {1 Bulk loading} *)
 

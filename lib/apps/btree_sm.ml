@@ -483,63 +483,20 @@ let splits t = t.n_splits
 
 let peek t a = Shmem.peek (mem t) a
 
-let peek_node t idx =
+let view t idx =
   let base = (node t idx).base in
   let nkeys = peek t (base + off_nkeys) in
-  ( peek t (base + off_is_leaf) = 1,
-    nkeys,
-    peek t (base + off_high),
-    peek t (base + off_right),
-    Array.init nkeys (fun i -> peek t (base + key_off i)),
-    Array.init nkeys (fun i -> peek t (base + child_off i)) )
+  {
+    Btree_node.is_leaf = peek t (base + off_is_leaf) = 1;
+    nkeys;
+    high = peek t (base + off_high);
+    right = peek t (base + off_right);
+    keys = Array.init nkeys (fun i -> peek t (base + key_off i));
+    children = Array.init nkeys (fun i -> peek t (base + child_off i));
+  }
 
 let root_home t = Shmem.home_of (mem t) (node t t.root).base
 
-let all_keys t =
-  let rec leftmost idx =
-    let is_leaf, _, _, _, _, children = peek_node t idx in
-    if is_leaf then idx else leftmost children.(0)
-  in
-  let rec walk idx acc =
-    let _, _, _, right, keys, _ = peek_node t idx in
-    let acc = List.rev_append (Array.to_list keys) acc in
-    if right >= 0 then walk right acc else List.rev acc
-  in
-  walk (leftmost t.root) []
+let all_keys t = Btree_node.leaf_keys ~root:t.root (view t)
 
-let check_invariants t =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec check idx ~low ~high_bound =
-    let is_leaf, nkeys, high, _, keys, children = peek_node t idx in
-    let rec sorted i = if i >= nkeys - 1 then true else keys.(i) < keys.(i + 1) && sorted (i + 1) in
-    if nkeys = 0 then fail "node %d empty" idx
-    else if not (sorted 0) then fail "node %d keys not sorted" idx
-    else if high <> high_bound then fail "node %d high %d <> bound %d" idx high high_bound
-    else if nkeys > t.fanout then fail "node %d overfull" idx
-    else if keys.(0) <= low then fail "node %d key below low bound" idx
-    else if is_leaf then Ok ()
-    else if keys.(nkeys - 1) <> high then fail "internal %d last key <> high" idx
-    else begin
-      let rec check_children i low =
-        if i >= nkeys then Ok ()
-        else
-          match check children.(i) ~low ~high_bound:keys.(i) with
-          | Error _ as e -> e
-          | Ok () ->
-            let _, _, _, right, _, _ = peek_node t children.(i) in
-            if i + 1 < nkeys && right <> children.(i + 1) then
-              fail "node %d: child %d not linked to sibling" idx children.(i)
-            else check_children (i + 1) keys.(i)
-      in
-      check_children 0 low
-    end
-  in
-  match check t.root ~low:min_int ~high_bound:max_int with
-  | Error _ as e -> e
-  | Ok () ->
-    let keys = all_keys t in
-    let rec ascending = function
-      | a :: (b :: _ as rest) -> if a < b then ascending rest else fail "leaf chain unsorted"
-      | [ _ ] | [] -> Ok ()
-    in
-    ascending keys
+let check_invariants t = Btree_node.check ~fanout:t.fanout ~root:t.root (view t)

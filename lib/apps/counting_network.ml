@@ -48,7 +48,6 @@ type t = {
   env : Sysenv.t;
   net : Balancer_net.t;
   repr : repr;
-  issued_rev : int list ref;  (* instrumentation: every value handed out *)
 }
 
 (* Shared-memory destination encoding: balancer ids are >= 0; exit wire
@@ -71,32 +70,23 @@ let bal_frame_body space =
   in
   fun c -> Thread.Frame.hold_then c user_work done_
 
-let cnt_frame_body space issued w =
+let cnt_frame_body space w =
   let done_ c =
     let st : cnt = ms_state space c in
     let count = st.count in
     st.count <- st.count + 1;
-    let value = (count * w) + st.wire in
-    (* lint: allow hot-alloc the issued-value log [values_issued] reads: one cons per token *)
-    issued := value :: !issued;
-    Runtime.msite_finish c value
+    Runtime.msite_finish c ((count * w) + st.wire)
   in
   fun c -> Thread.Frame.hold_then c user_work done_
 
-let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512, 4096))
-    ?balancer_procs mode =
-  let net = Balancer_net.bitonic width in
+let create env ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512, 4096)) mode =
+  (* The paper's network: bitonic, 8 wires wide (6 layers of 4 balancers). *)
+  let net = Balancer_net.bitonic 8 in
+  let width = Balancer_net.width net in
   let n = Balancer_net.n_balancers net in
   let n_procs = Machine.n_procs env.Sysenv.machine in
-  let procs =
-    match balancer_procs with
-    | Some a ->
-      if Array.length a <> n then invalid_arg "Counting_network.create: placement size mismatch";
-      a
-    | None -> Array.init n (fun i -> i mod n_procs)
-  in
+  let procs = Array.init n (fun i -> i mod n_procs) in
   let counter_proc w = procs.(Balancer_net.feeder_of_exit net w) in
-  let issued_rev = ref [] in
   let repr =
     match mode with
     | Messaging access ->
@@ -120,7 +110,7 @@ let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512
           bals;
           cnts;
           bal_ms = msite (bal_frame_body space);
-          cnt_ms = msite (cnt_frame_body space issued_rev width);
+          cnt_ms = msite (cnt_frame_body space width);
         }
     | Shared_memory ->
       let mem = Sysenv.mem env in
@@ -142,13 +132,11 @@ let create env ?(width = 8) ?(sm_sync = Lock_per_balancer) ?(lock_backoff = (512
       let cnt_addr = Array.init width (fun w -> Shmem.alloc mem ~home:(counter_proc w) ~words:1) in
       Sm { bal_addr; locks; cnt_addr; sync = sm_sync }
   in
-  { env; net; repr; issued_rev }
+  { env; net; repr }
 
 let width t = Balancer_net.width t.net
 
 let n_balancers t = Balancer_net.n_balancers t.net
-
-let record t v = t.issued_rev := v :: !(t.issued_rev)
 
 let traverse_msg t ~(bals : bal Prelude.obj array) ~(cnts : cnt Prelude.obj array) ~bal_ms ~cnt_ms
     ~input_wire =
@@ -196,9 +184,7 @@ let traverse_sm t ~bal_addr ~locks ~cnt_addr ~sync ~input_wire =
     | Balancer_net.Exit wire ->
       let* count = Shmem.rmw mem cnt_addr.(wire) (fun v -> v + 1) in
       let* () = Thread.compute sm_work in
-      let value = (count * w) + wire in
-      record t value;
-      Thread.return value
+      Thread.return ((count * w) + wire)
   in
   go (Balancer_net.input t.net input_wire)
 
@@ -219,5 +205,3 @@ let output_counts t =
 let tokens_delivered t = Array.fold_left ( + ) 0 (output_counts t)
 
 let satisfies_step_property t = Balancer_net.step_property ~counts:(output_counts t)
-
-let values_issued t = List.rev !(t.issued_rev)

@@ -35,19 +35,11 @@ val mode_name : mode -> string
 
 type t
 
-val create :
-  Sysenv.t ->
-  ?width:int ->
-  ?sm_sync:sm_sync ->
-  ?lock_backoff:int * int ->
-  ?balancer_procs:int array ->
-  mode ->
-  t
-(** [create env mode] builds the network on [env].  [width] defaults
-    to 8.  [balancer_procs] maps balancer index to processor; it
-    defaults to one balancer per processor starting at processor 0
-    (requester threads should then live on higher-numbered
-    processors). *)
+val create : Sysenv.t -> ?sm_sync:sm_sync -> ?lock_backoff:int * int -> mode -> t
+(** [create env mode] builds the paper's 8-wide bitonic network on
+    [env], balancer [b] on processor [b mod n_procs] (requester threads
+    should then live on processors 24 and up).  [lock_backoff] is the
+    [(base, max)] spin backoff of the [Lock_per_balancer] locks. *)
 
 val width : t -> int
 val n_balancers : t -> int
@@ -56,7 +48,9 @@ val traverse : t -> input_wire:int -> int Thread.t
 (** [traverse t ~input_wire] pushes one token through the network from
     [input_wire] and returns the counter value it obtained.  Runs inside
     a requester thread; under [Messaging Migrate] the activation returns
-    to the requester's processor when done. *)
+    to the requester's processor when done.  The value is returned
+    only: a caller checking that counting is gap-free and
+    duplicate-free collects the values itself. *)
 
 val tokens_delivered : t -> int
 (** Total tokens that have exited. *)
@@ -64,8 +58,3 @@ val tokens_delivered : t -> int
 val satisfies_step_property : t -> bool
 (** Whether the current quiescent output counts satisfy the step
     property. *)
-
-val values_issued : t -> int list
-(** Every shared-counter value handed out, in completion order (for
-    checking that counting delivered a gap-free, duplicate-free
-    range). *)

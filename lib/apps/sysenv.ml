@@ -11,11 +11,11 @@ type t = {
    computation migration) never touch.  Construction has no observable
    side effect — its counters are listed only once written — so forcing
    it late is invisible to the statistics and the selfcheck digests. *)
-let make ?shmem_config machine =
+let make machine =
   {
     machine;
     prelude = Cm_core.Prelude.create machine;
-    shmem = lazy (Cm_memory.Shmem.create ?config:shmem_config machine);
+    shmem = lazy (Cm_memory.Shmem.create machine);
   }
 
 let mem t = Lazy.force t.shmem

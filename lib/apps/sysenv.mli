@@ -15,7 +15,7 @@ type t = {
   shmem : Cm_memory.Shmem.t Lazy.t;
 }
 
-val make : ?shmem_config:Cm_memory.Shmem.config -> Machine.t -> t
+val make : Machine.t -> t
 (** [make machine] attaches both substrates to [machine].  The
     shared-memory substrate (a cache per processor) is allocated on
     first use — message-passing modes never pay for it. *)

@@ -5,11 +5,11 @@ type config = { requesters : int; think : int; horizon : int; warmup : int; seed
 
 let default = { requesters = 16; think = 0; horizon = 300_000; warmup = 20_000; seed = 42 }
 
-let balancer_procs = 24
+let network_procs = 24
 
 let run_with_machine scheme config =
   let machine =
-    Machine.create ~seed:config.seed ~n_procs:(balancer_procs + config.requesters)
+    Machine.create ~seed:config.seed ~n_procs:(network_procs + config.requesters)
       ~costs:(Scheme.costs scheme) ()
   in
   let env = Sysenv.make machine in
@@ -27,7 +27,7 @@ let run_with_machine scheme config =
     Cm_workload.Driver.run machine
       {
         Cm_workload.Driver.requesters = config.requesters;
-        first_proc = balancer_procs;
+        first_proc = network_procs;
         think = config.think;
         warmup = config.warmup;
         horizon = config.horizon;

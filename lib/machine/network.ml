@@ -15,7 +15,6 @@ type t = {
   costs : Costs.t;
   stats : Stats.t;
   contention : bool;
-  link_bandwidth : int;  (* words per cycle per link *)
   links : int array;  (* directed link src*size+dst -> free-at time; empty unless contention *)
   kinds : (string, kind) Hashtbl.t;
   words_c : Stats.counter;
@@ -23,8 +22,7 @@ type t = {
   contended_c : Stats.counter;
 }
 
-let create ?(contention = false) ?(link_bandwidth = 1) ~sim ~topo ~costs ~stats () =
-  if link_bandwidth <= 0 then invalid_arg "Network.create: link bandwidth must be positive";
+let create ?(contention = false) ~sim ~topo ~costs ~stats () =
   let size = Topology.size topo in
   {
     sim;
@@ -33,7 +31,6 @@ let create ?(contention = false) ?(link_bandwidth = 1) ~sim ~topo ~costs ~stats 
     costs;
     stats;
     contention;
-    link_bandwidth;
     (* Links are dense by construction (both endpoints < size), so the
        free-at times live in a flat array — no tuple key allocation or
        polymorphic hashing per routed hop.  Only the contention model
@@ -59,19 +56,18 @@ let kind t name =
     k
 
 
-(* Store-and-forward over the message's route: each link is occupied for
-   the message's transmission time and messages sharing a link queue
-   behind one another. *)
+(* Store-and-forward over the message's route: each link carries one
+   word per cycle, so it is occupied for [wire_words] cycles, and
+   messages sharing a link queue behind one another. *)
 let contended_latency t ~src ~dst ~wire_words =
-  let occupancy = (wire_words + t.link_bandwidth - 1) / t.link_bandwidth in
   let now = Sim.now t.sim in
   let cursor = ref (now + t.costs.Costs.net_base) in
   List.iter
     (fun (a, b) ->
       let link = (a * t.size) + b in
       let start = max !cursor t.links.(link) in
-      t.links.(link) <- start + occupancy;
-      cursor := start + occupancy + t.costs.Costs.net_per_hop)
+      t.links.(link) <- start + wire_words;
+      cursor := start + wire_words + t.costs.Costs.net_per_hop)
     (Topology.route t.topo ~src ~dst);
   if !cursor - now > 0 then begin
     Stats.Counter.add t.contended_c (!cursor - now);

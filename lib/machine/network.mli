@@ -18,7 +18,6 @@ type t
 
 val create :
   ?contention:bool ->
-  ?link_bandwidth:int ->
   sim:Sim.t ->
   topo:Topology.t ->
   costs:Costs.t ->
@@ -28,10 +27,10 @@ val create :
 (** [create ~sim ~topo ~costs ~stats ()] is a network over [topo]
     recording into [stats].  With [contention] (default off — the cost
     model is calibrated without it), messages occupy every link of their
-    dimension-ordered route for [wire words / link_bandwidth] cycles,
-    store-and-forward, and queue behind other messages sharing a link;
-    [link_bandwidth] defaults to 1 word/cycle.  Queueing delay is
-    accumulated under ["net.contended_cycles"]. *)
+    dimension-ordered route for one cycle per wire word (links carry 1
+    word/cycle), store-and-forward, and queue behind other messages
+    sharing a link.  Queueing delay is accumulated under
+    ["net.contended_cycles"]. *)
 
 val send :
   t -> src:int -> dst:int -> words:int -> kind:string -> (unit -> unit) -> int

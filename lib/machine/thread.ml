@@ -356,8 +356,7 @@ let fresh e ~tid ~split ~exit_fn p =
    used to bleed tids — and with them the default RNG seeds — from one
    run into the next within a process, and would race across pool
    domains.  Callers now always say which tid they mean. *)
-let spawn ~tid ~split ?on_exit ?engine p body =
-  let e = match engine with Some e -> e | None -> create_engine () in
+let spawn ~tid ~split ?on_exit ~engine:e p body =
   let exit_fn =
     match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
   in

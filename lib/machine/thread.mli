@@ -126,11 +126,11 @@ val spawn :
   tid:int ->
   split:Rng.t ->
   ?on_exit:('a -> unit) ->
-  ?engine:engine ->
+  engine:engine ->
   Processor.t ->
   'a t ->
   unit
-(** [spawn ~tid proc body] creates thread [tid] and queues it on
+(** [spawn ~tid ~engine proc body] creates thread [tid] and queues it on
     [proc].  When [body] finishes with value [v], [on_exit v] runs and
     the CPU is released.  [tid] is required: thread numbering is owned
     by the machine instance ({!Machine.spawn} numbers from a
@@ -138,10 +138,9 @@ val spawn :
     the default per-thread RNG seeds derived from them — restart at
     every [Machine.create] and cannot bleed across runs or domains.
     The thread's stream is the next [Rng.split split].  [engine] is the
-    context pool to draw from and recycle into (a fresh one when
-    omitted); [Machine.spawn] passes its machine's engine, so exited
-    threads' contexts are recycled per machine (see
-    {!contexts_created}).  An engine belongs to one machine: its
+    context pool to draw from and recycle into; [Machine.spawn] passes
+    its machine's engine, so exited threads' contexts are recycled per
+    machine (see {!contexts_created}).  An engine belongs to one machine: its
     recycled contexts hold handler ids of that machine's simulator. *)
 
 (** {1 Combinators} *)

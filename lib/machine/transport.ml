@@ -25,10 +25,9 @@ type 'a kind = {
   net_k : Network.kind;
   recv : recv;
   handlers : ('a -> unit Thread.t) option array;  (* one endpoint slot per processor *)
-  ep_delivered : int array;
-  (* Pooled delivery handler (arg = destination processor): bumps the
-     delivery counters without a per-message closure, the arrival path
-     of payload-free injections. *)
+  (* Pooled delivery handler (arg unused): bumps the delivered counter
+     without a per-message closure, the arrival path of payload-free
+     injections. *)
   arrive_hid : Sim.hid;
   (* Cached fault spec, invalidated by generation when the fault
      configuration changes. *)
@@ -91,20 +90,14 @@ let intern_ctrs t name =
 
 let kind t ?(recv = Recv_pipeline) name =
   let ctrs = intern_ctrs t name in
-  let ep_delivered = Array.make t.n_procs 0 in
   (* Registered once per declaration: every payload-free arrival of this
      kind reuses it, so the steady-state inject path never allocates. *)
-  let arrive_hid =
-    Sim.handler t.sim (fun dst ->
-        Stats.Counter.incr ctrs.delivered_c;
-        ep_delivered.(dst) <- ep_delivered.(dst) + 1)
-  in
+  let arrive_hid = Sim.handler t.sim (fun _ -> Stats.Counter.incr ctrs.delivered_c) in
   {
     ctrs;
     net_k = Network.kind t.net name;
     recv;
     handlers = Array.make t.n_procs None;
-    ep_delivered;
     arrive_hid;
     f_gen = -1;
     f_spec = None;
@@ -112,9 +105,7 @@ let kind t ?(recv = Recv_pipeline) name =
 
 (* The arrival-side accounting of [migrate_f]'s chain, for the runtime's
    fused call sites, which run their own arrival step. *)
-let account_delivered k ~pid =
-  Stats.Counter.incr k.ctrs.delivered_c;
-  k.ep_delivered.(pid) <- k.ep_delivered.(pid) + 1
+let account_delivered k = Stats.Counter.incr k.ctrs.delivered_c
 
 module Endpoint = struct
   let register t ~proc ~kind handler =
@@ -128,8 +119,6 @@ module Endpoint = struct
     for proc = 0 to t.n_procs - 1 do
       kind.handlers.(proc) <- Some handler
     done
-
-  let delivered ~kind ~proc = kind.ep_delivered.(proc)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -309,7 +298,6 @@ let af_arrive t slot =
   let words = t.af_words.(slot) in
   af_release t slot;
   Stats.Counter.incr k.ctrs.delivered_c;
-  k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
   if code = code_apply then (Obj.obj fn : Obj.t -> unit) arg
   else deliver_payload t k ~dst ~words arg
 
@@ -387,7 +375,7 @@ let[@inline never] refuse_faults k =
 let inject t k ~src ~dst ~words =
   if t.faults_on && Option.is_some (fault_spec t k) then refuse_faults k;
   Stats.Counter.incr k.ctrs.posted_c;
-  Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:k.arrive_hid ~arg:dst
+  Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:k.arrive_hid ~arg:0
 
 let pending_delays t = Hashtbl.length t.delay_tokens
 
@@ -553,8 +541,6 @@ let launch t k ~dst ~words ~recv_work ~after c =
 let mig_done_step c =
   let k : Obj.t kind = Thread.Frame.getv0 c in
   Stats.Counter.incr k.ctrs.delivered_c;
-  let d = Processor.id (Thread.Frame.proc c) in
-  k.ep_delivered.(d) <- k.ep_delivered.(d) + 1;
   Thread.Frame.run_after2 c
 
 let mig_send_step c =

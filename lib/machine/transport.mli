@@ -70,10 +70,10 @@ val kind : t -> ?recv:recv -> string -> 'a kind
     independent subsystem instances can carry differently-typed payloads
     under one label. *)
 
-val account_delivered : _ kind -> pid:int -> unit
-(** Bump [kind]'s delivered counter and processor [pid]'s endpoint
-    tally — the arrival-side accounting of {!migrate_f}'s chain, for
-    callers that start migrations with {!launch}. *)
+val account_delivered : _ kind -> unit
+(** Bump [kind]'s delivered counter — the arrival-side accounting of
+    {!migrate_f}'s chain, for callers that start migrations with
+    {!launch}. *)
 
 module Endpoint : sig
   val register : t -> proc:int -> kind:'a kind -> ('a -> unit Thread.t) -> unit
@@ -83,11 +83,11 @@ module Endpoint : sig
       any).  Re-registration replaces the previous handler. *)
 
   val register_all : t -> kind:'a kind -> ('a -> unit Thread.t) -> unit
-  (** [register_all t ~kind h] installs [h] on every processor. *)
+  (** [register_all t ~kind h] installs [h] on every processor.
 
-  val delivered : kind:_ kind -> proc:int -> int
-  (** Messages of [kind] delivered at endpoint [proc] (through this
-      declaration of the kind). *)
+      Endpoints keep no per-processor tallies: deliveries are counted
+      per kind label ([xport.<kind>.delivered]); a caller that needs
+      per-processor counts counts in its handler. *)
 end
 
 (** {1 Sending}

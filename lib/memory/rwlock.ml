@@ -5,31 +5,33 @@ open Thread.Infix
 type t = {
   mem : Shmem.t;
   word : Shmem.addr;
-  base_backoff : int;
-  max_backoff : int;
   mutable writer_holder : int option;  (* maintained only under Check *)
 }
 
-let create ?(base_backoff = 64) ?(max_backoff = 2048) mem ~home =
-  { mem; word = Shmem.alloc mem ~home ~words:1; base_backoff; max_backoff;
-    writer_holder = None }
+(* Spin backoff bounds, in cycles: the first retry waits about
+   [base_backoff], each later one doubles up to [max_backoff]. *)
+let base_backoff = 64
+
+let max_backoff = 2048
+
+let create mem ~home = { mem; word = Shmem.alloc mem ~home ~words:1; writer_holder = None }
 
 let writer = -1
 
-let backoff_then l backoff k =
+let backoff_then backoff k =
   let* r = Thread.rng in
   let jitter = Rng.int r (max 1 backoff) in
   let* () = Thread.sleep (backoff + jitter) in
-  k (min (backoff * 2) l.max_backoff)
+  k (min (backoff * 2) max_backoff)
 
 let acquire_read l =
   let rec attempt backoff =
     (* Conditional increment: fails (leaves the word alone) while a
        writer holds the lock. *)
     let* old = Shmem.rmw l.mem l.word (fun v -> if v >= 0 then v + 1 else v) in
-    if old >= 0 then Thread.return () else backoff_then l backoff attempt
+    if old >= 0 then Thread.return () else backoff_then backoff attempt
   in
-  attempt l.base_backoff
+  attempt base_backoff
 
 let release_read l =
   let* old = Shmem.rmw l.mem l.word (fun v -> v - 1) in
@@ -47,9 +49,9 @@ let acquire_write l =
         l.writer_holder <- Some me;
         Thread.return ()
       else Thread.return ()
-    else backoff_then l backoff attempt
+    else backoff_then backoff attempt
   in
-  attempt l.base_backoff
+  attempt base_backoff
 
 let release_write l =
   if not (Check.enabled ()) then Shmem.write l.mem l.word 0

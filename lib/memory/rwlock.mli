@@ -16,8 +16,10 @@ open Cm_machine
 
 type t
 
-val create : ?base_backoff:int -> ?max_backoff:int -> Shmem.t -> home:int -> t
-(** [create mem ~home] allocates the lock word on [home]. *)
+val create : Shmem.t -> home:int -> t
+(** [create mem ~home] allocates the lock word on [home].  A refused
+    acquisition retries after a jittered backoff of 64 cycles, doubling
+    up to 2048. *)
 
 val acquire_read : t -> unit Thread.t
 (** Enter as a reader (concurrent readers allowed). *)

@@ -103,16 +103,14 @@ let iter f s =
     done
   end
 
+(* 256-entry popcount table, built once. *)
 let popcount_byte =
-  (* 256-entry popcount table, built once. *)
+  (* lint: allow domain-safety — write-once lookup table: fully initialized at module load, only read afterwards, so concurrent readers in any domain see frozen contents *)
   let tbl = Array.make 256 0 in
   for i = 1 to 255 do
     tbl.(i) <- tbl.(i lsr 1) + (i land 1)
   done;
   tbl
-[@@cm.shard_safe
-  "write-once lookup table: fully initialized at module load, only read afterwards, so \
-   concurrent readers in any domain see frozen contents"]
 
 let cardinal s =
   if is_small s then begin

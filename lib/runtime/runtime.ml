@@ -201,7 +201,7 @@ let msite_arg_b c = Thread.Frame.getm2 c
    account the delivery, then run the fused body where the object is. *)
 let msite_arrived_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
-  Transport.account_delivered ms.m_rt.migrate_k ~pid:(Thread.Frame.getm3 c);
+  Transport.account_delivered ms.m_rt.migrate_k;
   ms.m_frame_body c
 
 let msite_send_step c =

@@ -1,11 +1,9 @@
 (* Analyzer tests (lib/analysis), driven over the compiled negative
    fixtures in test/typed_fixtures: the exact findings of every
    identifier rule, seeded shard-escape violations, call-chain
-   witnesses, module-alias evasion, the
-   suppression machinery (on-line / line-above / attribute /
-   allow-file / misuse audit), the hot-alloc pass under a custom
-   hot-set, stable output order, lint.json shape, and baseline
-   absorption. *)
+   witnesses, module-alias evasion, the suppression machinery (on-line /
+   line-above / allow-file / misuse audit), the hot-alloc pass under a
+   custom hot-set, stable output order, and lint.json shape. *)
 
 open Cm_analysis
 
@@ -187,7 +185,8 @@ let test_suppressions () =
   let fs = findings () in
   check_absent "on-line comment suppresses" ~rule:"domain-safety" ~context:"on_line" fs;
   check_absent "line-above comment suppresses" ~rule:"domain-safety" ~context:"line_above" fs;
-  check_absent "[@cm.shard_safe] vets" ~rule:"domain-safety" ~context:"attr_vetted" fs;
+  check_absent "comment above the creation in a binding's body suppresses" ~rule:"domain-safety"
+    ~context:"body_vetted" fs;
   check_absent "allow-file suppresses the whole file" ~file:"fixture_allowfile.ml"
     ~rule:"domain-safety" fs;
   (* allow-file names only domain-safety: other rules still fire there *)
@@ -320,7 +319,7 @@ let test_dead_export_tree () =
   | fs -> Alcotest.failf "%d dead exports:\n%s" (List.length fs) (dead_lines fs)
 
 (* ------------------------------------------------------------------ *)
-(* Output order, JSON, baseline                                       *)
+(* Output order, JSON                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_sorted () =
@@ -345,40 +344,6 @@ let test_json () =
       "\"rule\":\"hot-alloc\"";
     ]
 
-let baseline_entries fs =
-  Baseline.render fs |> String.split_on_char '\n' |> List.filter_map Baseline.parse_line
-
-let test_baseline () =
-  let fs = findings () in
-  let entries = baseline_entries fs in
-  (* a full baseline absorbs everything and nothing is stale *)
-  let v = Baseline.check ~baseline:entries fs in
-  Alcotest.(check int) "full baseline: no fresh findings" 0 (List.length v.Baseline.fresh);
-  Alcotest.(check int) "full baseline: nothing stale" 0 (List.length v.Baseline.stale);
-  (* an empty baseline leaves every finding fresh *)
-  let v0 = Baseline.check ~baseline:[] fs in
-  Alcotest.(check int) "empty baseline: all fresh" (List.length fs) (List.length v0.Baseline.fresh);
-  (* dropping one key re-exposes exactly its findings *)
-  (match entries with
-  | (k0, n0) :: rest ->
-    let v1 = Baseline.check ~baseline:rest fs in
-    Alcotest.(check int) "dropped key count is fresh" n0 (List.length v1.Baseline.fresh);
-    List.iter
-      (fun (f : Finding.t) ->
-        Alcotest.(check string) "fresh findings carry the dropped key" k0 (Finding.baseline_key f))
-      v1.Baseline.fresh
-  | [] -> Alcotest.fail "baseline render produced no entries");
-  (* a key with no current findings is reported stale *)
-  let bogus = ("hot-alloc|nowhere.ml|X.gone|closure", 2) in
-  let v2 = Baseline.check ~baseline:(bogus :: entries) fs in
-  Alcotest.(check bool)
-    "bogus key reported stale" true
-    (List.mem ("hot-alloc|nowhere.ml|X.gone|closure", 2, 0) v2.Baseline.stale);
-  (* multiplicities survive the render/parse roundtrip *)
-  Alcotest.(check bool)
-    "render emits xN multiplicities" true
-    (List.exists (fun (_, n) -> n > 1) entries)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -388,9 +353,11 @@ let () =
           Alcotest.test_case "ownership classes" `Quick test_ownership_classes;
           Alcotest.test_case "getter witness chains" `Quick test_getter_witness;
         ] );
-      ("rules", [ Alcotest.test_case "exact fixture findings" `Quick test_rules_exact ]);
-      ( "typed-vs-syntactic",
-        [ Alcotest.test_case "module-alias evasion" `Quick test_alias_evasion ] );
+      ( "rules",
+        [
+          Alcotest.test_case "exact fixture findings" `Quick test_rules_exact;
+          Alcotest.test_case "module-alias evasion" `Quick test_alias_evasion;
+        ] );
       ( "suppressions",
         [
           Alcotest.test_case "escape hatches" `Quick test_suppressions;
@@ -411,6 +378,5 @@ let () =
         [
           Alcotest.test_case "stable sort" `Quick test_sorted;
           Alcotest.test_case "lint.json shape" `Quick test_json;
-          Alcotest.test_case "baseline absorption" `Quick test_baseline;
         ] );
     ]

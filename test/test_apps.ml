@@ -82,31 +82,35 @@ let prop_net_step_property =
 (* Counting network (simulated)                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Runs [requesters] threads of [per_thread] traversals each and
+   returns the network with every value the traversals returned. *)
 let run_counting ~mode ~requesters ~per_thread ~think =
   (* 24 balancer processors + one per requester. *)
   let e = env ~n:(24 + requesters) () in
   let cn = Counting_network.create e mode in
   let remaining = ref requesters in
+  let values = ref [] in
   for r = 0 to requesters - 1 do
     Machine.spawn e.Sysenv.machine ~on:(24 + r)
       ~on_exit:(fun () -> decr remaining)
       (Thread.repeat per_thread (fun _ ->
-           let* _v = Counting_network.traverse cn ~input_wire:(r mod 8) in
+           let* v = Counting_network.traverse cn ~input_wire:(r mod 8) in
+           values := v :: !values;
            if think > 0 then Thread.sleep think else Thread.return ()))
   done;
   Machine.run e.Sysenv.machine;
   Alcotest.(check int) "all requesters finished" 0 !remaining;
-  (e, cn)
+  (cn, !values)
 
 let check_counting_correct mode () =
   let requesters = 6 and per_thread = 8 in
-  let _e, cn = run_counting ~mode ~requesters ~per_thread ~think:0 in
+  let cn, values = run_counting ~mode ~requesters ~per_thread ~think:0 in
   let total = requesters * per_thread in
   Alcotest.(check int) "tokens delivered" total (Counting_network.tokens_delivered cn);
   Alcotest.(check bool) "step property" true (Counting_network.satisfies_step_property cn);
   (* Shared counting: the values handed out are exactly 0 .. total-1. *)
-  let values = List.sort compare (Counting_network.values_issued cn) in
-  Alcotest.(check (list int)) "gap-free distinct range" (List.init total (fun i -> i)) values
+  Alcotest.(check (list int)) "gap-free distinct range" (List.init total (fun i -> i))
+    (List.sort compare values)
 
 let test_counting_migrate_correct = check_counting_correct (Counting_network.Messaging Cm_core.Prelude.Migrate)
 
@@ -115,7 +119,7 @@ let test_counting_rpc_correct = check_counting_correct (Counting_network.Messagi
 let test_counting_sm_correct = check_counting_correct Counting_network.Shared_memory
 
 let test_counting_with_think_time () =
-  let _e, cn =
+  let cn, _values =
     run_counting
       ~mode:(Counting_network.Messaging Cm_core.Prelude.Migrate)
       ~requesters:4 ~per_thread:3 ~think:5000
@@ -220,6 +224,34 @@ let test_plan_preserves_keys () =
   let keys = [ 9; 1; 5; 3; 1; 7; 5 ] in
   let plan = Btree_node.build_plan ~keys ~fanout:4 ~fill:0.5 in
   Alcotest.(check (list int)) "sorted distinct" [ 1; 3; 5; 7; 9 ] (Btree_node.plan_keys plan)
+
+(* Node 0 is an internal root over leaves 1 and 2; [broken] rewrites
+   one node of that valid tree. *)
+let check_views ?(fanout = 4) broken =
+  let nodes =
+    [|
+      { Btree_node.is_leaf = false; nkeys = 2; high = max_int; right = -1;
+        keys = [| 10; max_int |]; children = [| 1; 2 |] };
+      { Btree_node.is_leaf = true; nkeys = 2; high = 10; right = 2; keys = [| 5; 10 |];
+        children = [||] };
+      { Btree_node.is_leaf = true; nkeys = 2; high = max_int; right = -1; keys = [| 15; 20 |];
+        children = [||] };
+    |]
+  in
+  List.iter (fun (id, v) -> nodes.(id) <- v nodes.(id)) broken;
+  Btree_node.check ~fanout ~root:0 (fun id -> nodes.(id))
+
+let test_node_check_names_violation () =
+  let result = Alcotest.(result unit string) in
+  Alcotest.check result "valid tree" (Ok ()) (check_views []);
+  Alcotest.check result "unsorted keys" (Error "node 1 keys not sorted")
+    (check_views [ (1, fun n -> { n with keys = [| 7; 5 |] }) ]);
+  Alcotest.check result "wrong high key" (Error "node 1 high 9 <> bound 10")
+    (check_views [ (1, fun n -> { n with high = 9 }) ]);
+  Alcotest.check result "overfull node" (Error "node 2 overfull")
+    (check_views [ (2, fun n -> { n with nkeys = 5; keys = [| 11; 12; 13; 14; 15 |] }) ]);
+  Alcotest.check result "unlinked children" (Error "node 0: child 1 not linked to next sibling")
+    (check_views [ (1, fun n -> { n with right = -1 }) ])
 
 let test_plan_rejects_bad_fill () =
   let keys = [ 1; 2; 3; 4; 5 ] in
@@ -489,16 +521,19 @@ let prop_counting_concurrent_step_property =
       in
       let e = env ~n:(24 + requesters) ~seed:(requesters + per_thread) () in
       let cn = Counting_network.create e mode in
+      let values = ref [] in
       for r = 0 to requesters - 1 do
         Machine.spawn e.Sysenv.machine ~on:(24 + r)
           (Thread.repeat per_thread (fun _ ->
-               Thread.ignore_m (Counting_network.traverse cn ~input_wire:(r mod 8))))
+               let* v = Counting_network.traverse cn ~input_wire:(r mod 8) in
+               values := v :: !values;
+               Thread.return ()))
       done;
       Machine.run e.Sysenv.machine;
       let total = requesters * per_thread in
       Counting_network.tokens_delivered cn = total
       && Counting_network.satisfies_step_property cn
-      && List.sort compare (Counting_network.values_issued cn) = List.init total (fun i -> i))
+      && List.sort compare !values = List.init total (fun i -> i))
 
 let prop_plan_heights =
   QCheck.Test.make ~name:"bulk-load height matches capacity bound" ~count:50
@@ -846,6 +881,7 @@ let () =
           Alcotest.test_case "plan shapes (paper)" `Quick test_plan_shapes_match_paper;
           Alcotest.test_case "plan preserves keys" `Quick test_plan_preserves_keys;
           Alcotest.test_case "plan rejects bad fill" `Quick test_plan_rejects_bad_fill;
+          Alcotest.test_case "check names the violation" `Quick test_node_check_names_violation;
         ]
         @ qsuite [ prop_plan_keys_roundtrip ] );
       ( "btree",

@@ -296,7 +296,7 @@ let test_network_contention_back_to_back_exact () =
     Network.create ~contention:true ~sim ~topo:(Topology.mesh 4) ~costs:Costs.software ~stats ()
   in
   (* Two messages share the single 0->1 link.  Store-and-forward with
-     link_bandwidth 1 word/cycle: each occupies the link for
+     links carrying 1 word/cycle: each occupies the link for
      wire_words = 40 + 2 header = 42 cycles.  First: starts after
      net_base = 5, frees the link at 47, arrives at 47 + net_per_hop =
      48.  The second queues behind it — link start at 47, free at 89,

@@ -8,8 +8,12 @@ let on_line = ref 0 (* lint: allow domain-safety — test fixture: on-line suppr
 (* lint: allow domain-safety — test fixture: line-above suppression *)
 let line_above : (int, int) Hashtbl.t = Hashtbl.create 4
 
-(* attribute vetting *)
-let attr_vetted = ref 0 [@@cm.shard_safe "test fixture: attribute vetting"]
+(* comment above the creation inside a binding's body *)
+let body_vetted =
+  (* lint: allow domain-safety — test fixture: write-once table built at module load *)
+  let t = Array.make 4 0 in
+  t.(1) <- 1;
+  t
 
 (* B1: suppression naming a rule the analyzer does not know — must be
    reported as bad-suppress/unknown-rule, not silently ignored. *)
@@ -22,4 +26,4 @@ let unrelated = 1
 (* lint: allow domain-safety *)
 let no_why = ref 0
 
-let read_all () = !on_line + Hashtbl.length line_above + !attr_vetted + unrelated + !no_why
+let read_all () = !on_line + Hashtbl.length line_above + body_vetted.(1) + unrelated + !no_why
