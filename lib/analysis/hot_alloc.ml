@@ -119,10 +119,11 @@ let default =
        of every token's traversal. *)
     { s_unit = "Cm_apps.Counting_network"; s_names = [];
       s_builders = [ "bal_frame_body"; "cnt_frame_body" ] };
-    (* The social graph's 32-bit CSR reads: every walk hop reads a
-       degree and a friend, and every visit its degree again.  [get32]
-       returns an [int32], so the boxed-return check holds it to
-       [@inline]. *)
+    (* The social graph's reads: every walk hop reads a degree from the
+       32-bit offsets and computes a friend (one Zipf draw at a counter
+       position, no stored edge), and every visit reads its degree
+       again.  [get32] returns an [int32], so the boxed-return check
+       holds it to [@inline]. *)
     { s_unit = "Cm_apps.Social_graph";
       s_names = [ "get32"; "read"; "deg"; "degree"; "friend"; "visit" ];
       s_builders = [ "visit_frame_body" ] };
@@ -170,16 +171,20 @@ let default =
       s_builders = [];
     };
     (* The per-op samplers every scale workload draws from: a boxed draw
-       here taxes each operation.  [Rng.step] returns an [int64] and
-       [Rng.float] a [float], so the boxed-return check holds both to
-       [@inline].  Whether the compiler honours the attribute across
-       modules (it cannot under [-opaque], which the repository's
-       release profile leaves out) is beyond this pass; the engine tests
-       count the minor words each sampler allocates. *)
+       here taxes each operation, and the social graph's counter-form
+       draws ([bits53_at], [sample_bits]) run on every walk hop.
+       [Rng.mix] and [Rng.step] return an [int64] and [Rng.float] a
+       [float], so the boxed-return check holds them to [@inline].
+       Whether the compiler honours the attribute across modules (it
+       cannot under [-opaque], which the repository's release profile
+       leaves out) is beyond this pass; the engine tests count the minor
+       words each sampler allocates. *)
     { s_unit = "Cm_engine.Rng";
-      s_names = [ "set_state"; "step"; "int"; "bits53"; "float"; "bool"; "split_into" ];
+      s_names =
+        [ "set_state"; "mix"; "step"; "int"; "bits53"; "bits53_at"; "float"; "bool";
+          "split_into" ];
       s_builders = [] };
-    { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ]; s_builders = [] };
+    { s_unit = "Cm_engine.Zipf"; s_names = [ "sample_bits"; "sample" ]; s_builders = [] };
     (* The counter-handle updates behind every message, dispatch and
        coherence event.  The string API's [add]/[incr] create a cell on
        a miss and stay out. *)

@@ -4,27 +4,36 @@ open Cm_runtime
 open Cm_core
 open Thread.Infix
 
-(* The graph is CSR: two flat vectors of 32-bit little-endian entries
-   hold every adjacency list, and the users are one contiguous block of
-   the prelude's flat object space (user [u] is id [base + u], payload
-   [u]), so a million-user graph is its offsets and its edge targets —
-   no per-user records and no handle map.  Edge targets are Zipf-skewed
-   toward low user ids: ids near 0 are the celebrities most walks pass
-   through, scattered over the node processors by a multiplicative
-   hash so hub load does not pile onto one corner of the mesh.
+(* The graph is CSR with its edge vector left implicit.  One flat
+   vector of 32-bit little-endian offsets delimits every adjacency
+   list, and the users are one contiguous block of the prelude's flat
+   object space (user [u] is id [base + u], payload [u]), so a
+   million-user graph is its offsets, its Zipf table and its seed — no
+   per-user records, no handle map and no stored edges.  Edge targets
+   are Zipf-skewed toward low user ids: ids near 0 are the celebrities
+   most walks pass through, scattered over the node processors by a
+   multiplicative hash so hub load does not pile onto one corner of the
+   mesh.
 
-   Every stored value is below 2^31 ([create] checks it), so 32 bits
-   hold it and halve the vectors next to ints.  They are [Bytes], on
-   the OCaml heap like the rest of the graph: the benchmark's peak heap
-   reads [Gc.top_heap_words], which off-heap storage would escape
-   without saving any memory. *)
+   The generator draws the [n] degrees first and then one Zipf rank per
+   edge, one output each, so edge [e] is the rank that output [n + e]
+   of [Rng.create ~seed] selects.  [friend] recomputes it from that
+   counter ({!Rng.bits53_at}) when a walk reads it: the same graph as
+   drawing and storing every edge at set-up, bit for bit.
+
+   Every offset is below 2^31 ([create] checks it), so 32 bits hold it
+   and halve the vector next to ints.  It is [Bytes], on the OCaml heap
+   like the rest of the graph: the benchmark's peak heap reads
+   [Gc.top_heap_words], which off-heap storage would escape without
+   saving any memory. *)
 type t = {
   space : Obj.t Objspace.t;
   rt : Runtime.t;
   n : int;
   base : int;  (* id of user 0 *)
   offsets : Bytes.t;  (* n+1 entries; user u's friends at [offsets.(u), offsets.(u+1)) *)
-  edges : Bytes.t;
+  zipf : Zipf.t;  (* edge-target distribution over [0, n) *)
+  seed : int;  (* edge e is [Zipf.sample_bits zipf (Rng.bits53_at ~seed (n + e))] *)
   (* The visit method-sites (one per mechanism): every walk hop and
      fan-out visit is a [Runtime.msite] invocation — allocation-free
      steady state. *)
@@ -62,9 +71,8 @@ let visit_frame_body offsets =
     let u = Runtime.msite_arg_a c in
     Thread.Frame.hold_then c (visit_work (deg offsets u)) done_
 
-(* Stored values must fit 32 bits: ids are below [n], and every offset
-   is at most [n * (2 * avg_degree - 1)], the largest possible edge
-   count. *)
+(* Offsets must fit 32 bits: every one is at most
+   [n * (2 * avg_degree - 1)], the largest possible edge count. *)
 let limit = 1 lsl 31
 
 let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
@@ -94,11 +102,7 @@ let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
   for u = 0 to n - 1 do
     ignore (Prelude.make_obj p ~home:node_procs.(abs (u * 2654435761) mod k) u : int Prelude.obj)
   done;
-  let edges = Bytes.create (4 * !m) in
-  let z = Zipf.create ~s:skew ~n in
-  for e = 0 to !m - 1 do
-    set32 edges e (Zipf.sample z rng)
-  done;
+  let zipf = Zipf.create ~s:skew ~n in
   let rt = Sysenv.runtime env in
   let mk access =
     Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
@@ -110,7 +114,8 @@ let create env ~n ?(avg_degree = 8) ?(skew = 0.8) ~node_procs ~seed () =
     n;
     base;
     offsets;
-    edges;
+    zipf;
+    seed;
     visit_rpc = mk Prelude.Rpc;
     visit_mig = mk Prelude.Migrate;
   }
@@ -119,7 +124,8 @@ let n_users t = t.n
 
 let degree t u = deg t.offsets u
 
-let friend t u j = read t.edges (read t.offsets u + j)
+let friend t u j =
+  Zipf.sample_bits t.zipf (Rng.bits53_at ~seed:t.seed (t.n + read t.offsets u + j))
 
 let home t u = Objspace.home t.space (Objspace.id_of_int (t.base + u))
 

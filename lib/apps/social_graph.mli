@@ -1,10 +1,12 @@
 (** A social-graph traversal workload over the flat object space.
 
     [n] users, one contiguous block of ids in the prelude's object
-    store, with CSR adjacency in two flat vectors of 32-bit entries — a
-    million-user graph is its offsets and edge targets, no per-user
-    records and no handle map.  Edge targets are Zipf-skewed so
-    low-numbered users are celebrity hubs, as in real follower graphs.
+    store, with CSR adjacency: a flat vector of 32-bit offsets, and edge
+    targets computed when they are read rather than stored — a
+    million-user graph is its offsets and a Zipf table, no per-user
+    records, no handle map and no edge vector.  Edge targets are
+    Zipf-skewed so low-numbered users are celebrity hubs, as in real
+    follower graphs.
 
     Two traversals exercise the mechanisms differently: {!walk} chains
     remote accesses hop to hop (computation migration's best case — the
@@ -31,20 +33,26 @@ val create :
 (** [create env ~n ~node_procs ~seed ()] builds the graph and registers
     its [n] users in the object space, homes scattered over
     [node_procs].  Degrees are uniform in [[1, 2*avg_degree)] (default
-    average 8); edge targets follow Zipf([skew]) (default 0.8).  Every
+    average 8); edge targets follow Zipf([skew]) (default 0.8).  The
+    graph is the one that drawing every degree, then every edge target,
+    from [Rng.create ~seed] builds, but only the degrees are drawn here:
+    edge [e] is the rank that the stream's output [n + e] selects, and
+    {!friend} computes it on each read ({!Cm_engine.Rng.bits53_at},
+    {!Cm_engine.Zipf.sample_bits}).  Every
     visit runs through the graph's {!Cm_runtime.Runtime.msite}
     method-sites — allocation-free steady state.
     @raise Invalid_argument if [n < 1], [avg_degree < 1], [node_procs]
     is empty, [n >= 2^31] or [n * (2 * avg_degree - 1) >= 2^31] (the
-    largest possible edge count must fit 32 bits); the size checks come
-    before anything is allocated. *)
+    largest possible edge count, hence every offset, must fit 32 bits);
+    the size checks come before anything is allocated. *)
 
 val n_users : t -> int
 
 val degree : t -> int -> int
 
 val friend : t -> int -> int -> int
-(** [friend t u j] is user [u]'s [j]-th friend. *)
+(** [friend t u j] is user [u]'s [j]-th friend, for [j < degree t u]:
+    one Zipf draw, recomputed on every call and allocating nothing. *)
 
 val home : t -> int -> int
 (** [home t u] is the processor user [u]'s object lives on. *)

@@ -32,6 +32,13 @@ let[@inline] set_state t s =
   t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
   t.lo <- Int64.to_int s land mask32
 
+(* The output function: the k-th output (0-based) of [create ~seed] is
+   [mix (seed + (k+1) * gamma)]. *)
+let[@inline] mix s =
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
 (* Advance the state by gamma and return [mix state]. *)
 let[@inline] step t =
   let s =
@@ -40,9 +47,7 @@ let[@inline] step t =
       golden_gamma
   in
   set_state t s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  mix s
 
 let int64 t = step t
 
@@ -61,6 +66,13 @@ let[@inline] int t bound =
   Int64.to_int (Int64.shift_right_logical (step t) 2) mod bound
 
 let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+
+(* [create] stores [Int64.of_int seed] (the limbs are its two halves),
+   and [k + 1] steps add [(k + 1) * gamma] modulo 2^64, which [Int64.mul]
+   computes. *)
+let[@inline] bits53_at ~seed k =
+  let s = Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (k + 1)) golden_gamma) in
+  Int64.to_int (Int64.shift_right_logical (mix s) 11)
 
 let[@inline] float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
 

@@ -5,7 +5,7 @@
     from an explicitly seeded [Rng.t], so a whole experiment is a pure
     function of its configuration — reruns are bit-for-bit identical,
     which the regression tests rely on.  A draw through [int], [bits53],
-    [bool] or [split_into] allocates nothing. *)
+    [bits53_at], [bool] or [split_into] allocates nothing. *)
 
 type t
 (** Mutable generator state. *)
@@ -42,6 +42,15 @@ val bits53 : t -> int
     {!Zipf.sample}) can defer the float conversion to a context where it
     stays unboxed.  [float t b = b *. (float_of_int (bits53 t) /. 2^53)]
     draw for draw. *)
+
+val bits53_at : seed:int -> int -> int
+(** [bits53_at ~seed k] is the top 53 bits of output [k] (0-based) of
+    [create ~seed]: what the [(k+1)]-th [bits53] call on a fresh
+    [create ~seed] returns, computed directly from the counter rather
+    than by stepping.  Since every draw ([int], [bits53], [float],
+    [bool], [int64]) takes exactly one output, a stream that was drawn
+    in a fixed order can be read back at any position.  Requires
+    [k >= 0]; allocates nothing. *)
 
 val bool : t -> bool
 (** [bool t] is a fair coin flip. *)

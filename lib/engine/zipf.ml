@@ -22,10 +22,14 @@ let create ~s ~n =
   for k = 0 to n - 1 do
     cdf.(k) <- cdf.(k) /. total
   done;
-  (* b = min 16 (ceil (log2 n)): about one bucket per rank, capped at
-     2^16 + 1 words. *)
+  (* b = min 12 (ceil (log2 n)): about one bucket per rank, capped at
+     2^12 + 1 words (32 KiB).  Every draw reads the guide before the
+     CDF, and a guide small enough to stay in a core's private cache
+     saves a host-cache miss per draw where draws are scattered through
+     a run.  A 2^16-bucket guide reads fewer CDF entries per draw but
+     measured slower (DESIGN.md §18, "The guide's width"). *)
   let b = ref 0 in
-  while !b < 16 && 1 lsl !b < n do
+  while !b < 12 && 1 lsl !b < n do
     incr b
   done;
   let b = !b in
@@ -33,7 +37,7 @@ let create ~s ~n =
   let guide = Array.make (buckets + 1) 0 in
   let i = ref 0 in
   for j = 0 to buckets do
-    (* j / 2^b is exact: j < 2^17 and the scale is a power of two. *)
+    (* j / 2^b is exact: j < 2^13 and the scale is a power of two. *)
     let threshold = Float.ldexp (float_of_int j) (-b) in
     while !i < n - 1 && cdf.(!i) < threshold do
       incr i
@@ -42,10 +46,10 @@ let create ~s ~n =
   done;
   { cdf; guide; shift = 53 - b }
 
-(* The deviate is drawn as an integer ({!Rng.bits53}) and converted
-   here, so [u] lives and dies unboxed inside this frame, and the search
-   runs in place (non-escaping refs compile to mutable locals): a sample
-   allocates nothing.  [u] is bit-identical to [Rng.float rng 1.0].
+(* The deviate arrives as an integer (53 bits, as {!Rng.bits53} draws
+   them) and is converted here, so [u] lives and dies unboxed inside
+   this frame, and the search runs in place (non-escaping refs compile
+   to mutable locals): a sample allocates nothing.  [u] is bit-identical to [Rng.float rng 1.0].
 
    Exactness: with j = bits lsr shift, j/2^b <= u < (j+1)/2^b holds
    exactly (both sides are dyadic rationals that floats represent).  So
@@ -58,8 +62,7 @@ let create ~s ~n =
    non-decreasing, one probe at g and one at its neighbour either settle
    the answer or shrink the range to one side of g without losing it,
    and the binary search finishes what remains. *)
-let sample t rng =
-  let bits = Rng.bits53 rng in
+let sample_bits t bits =
   let j = bits lsr t.shift in
   let lo = ref t.guide.(j) and hi = ref t.guide.(j + 1) in
   if !lo < !hi then begin
@@ -80,5 +83,7 @@ let sample t rng =
     done
   end;
   !lo
+
+let[@inline] sample t rng = sample_bits t (Rng.bits53 rng)
 
 let mass t k = if k = 0 then t.cdf.(0) else t.cdf.(k) -. t.cdf.(k - 1)

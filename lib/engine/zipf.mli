@@ -7,8 +7,9 @@
 
     The inverse-CDF table is precomputed once ([O(n)] floats), together
     with a guide table (Chen and Asau's cutpoint index): for
-    [b = min 16 (ceil (log2 n))], entry [j] is the first rank whose CDF
-    value is [>= j/2^b], so the guide holds at most [2^16 + 1] words.
+    [b = min 12 (ceil (log2 n))], entry [j] is the first rank whose CDF
+    value is [>= j/2^b], so the guide holds at most [2^12 + 1] words
+    (32 KiB, small enough to stay in a core's cache).
     Each draw takes one 53-bit uniform deviate [u] and uses its top [b]
     bits to pick a guide bucket; the answer lies between that entry and
     the next.  When the two are equal the draw returns that rank without
@@ -31,7 +32,13 @@ val create : s:float -> n:int -> t
     exponent is rejected). *)
 
 val sample : t -> Rng.t -> int
-(** [sample t rng] draws a rank. *)
+(** [sample t rng] draws a rank: [sample_bits t (Rng.bits53 rng)]. *)
+
+val sample_bits : t -> int -> int
+(** [sample_bits t bits] is the rank that the 53-bit deviate [bits]
+    (in [\[0, 2^53)], as {!Rng.bits53} and {!Rng.bits53_at} return)
+    selects.  It lets a caller that can recompute its draws (e.g. with
+    {!Rng.bits53_at}) sample without a stream, and store no ranks. *)
 
 val mass : t -> int -> float
 (** [mass t k] is rank [k]'s probability (e.g. the hottest key's traffic

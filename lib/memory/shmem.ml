@@ -116,7 +116,7 @@ let wp_alloc wp =
 (* lint: allow domain-safety — inert placeholder: shared by construction but never mutated and never read (info_exn bounds-checks against brk; alloc overwrites every slot it hands out) *)
 let unallocated = { home = -1; dstate = Uncached; mem = [||]; busy_until = 0 }
 
-let create ?(config = default_config) machine =
+let create_config config machine =
   if config.line_words <= 0 then invalid_arg "Shmem.create: line_words must be positive";
   if config.cache_slots <= 0 then invalid_arg "Shmem.create: cache_slots must be positive";
   let caches =
@@ -528,7 +528,11 @@ let poke t a v =
 
 let cache_of t p = t.caches.(p)
 
+let create machine = create_config default_config machine
+
 module For_testing = struct
+  let create ~config machine = create_config config machine
+
   let force_second_owner t a ~pid =
     let line = line_of t a in
     let info = info_exn t line in

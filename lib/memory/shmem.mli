@@ -44,10 +44,9 @@ type t
 type addr = int
 (** A word address in the shared address space. *)
 
-val create : ?config:config -> Machine.t -> t
+val create : Machine.t -> t
 (** [create machine] attaches a coherent memory system (one cache per
-    processor) to [machine].  Raises [Invalid_argument] naming the field
-    when [config.line_words] or [config.cache_slots] is not positive. *)
+    processor, {!default_config}'s geometry) to [machine]. *)
 
 val alloc : t -> home:int -> words:int -> addr
 (** [alloc t ~home ~words] reserves [words] words of line-aligned shared
@@ -104,9 +103,15 @@ val validate : t -> unit
     Runs regardless of {!Cm_engine.Check.enabled}; the per-transaction
     checks the protocol performs itself are gated on it. *)
 
-(** Hooks for fault-injection tests only — never call from production
-    code. *)
+(** Hooks for tests only (other geometries, fault injection) — never
+    call from production code. *)
 module For_testing : sig
+  val create : config:config -> Machine.t -> t
+  (** [create ~config machine] is {!Shmem.create} with another geometry
+      (e.g. small caches, to force evictions).  Raises
+      [Invalid_argument] naming the field when [config.line_words] or
+      [config.cache_slots] is not positive. *)
+
   val force_second_owner : t -> addr -> pid:int -> unit
   (** [force_second_owner t a ~pid] plants a Modified copy of [a]'s line
       in [pid]'s cache without telling the directory, manufacturing the

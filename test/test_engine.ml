@@ -233,6 +233,38 @@ let test_rng_matches_int64_reference () =
       Alcotest.(check int64) "parent after splits" (Rng_ref.int64 boxed) (Rng.int64 limb))
     (99 :: seeds)
 
+(* [bits53_at ~seed k] must be the (k+1)-th draw of [create ~seed]:
+   [Social_graph] reads its edges back this way from a stream it drew
+   degrees from with [Rng.int], so every entry point must take exactly
+   one output.  The second pass interleaves [int], [float], [bool] and
+   [int64] draws between the [bits53] positions it compares. *)
+let check_bits53_at seed =
+  let stepped = Rng.create ~seed in
+  for k = 0 to 100_000 do
+    let want = Rng.bits53 stepped in
+    let got = Rng.bits53_at ~seed k in
+    if got <> want then Alcotest.failf "seed %d, k %d: bits53_at %d, stepped %d" seed k got want
+  done;
+  let mixed = Rng.create ~seed in
+  for k = 0 to 10_000 do
+    match k mod 5 with
+    | 0 -> ignore (Rng.int mixed (k + 1) : int)
+    | 1 -> ignore (Rng.float mixed 1.0 : float)
+    | 2 -> ignore (Rng.bool mixed : bool)
+    | 3 -> ignore (Rng.int64 mixed : int64)
+    | _ ->
+      let want = Rng.bits53 mixed in
+      if Rng.bits53_at ~seed k <> want then Alcotest.failf "seed %d, mixed draw %d" seed k
+  done
+
+let test_rng_bits53_at_matches_stepping () =
+  List.iter check_bits53_at [ 0; 1; -1; min_int; max_int; 42; 1 lsl 32; -(1 lsl 32) ]
+
+let prop_rng_bits53_at_random_seeds =
+  QCheck.Test.make ~name:"bits53_at = stepping, random seeds" ~count:10 QCheck.int (fun seed ->
+      check_bits53_at seed;
+      true)
+
 (* Minor words [f] allocates. *)
 let minor_words_of f =
   let w0 = Gc.minor_words () in
@@ -272,12 +304,20 @@ let test_samplers_allocate_nothing () =
       for _ = 1 to draws do
         Rng.split_into r dst
       done);
+  check "Rng.bits53_at" (fun () ->
+      for k = 1 to draws do
+        acc := !acc lxor Rng.bits53_at ~seed:5 k
+      done);
   List.iter
     (fun s ->
       let z = Zipf.create ~s ~n:1_000_000 in
       check (Printf.sprintf "Zipf.sample s=%g" s) (fun () ->
           for _ = 1 to draws do
             acc := !acc + Zipf.sample z r
+          done);
+      check (Printf.sprintf "Zipf.sample_bits s=%g" s) (fun () ->
+          for k = 1 to draws do
+            acc := !acc + Zipf.sample_bits z (Rng.bits53_at ~seed:5 k)
           done))
     [ 0.8; 1.3 ];
   ignore (Sys.opaque_identity !acc)
@@ -318,15 +358,19 @@ module Zipf_ref = struct
 end
 
 (* n = 1 (a one-word guide span), the smallest guides, and both sides of
-   the 2^16 cap on the guide size. *)
-let zipf_sizes = [ 1; 2; 3; 1000; 65_536; 65_537; 200_000 ]
+   the 2^12 cap on the guide size. *)
+let zipf_sizes = [ 1; 2; 3; 1000; 4_096; 4_097; 65_537; 200_000 ]
 
+(* Draw for draw, [Zipf.sample] agrees with the reference and with
+   [Zipf.sample_bits] of the same 53 bits, read back by counter. *)
 let zipf_draws_agree ~s ~n ~seed ~draws =
   let z = Zipf.create ~s ~n and r = Zipf_ref.create ~s ~n in
   let a = Rng.create ~seed and b = Rng.create ~seed in
   let ok = ref true in
-  for _ = 1 to draws do
-    if Zipf.sample z a <> Zipf_ref.sample r b then ok := false
+  for k = 0 to draws - 1 do
+    let rank = Zipf.sample z a in
+    if rank <> Zipf_ref.sample r b || rank <> Zipf.sample_bits z (Rng.bits53_at ~seed k) then
+      ok := false
   done;
   !ok
 
@@ -839,8 +883,10 @@ let () =
           Alcotest.test_case "limbs match Int64 reference" `Quick
             test_rng_matches_int64_reference;
           Alcotest.test_case "samplers allocate nothing" `Quick test_samplers_allocate_nothing;
+          Alcotest.test_case "bits53_at matches stepping" `Quick
+            test_rng_bits53_at_matches_stepping;
         ]
-        @ qsuite [ prop_rng_int_uniformish ] );
+        @ qsuite [ prop_rng_int_uniformish; prop_rng_bits53_at_random_seeds ] );
       ( "zipf",
         [
           Alcotest.test_case "matches full search at every size" `Quick test_zipf_every_size;

@@ -108,10 +108,12 @@ let test_shmem_bad_geometry () =
   let m = machine () in
   Alcotest.check_raises "line_words 0"
     (Invalid_argument "Shmem.create: line_words must be positive") (fun () ->
-      ignore (Shmem.create ~config:{ Shmem.default_config with Shmem.line_words = 0 } m));
+      ignore
+        (Shmem.For_testing.create ~config:{ Shmem.default_config with Shmem.line_words = 0 } m));
   Alcotest.check_raises "cache_slots 0"
     (Invalid_argument "Shmem.create: cache_slots must be positive") (fun () ->
-      ignore (Shmem.create ~config:{ Shmem.default_config with Shmem.cache_slots = 0 } m))
+      ignore
+        (Shmem.For_testing.create ~config:{ Shmem.default_config with Shmem.cache_slots = 0 } m))
 
 let test_shmem_read_after_write_local () =
   let m = machine () in
@@ -286,7 +288,7 @@ let test_shmem_upgrade_cheaper_than_miss () =
 
 let test_shmem_eviction_writeback_preserves_values () =
   let m = machine () in
-  let mem = Shmem.create ~config:small_config m in
+  let mem = Shmem.For_testing.create ~config:small_config m in
   (* 8 cache slots; write 32 distinct lines so every one is evicted. *)
   let addrs = Array.init 32 (fun i -> (Shmem.alloc mem ~home:(i mod 8) ~words:4, i * 3)) in
   let sum = ref 0 in
@@ -383,7 +385,7 @@ let prop_shmem_single_writer =
     QCheck.(pair small_int (list_of_size Gen.(5 -- 60) (triple (int_range 0 7) (int_range 0 5) bool)))
     (fun (seed, ops) ->
       let m = Machine.create ~seed:(seed + 1) ~n_procs:8 ~costs () in
-      let mem = Shmem.create ~config:small_config m in
+      let mem = Shmem.For_testing.create ~config:small_config m in
       let addrs = List.init 6 (fun i -> Shmem.alloc mem ~home:(i mod 8) ~words:2) in
       let addr_arr = Array.of_list addrs in
       List.iteri
@@ -404,7 +406,7 @@ let prop_shmem_sequential_semantics =
     QCheck.(list_of_size Gen.(1 -- 80) (triple (int_range 0 9) (int_range 0 99) bool))
     (fun ops ->
       let m = machine () in
-      let mem = Shmem.create ~config:small_config m in
+      let mem = Shmem.For_testing.create ~config:small_config m in
       let base = Shmem.alloc mem ~home:0 ~words:10 in
       let model = Array.make 10 0 in
       let ok = ref true in
