@@ -8,10 +8,11 @@
      repro selfcheck [--full] [-j N]
                                    prove same-seed determinism under sanitizers
 
-   [-j N] (or the CM_JOBS environment variable) runs the sweep points of
-   each experiment on a pool of N domains; the printed output is
-   byte-identical to [-j 1] — sweep points are pure jobs and all
-   printing happens on the main domain in sweep order. *)
+   [-j N] (or the CM_JOBS environment variable) runs the jobs of each
+   experiment on a pool of N domains; the printed output is
+   byte-identical to [-j 1] — jobs are pure, and each experiment's
+   report is rendered from their results in job order and printed
+   here. *)
 
 open Cmdliner
 open Cm_engine
@@ -35,7 +36,7 @@ let int_at_least ~what lo =
 let jobs_conv = int_at_least ~what:"job count" 1
 
 let jobs_arg =
-  let doc = "Run sweep points on $(docv) >= 1 domains.  Output is byte-identical to -j 1." in
+  let doc = "Run experiment jobs on $(docv) >= 1 domains.  Output is byte-identical to -j 1." in
   let env = Cmd.Env.info "CM_JOBS" ~doc:"Job count used when $(b,-j) is not given." in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)
 
@@ -48,13 +49,15 @@ let with_pool jobs f =
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
   end
 
+let print_report ~quick ?pool entry = print_string (fst (Registry.run ~quick ?pool entry))
+
 let experiment_cmd entry =
   let doc = entry.Registry.title in
   Cmd.v
     (Cmd.info entry.Registry.id ~doc)
     Term.(
       const (fun quick jobs ->
-          with_pool jobs (fun pool -> Registry.run ~quick ?pool entry))
+          with_pool jobs (fun pool -> print_report ~quick ?pool entry))
       $ quick_arg $ jobs_arg)
 
 let all_cmd =
@@ -62,7 +65,7 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
       const (fun quick jobs ->
-          with_pool jobs (fun pool -> Registry.run_all ~quick ?pool ()))
+          with_pool jobs (fun pool -> List.iter (print_report ~quick ?pool) Registry.all))
       $ quick_arg $ jobs_arg)
 
 let list_cmd =
@@ -135,7 +138,8 @@ let custom_cmd =
       Printf.printf "%s on %s: %s (%s)\n" (Scheme.name s) name
         (Format.asprintf "%a" Cm_workload.Metrics.pp metrics)
         latency;
-      if detail then Cm_workload.Detail.print machine;
+      if detail then
+        Format.printf "%a@." Cm_workload.Detail.pp (Cm_workload.Detail.collect machine);
       `Ok ()
   in
   let doc = "One custom run with explicit parameters." in
@@ -147,36 +151,15 @@ let custom_cmd =
 
 (* --- selfcheck: same-seed determinism proof ----------------------- *)
 
-(* Run [f] with stdout redirected to a temp file; return [f]'s outcome
-   and everything it printed.  The reports the experiments print are part
-   of the observable output being checked. *)
-let with_captured_stdout f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let tmp = Filename.temp_file "cm_selfcheck" ".out" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  let result = try Ok (f ()) with e -> Error e in
-  flush stdout;
-  Unix.dup2 saved Unix.stdout;
-  Unix.close saved;
-  let ic = open_in_bin tmp in
-  let printed = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove tmp;
-  (result, printed)
-
-(* One sanitized run of an experiment: every machine the experiment
-   drives appends a digest of (final clock, events fired, statistics) to
-   the Check trail, and the printed report is hashed as well. *)
+(* One sanitized run of an experiment: the digest of every machine it
+   ran (final clock, events fired, statistics) and a hash of its
+   report. *)
 let sanitized_run ?pool entry ~quick =
   Check.set_enabled true;
   Check.reset ();
-  Check.Trail.set_recording true;
-  let result, printed = with_captured_stdout (fun () -> Registry.run ~quick ?pool entry) in
-  Check.Trail.set_recording false;
-  (result, Check.Trail.trail (), Digest.to_hex (Digest.string printed))
+  match Registry.run ~quick ?pool entry with
+  | report, digests -> Ok (digests, Digest.to_hex (Digest.string report))
+  | exception e -> Error e
 
 let rec first_diff i a b =
   match (a, b) with
@@ -192,30 +175,30 @@ let selfcheck full jobs =
         (fun entry ->
           let id = entry.Registry.id in
           match (sanitized_run ?pool entry ~quick, sanitized_run ?pool entry ~quick) with
-          | (Ok (), trail1, out1), (Ok (), trail2, out2) ->
-            if trail1 = trail2 && String.equal out1 out2 then
+          | Ok (digests1, out1), Ok (digests2, out2) ->
+            if digests1 = digests2 && String.equal out1 out2 then
               (* The machine digest is printed so that a semantics-preserving
                  change (e.g. a perf PR) can diff this output against the
                  previous revision's and prove bit-identical behavior, not
                  just within-revision reproducibility. *)
               Printf.printf
                 "selfcheck %-10s ok: %d machine run(s) identical, machines %s report %s\n" id
-                (List.length trail1)
-                (String.sub (Digest.to_hex (Digest.string (String.concat "," trail1))) 0 12)
+                (List.length digests1)
+                (String.sub (Digest.to_hex (Digest.string (String.concat "," digests1))) 0 12)
                 (String.sub out1 0 (min 12 (String.length out1)))
             else begin
               incr failures;
               Printf.printf "selfcheck %-10s MISMATCH between same-seed runs\n" id;
-              (match first_diff 0 trail1 trail2 with
+              (match first_diff 0 digests1 digests2 with
               | Some i ->
                 Printf.printf
-                  "  machine-run digests diverge at run %d (%d vs %d runs recorded)\n" i
-                  (List.length trail1) (List.length trail2)
+                  "  machine-run digests diverge at run %d (%d vs %d runs)\n" i
+                  (List.length digests1) (List.length digests2)
               | None -> ());
               if not (String.equal out1 out2) then
-                Printf.printf "  printed reports differ (%s vs %s)\n" out1 out2
+                Printf.printf "  reports differ (%s vs %s)\n" out1 out2
             end
-          | ((Error e, _, _), _ | _, (Error e, _, _)) ->
+          | Error e, _ | _, Error e ->
             incr failures;
             Printf.printf "selfcheck %-10s FAILED under sanitizers: %s\n" id
               (Printexc.to_string e))
@@ -237,7 +220,7 @@ let selfcheck_cmd =
   in
   let doc =
     "Run every registered experiment twice with the same seed, all sanitizers enabled, and \
-     fail unless the two runs are bit-identical (machine digests and printed reports)."
+     fail unless the two runs are bit-identical (machine digests and reports)."
   in
   Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg)
 

@@ -2,7 +2,7 @@
    unit uses (DESIGN.md §14, "Check: dead exports").
 
    An export is every [val]/[external] of an .mli, read from its .cmti,
-   nested [sig]s included ("Cm_engine.Check.Trail.digest_of_run").  A
+   nested [sig]s included ("Cm_engine.Check.Linear.scoped").  A
    user is any *other* unit whose Typedtree names the value: a
    [Texp_ident], or a binding operator, whose [let*]/[and*] is recorded
    only as the letop's [bop_op_path].  Names are compared canonically

@@ -79,61 +79,6 @@ let linear ~what f =
       f v
   end
 
-module Trail = struct
-  (* Like the enable switch, the recording flag is set by the main
-     domain and read by whichever domain runs the machine. *)
-  let recording = Atomic.make false (* lint: allow global-state — cross-domain on/off toggle, vetted *)
-
-  (* The digests themselves are domain-local (newest first); a pool
-     worker records into its own list and Pool.await splices each job's
-     fragment into the submitting domain's trail in submission order,
-     so the trail a caller observes is identical at any [-j]. *)
-  let entries_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-  let entries () = Domain.DLS.get entries_key
-
-  let set_recording b = Atomic.set recording b
-
-  let digest_of_run ~clock ~fired ~stats =
-    let b = Buffer.create 512 in
-    Buffer.add_string b (Printf.sprintf "clock=%d fired=%d" clock fired);
-    List.iter
-      (fun (name, v) -> Buffer.add_string b (Printf.sprintf " %s=%d" name v))
-      (Stats.counters stats);
-    Digest.to_hex (Digest.string (Buffer.contents b))
-
-  let record_run ~clock ~fired ~stats =
-    if Atomic.get recording then begin
-      let r = entries () in
-      r := digest_of_run ~clock ~fired ~stats :: !r
-    end
-
-  let trail () = List.rev !(entries ())
-
-  let reset () = entries () := []
-
-  let capture f =
-    let r = entries () in
-    let saved = !r in
-    r := [];
-    match f () with
-    | v ->
-      let fragment = List.rev !r in
-      r := saved;
-      (v, fragment)
-    | exception e ->
-      r := saved;
-      raise e
-
-  let append fragment =
-    let r = entries () in
-    List.iter (fun digest -> r := digest :: !r) fragment
-end
-
-let capture_job f = Linear.scoped (fun () -> Trail.capture f)
-
 let set_enabled b = Atomic.set enabled_flag b
 
-let reset () =
-  Linear.reset ();
-  Trail.reset ()
+let reset () = Linear.reset ()

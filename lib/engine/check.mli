@@ -17,16 +17,12 @@
     - {!Cm_memory.Lock} / [Rwlock] check lock discipline (release by
       holder only, reader-count sanity).
 
-    The {!Trail} submodule records a digest of each completed run
-    (final clock, events fired, statistics) so [repro selfcheck] can
-    prove same-seed determinism end to end.
-
-    All checker state is domain-safe: the on/off toggles are atomics,
-    and the mutable working state ({!Linear} token registry, {!Trail}
-    digest list) is domain-local, so machines running on different
-    {!Pool} domains never share a cell.  The [reset]/[trail] accessors
-    operate on the calling domain's state; {!Pool.await} splices worker
-    trail fragments back into the submitting domain. *)
+    Checker state is domain-safe: the on/off toggle is an atomic, and
+    the {!Linear} token registry is domain-local, so machines running
+    on different {!Pool} domains never share a cell.  Each pool job
+    runs under a registry of its own ({!Linear.scoped}).  Run digests
+    are not checker state: a run's digest is {!Cm_machine.Machine.digest},
+    and an experiment's jobs return theirs as results. *)
 
 exception Violation of string
 (** Raised at the first invariant breach when checking is enabled. *)
@@ -47,8 +43,8 @@ val require : bool -> ('a, Format.formatter, unit, unit) format4 -> 'a
     message) when it holds. *)
 
 val reset : unit -> unit
-(** [reset ()] clears all accumulated checker state ({!Linear} tokens
-    and the {!Trail}); call between independent runs. *)
+(** [reset ()] clears the calling domain's {!Linear} tokens; call
+    between independent runs. *)
 
 (** {1 Continuation linearity} *)
 
@@ -73,41 +69,14 @@ module Linear : sig
 
   val outstanding_whats : unit -> string list
   (** Labels of the outstanding tokens, sorted. *)
+
+  val scoped : (unit -> 'a) -> 'a
+  (** [scoped f] runs [f] under a fresh registry and restores the
+      caller's afterwards, so tokens a job drops cannot survive into the
+      next job that {!Pool} schedules on the same domain. *)
 end
 
 val linear : what:string -> ('a -> 'b) -> 'a -> 'b
 (** [linear ~what f] is [f] wrapped in a fresh {!Linear} token so that
     calling it twice raises {!Violation}.  When checking is disabled
     this is [f] itself — no allocation, no indirection. *)
-
-(** {1 Determinism trail} *)
-
-(** Digests of completed simulation runs, fed by
-    {!Cm_machine.Machine.run} while recording is on. *)
-module Trail : sig
-  val set_recording : bool -> unit
-  (** [set_recording b] starts or stops appending run digests (off by
-      default). *)
-
-  val record_run : clock:int -> fired:int -> stats:Stats.t -> unit
-  (** [record_run ~clock ~fired ~stats] appends a digest of the run's
-      observable outcome; a no-op unless recording. *)
-
-  val digest_of_run : clock:int -> fired:int -> stats:Stats.t -> string
-  (** The digest itself (an MD5 hex string over the final clock, event
-      count, and every written counter, name-sorted). *)
-
-  val trail : unit -> string list
-  (** All digests recorded so far on this domain, in run order. *)
-
-  val append : string list -> unit
-  (** [append fragment] appends captured digests (in order) to the
-      calling domain's trail. *)
-end
-
-val capture_job : (unit -> 'a) -> 'a * string list
-(** [capture_job f] runs [f] as one pool job: a fresh {!Linear} scope
-    (tokens cannot leak between jobs sharing a worker domain) against
-    an empty trail, returning what it recorded (in run order) for
-    {!Pool.await} to splice back in submission order; the caller's
-    trail is restored untouched. *)

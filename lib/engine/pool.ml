@@ -22,9 +22,6 @@ type 'a task = {
   t_lock : Mutex.t;
   t_done : Condition.t;
   mutable outcome : 'a outcome;
-  (* Check.Trail digests the job recorded on its worker, chronological;
-     spliced into the awaiting domain's trail by [await]. *)
-  mutable trail : string list;
 }
 
 let rec worker_loop pool =
@@ -55,21 +52,17 @@ let create ~domains =
   pool
 
 let submit pool f =
-  let task =
-    { t_lock = Mutex.create (); t_done = Condition.create (); outcome = Pending; trail = [] }
-  in
+  let task = { t_lock = Mutex.create (); t_done = Condition.create (); outcome = Pending } in
   let job () =
-    (* Check.capture_job scopes the sanitizer state to this job: a fresh
-       Linear token registry (tokens cannot leak across jobs sharing a
-       worker domain) and a private trail fragment. *)
-    let outcome, trail =
-      match Check.capture_job f with
-      | v, frag -> (Done v, frag)
-      | exception e -> (Raised (e, Printexc.get_raw_backtrace ()), [])
+    (* A fresh Linear token registry per job: tokens cannot leak across
+       jobs sharing a worker domain. *)
+    let outcome =
+      match Check.Linear.scoped f with
+      | v -> Done v
+      | exception e -> Raised (e, Printexc.get_raw_backtrace ())
     in
     Mutex.lock task.t_lock;
     task.outcome <- outcome;
-    task.trail <- trail;
     Condition.signal task.t_done;
     Mutex.unlock task.t_lock
   in
@@ -95,10 +88,7 @@ let await task =
     | (Done _ | Raised _) as o -> o
   in
   let outcome = settled () in
-  let trail = task.trail in
-  task.trail <- [];
   Mutex.unlock task.t_lock;
-  Check.Trail.append trail;
   match outcome with
   | Done v -> v
   | Raised (e, bt) -> Printexc.raise_with_backtrace e bt

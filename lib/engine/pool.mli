@@ -14,12 +14,10 @@
     - Results are delivered through per-task slots, so completion order
       never affects observable output order: {!await} in submission
       order reads the results in submission order.
-    - {!Check.Trail} digests recorded by a job are captured on the
-      worker and re-appended to the submitting domain's trail when the
-      task is awaited — again in submission order, exactly as an inline
-      run would have recorded them.  Each job also gets a fresh
-      {!Check.Linear} token scope, so sanitizer state never crosses
-      jobs or domains.
+    - Each job runs under a fresh {!Check.Linear} token scope, so
+      sanitizer state never crosses jobs or domains.  Anything else a
+      job must report, such as the digests of the machines it ran,
+      travels in its result.
 
     Workers block on a mutex/condition queue; an idle pool burns no
     CPU.  {!shutdown} drains the queue (already-submitted tasks still
@@ -43,17 +41,13 @@ val submit : t -> (unit -> 'a) -> 'a task
     Raises [Invalid_argument] if the pool has been shut down. *)
 
 val await : 'a task -> 'a
-(** [await task] blocks until the job has run, splices any
-    {!Check.Trail} digests it recorded into the calling domain's trail,
-    and returns its result — or re-raises, with the worker's backtrace,
-    if the job raised.  Call it once per task, in submission order, to
-    reproduce the sequential trail. *)
+(** [await task] blocks until the job has run and returns its result —
+    or re-raises, with the worker's backtrace, if the job raised. *)
 
 val run_all : t -> (unit -> 'a) list -> 'a list
 (** [run_all pool jobs] submits every job, then awaits them in order:
     the parallel equivalent of [List.map (fun f -> f ()) jobs], with
-    results (and trail digests) in list order regardless of completion
-    order. *)
+    results in list order regardless of completion order. *)
 
 val shutdown : t -> unit
 (** [shutdown pool] stops accepting new jobs, lets the workers drain

@@ -15,8 +15,8 @@
 type t = {
   mutable hi : int;  (* state, high 32 bits *)
   mutable lo : int;  (* state, low 32 bits *)
-  spare0 : int;
-  spare1 : int;
+  spare0 : int; [@warning "-69"]
+  spare1 : int; [@warning "-69"]
       (* Unused: they keep the block at four words, a size class the
          heap already has pools for.  A two-word block opens a pool of
          its own, which adds 32 KiB to a small run's peak heap. *)

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 (* Ablations of the design choices DESIGN.md calls out.  Each one turns
    a single mechanism knob and shows its contribution:
 
@@ -24,15 +22,23 @@ open Thread.Infix
 let fresh_machine ?(n = 16) ?(costs = Costs.software) () =
   Machine.create ~seed:17 ~n_procs:n ~costs ()
 
-let run_to_completion machine body =
+(* Each section writes its text to [b] and passes every machine it has
+   run to [ran], in run order; {!section} turns that into a job. *)
+let run_to_completion ~ran machine body =
   Machine.spawn machine ~on:0 body;
-  Machine.run machine
+  Machine.run machine;
+  ran machine
+
+let drive ~ran machine spec request =
+  let metrics = Cm_workload.Driver.run machine spec request in
+  ran machine;
+  metrics
 
 (* -- 1. short-circuit returns ------------------------------------- *)
 
 let chain_hops = 8
 
-let short_circuit_ablation () =
+let short_circuit_ablation b ~ran =
   let chain scoped_per_hop =
     let machine = fresh_machine ~n:(chain_hops + 1) () in
     let rt = Runtime.create machine in
@@ -51,7 +57,7 @@ let short_circuit_ablation () =
         Runtime.scope rt ~result_words:2 (Thread.repeat chain_hops hop)
     in
     let finished = ref 0 in
-    run_to_completion machine
+    run_to_completion ~ran machine
       (let* () = body in
        finished := Machine.now machine;
        Thread.return ());
@@ -59,15 +65,15 @@ let short_circuit_ablation () =
   in
   let msgs_sc, cycles_sc = chain false in
   let msgs_rt, cycles_rt = chain true in
-  Printf.printf "1. Short-circuit returns over a %d-hop chain:\n" chain_hops;
-  Printf.printf "   one activation, short-circuited:   %3d messages, %6d cycles\n" msgs_sc
+  Printf.bprintf b "1. Short-circuit returns over a %d-hop chain:\n" chain_hops;
+  Printf.bprintf b "   one activation, short-circuited:   %3d messages, %6d cycles\n" msgs_sc
     cycles_sc;
-  Printf.printf "   per-hop activations, return home:  %3d messages, %6d cycles\n" msgs_rt
+  Printf.bprintf b "   per-hop activations, return home:  %3d messages, %6d cycles\n" msgs_rt
     cycles_rt
 
 (* -- 2. conditional migration vs always-migrate -------------------- *)
 
-let conditional_ablation () =
+let conditional_ablation b ~ran =
   let n = 6 and m = 5 in
   (* n accesses to each of m items; under the annotation only the first
      access per item migrates, under always-migrate every access sends a
@@ -76,7 +82,7 @@ let conditional_ablation () =
     let machine = fresh_machine ~n:(m + 1) () in
     let rt = Runtime.create machine in
     let migrate_k = Network.kind machine.Machine.net "migrate" in
-    run_to_completion machine
+    run_to_completion ~ran machine
       (Runtime.scope rt ~result_words:2
          (Thread.iter_list
             (fun item ->
@@ -96,16 +102,16 @@ let conditional_ablation () =
             (List.init m (fun i -> i + 1))));
     Network.total_messages machine.Machine.net
   in
-  Printf.printf "\n2. Conditional migration (%d accesses to each of %d items):\n" n m;
-  Printf.printf "   annotation (migrate only when remote): %3d messages (model m+1 = %d)\n"
+  Printf.bprintf b "\n2. Conditional migration (%d accesses to each of %d items):\n" n m;
+  Printf.bprintf b "   annotation (migrate only when remote): %3d messages (model m+1 = %d)\n"
     (count ~always:false) (m + 1);
-  Printf.printf "   always-migrate (RRH92-style):          %3d messages (model nm+1 = %d)\n"
+  Printf.bprintf b "   always-migrate (RRH92-style):          %3d messages (model nm+1 = %d)\n"
     (count ~always:true)
     ((n * m) + 1)
 
 (* -- 3. replication and the root processor ------------------------- *)
 
-let replication_ablation () =
+let replication_ablation b ~ran =
   let run replicate_root =
     let node_procs = 12 and requesters = 8 in
     let machine = fresh_machine ~n:(node_procs + requesters) () in
@@ -123,6 +129,7 @@ let replication_ablation () =
         (Thread.repeat 40 (fun i -> Thread.ignore_m (Btree.lookup tree (i * 97 mod 16500))))
     done;
     Machine.run machine;
+    ran machine;
     let root = Processor.busy_cycles (Machine.proc machine (Btree.root_home tree)) in
     let busy = Array.init node_procs (fun p -> Processor.busy_cycles (Machine.proc machine p)) in
     Array.sort (fun a b -> Int.compare b a) busy;
@@ -130,23 +137,23 @@ let replication_ablation () =
   in
   let root0, hot0, t0 = run false in
   let root1, hot1, t1 = run true in
-  Printf.printf "\n3. Root replication and resource contention (lookup-only workload):\n";
-  Printf.printf "   without repl.: root proc %6d busy cycles (hottest %6d), run %6d cycles\n"
+  Printf.bprintf b "\n3. Root replication and resource contention (lookup-only workload):\n";
+  Printf.bprintf b "   without repl.: root proc %6d busy cycles (hottest %6d), run %6d cycles\n"
     root0 hot0 t0;
-  Printf.printf "   with repl.:    root proc %6d busy cycles (hottest %6d), run %6d cycles\n"
+  Printf.bprintf b "   with repl.:    root proc %6d busy cycles (hottest %6d), run %6d cycles\n"
     root1 hot1 t1;
-  Printf.printf "   (the paper's S4.2: the bottleneck moves from the root to the level below)\n"
+  Printf.bprintf b "   (the paper's S4.2: the bottleneck moves from the root to the level below)\n"
 
 (* -- 4. hardware-support components -------------------------------- *)
 
-let hardware_ablation () =
+let hardware_ablation b ~ran =
   (* Scheme carries hw as a whole; build the machine by hand to apply
      the two hardware estimates separately. *)
   let run costs =
     let machine = Machine.create ~seed:42 ~n_procs:(24 + 32) ~costs () in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env (Counting_network.Messaging Cm_core.Prelude.Migrate) in
-    Cm_workload.Driver.run machine
+    drive ~ran machine
       { Cm_workload.Driver.requesters = 32; first_proc = 24; think = 0; warmup = 20_000;
         horizon = 150_000 }
       (fun i -> Thread.ignore_m (Counting_network.traverse cn ~input_wire:(i mod 8)))
@@ -155,31 +162,31 @@ let hardware_ablation () =
   let ni = run (Costs.with_ni_registers Costs.software) in
   let goid = run (Costs.with_goid_hardware Costs.software) in
   let both = run Costs.hardware in
-  Printf.printf "\n4. Hardware-support components (CP counting network, 32 requesters):\n";
+  Printf.bprintf b "\n4. Hardware-support components (CP counting network, 32 requesters):\n";
   List.iter
     (fun (name, (m : Cm_workload.Metrics.t)) ->
-      Printf.printf "   %-24s %6.3f req/1000cyc\n" name m.Cm_workload.Metrics.throughput)
+      Printf.bprintf b "   %-24s %6.3f req/1000cyc\n" name m.Cm_workload.Metrics.throughput)
     [ ("software", sw); ("+ NI registers", ni); ("+ GOID translation", goid); ("+ both (w/HW)", both) ]
 
 (* -- 5. shared-memory balancer synchronization ---------------------- *)
 
-let sm_sync_ablation () =
+let sm_sync_ablation b ~ran =
   let run ~sm_sync ~lock_backoff =
     let machine =
       Machine.create ~seed:42 ~n_procs:(24 + 32) ~costs:Costs.software ()
     in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env ~sm_sync ~lock_backoff Counting_network.Shared_memory in
-    Cm_workload.Driver.run machine
+    drive ~ran machine
       { Cm_workload.Driver.requesters = 32; first_proc = 24; think = 0; warmup = 20_000;
         horizon = 150_000 }
       (fun i -> Thread.ignore_m (Counting_network.traverse cn ~input_wire:(i mod 8)))
   in
-  Printf.printf "\n5. SM balancer synchronization (32 requesters):\n";
+  Printf.bprintf b "\n5. SM balancer synchronization (32 requesters):\n";
   List.iter
     (fun (name, sm_sync, lock_backoff) ->
       let m = run ~sm_sync ~lock_backoff in
-      Printf.printf "   %-26s %6.3f req/1000cyc  %7.2f words/10cyc\n" name
+      Printf.bprintf b "   %-26s %6.3f req/1000cyc  %7.2f words/10cyc\n" name
         m.Cm_workload.Metrics.throughput m.Cm_workload.Metrics.bandwidth)
     [
       ("TTS lock, backoff 64",
@@ -194,7 +201,7 @@ let sm_sync_ablation () =
 
 (* -- 6. B-tree shared-memory read concurrency ----------------------- *)
 
-let btree_read_mode_ablation () =
+let btree_read_mode_ablation b ~ran =
   let run read_mode =
     let node_procs = 24 and requesters = 16 in
     let machine =
@@ -207,30 +214,30 @@ let btree_read_mode_ablation () =
         ~keys:(List.init 5000 (fun i -> i * 7))
         ()
     in
-    Cm_workload.Driver.run machine
+    drive ~ran machine
       { Cm_workload.Driver.requesters; first_proc = node_procs; think = 0; warmup = 20_000;
         horizon = 150_000 }
       (fun _ ->
         let* r = Thread.rng in
         Thread.ignore_m (Btree.lookup tree (Rng.int r 50_000)))
   in
-  Printf.printf "\n6. SM B-tree read concurrency control (lookup-only):\n";
+  Printf.bprintf b "\n6. SM B-tree read concurrency control (lookup-only):\n";
   List.iter
     (fun (name, mode) ->
       let m = run mode in
-      Printf.printf "   %-26s %6.3f ops/1000cyc  %7.2f words/10cyc\n" name
+      Printf.bprintf b "   %-26s %6.3f ops/1000cyc  %7.2f words/10cyc\n" name
         m.Cm_workload.Metrics.throughput m.Cm_workload.Metrics.bandwidth)
     [ ("reader-writer locks (dflt)", Btree_sm.Locked); ("seqlock (lock-free reads)", Btree_sm.Seqlock) ]
 
 (* -- 7. migration granularity: activation vs whole thread ----------- *)
 
-let granularity_ablation () =
+let granularity_ablation b ~ran =
   let hops = 8 in
   let activation () =
     let machine = fresh_machine ~n:(hops + 1) () in
     let rt = Runtime.create machine in
     let finished = ref 0 in
-    run_to_completion machine
+    run_to_completion ~ran machine
       (let* () =
          Runtime.scope rt ~result_words:2
            (Thread.repeat hops (fun i ->
@@ -245,7 +252,7 @@ let granularity_ablation () =
     let machine = fresh_machine ~n:(hops + 1) () in
     let rt = Runtime.create machine in
     let finished = ref 0 in
-    run_to_completion machine
+    run_to_completion ~ran machine
       (let* () =
          Thread.repeat hops (fun i ->
              let* () = Runtime.migrate_thread rt ~dst:(i + 1) ~stack_words in
@@ -256,17 +263,17 @@ let granularity_ablation () =
     (Network.total_words machine.Machine.net, !finished)
   in
   let aw, ac = activation () in
-  Printf.printf "\n7. Migration granularity over a %d-hop chain (S2.3):\n" hops;
-  Printf.printf "   single activation (8-word frame):  %6d words, %6d cycles\n" aw ac;
+  Printf.bprintf b "\n7. Migration granularity over a %d-hop chain (S2.3):\n" hops;
+  Printf.bprintf b "   single activation (8-word frame):  %6d words, %6d cycles\n" aw ac;
   List.iter
     (fun stack ->
       let w, c = whole_thread stack in
-      Printf.printf "   whole thread (%4d-word stack):    %6d words, %6d cycles\n" stack w c)
+      Printf.bprintf b "   whole thread (%4d-word stack):    %6d words, %6d cycles\n" stack w c)
     [ 64; 256; 1024 ]
 
 (* -- 8. partial activation migration -------------------------------- *)
 
-let partial_migration_ablation () =
+let partial_migration_ablation b ~ran =
   let hops = 6 in
   let full_words = 24 and carried = 8 in
   let residual = full_words - carried in
@@ -278,7 +285,7 @@ let partial_migration_ablation () =
     let machine = fresh_machine ~n:(hops + 1) () in
     let rt = Runtime.create machine in
     let finished = ref 0 in
-    run_to_completion machine
+    run_to_completion ~ran machine
       (let* () =
          Runtime.scope rt ~result_words:2
            (Thread.repeat hops (fun i ->
@@ -299,16 +306,16 @@ let partial_migration_ablation () =
   let pw0, pc0 = run ~partial:true ~touch_every:0 in
   let pw2, pc2 = run ~partial:true ~touch_every:2 in
   let pw1, pc1 = run ~partial:true ~touch_every:1 in
-  Printf.printf "\n8. Partial activation migration (%d hops, %d live words, %d carried):\n"
+  Printf.bprintf b "\n8. Partial activation migration (%d hops, %d live words, %d carried):\n"
     hops full_words carried;
-  Printf.printf "   full activation each hop:          %5d words, %6d cycles\n" fw fc;
-  Printf.printf "   partial, residual never needed:    %5d words, %6d cycles\n" pw0 pc0;
-  Printf.printf "   partial, residual every 2nd hop:   %5d words, %6d cycles\n" pw2 pc2;
-  Printf.printf "   partial, residual every hop:       %5d words, %6d cycles\n" pw1 pc1
+  Printf.bprintf b "   full activation each hop:          %5d words, %6d cycles\n" fw fc;
+  Printf.bprintf b "   partial, residual never needed:    %5d words, %6d cycles\n" pw0 pc0;
+  Printf.bprintf b "   partial, residual every 2nd hop:   %5d words, %6d cycles\n" pw2 pc2;
+  Printf.bprintf b "   partial, residual every hop:       %5d words, %6d cycles\n" pw1 pc1
 
 (* -- 9. network contention model ------------------------------------ *)
 
-let contention_ablation () =
+let contention_ablation b ~ran =
   let run ~net_contention scheme =
     let machine =
       Machine.create ~seed:42 ~net_contention ~n_procs:(24 + 32)
@@ -316,32 +323,45 @@ let contention_ablation () =
     in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env (Scheme.counting_mode scheme) in
-    Cm_workload.Driver.run machine
+    drive ~ran machine
       { Cm_workload.Driver.requesters = 32; first_proc = 24; think = 0; warmup = 20_000;
         horizon = 150_000 }
       (fun i -> Thread.ignore_m (Counting_network.traverse cn ~input_wire:(i mod 8)))
   in
-  Printf.printf "\n9. Link-contention network model (counting network, 32 requesters):\n";
+  Printf.bprintf b "\n9. Link-contention network model (counting network, 32 requesters):\n";
   List.iter
     (fun scheme ->
       let off = run ~net_contention:false scheme in
       let on = run ~net_contention:true scheme in
-      Printf.printf "   %-8s ideal net %6.3f req/1000cyc -> contended %6.3f (%.0f%% kept)\n"
+      Printf.bprintf b "   %-8s ideal net %6.3f req/1000cyc -> contended %6.3f (%.0f%% kept)\n"
         (Scheme.name scheme) off.Cm_workload.Metrics.throughput
         on.Cm_workload.Metrics.throughput
         (100. *. on.Cm_workload.Metrics.throughput /. off.Cm_workload.Metrics.throughput))
     [ Scheme.Sm; Scheme.Cp { hw = false; repl = false }; Scheme.Rpc { hw = false; repl = false } ]
 
-let run ?quick:_ () =
-  Report.print_header "Ablations: the contribution of each design choice";
-  short_circuit_ablation ();
-  conditional_ablation ();
-  replication_ablation ();
-  hardware_ablation ();
-  sm_sync_ablation ();
-  btree_read_mode_ablation ();
-  granularity_ablation ();
-  partial_migration_ablation ();
-  contention_ablation ()
+let sections =
+  [
+    short_circuit_ablation;
+    conditional_ablation;
+    replication_ablation;
+    hardware_ablation;
+    sm_sync_ablation;
+    btree_read_mode_ablation;
+    granularity_ablation;
+    partial_migration_ablation;
+    contention_ablation;
+  ]
 
-let plan ?(quick = false) () = Plan.serial (fun () -> run ~quick ())
+(* One job per section: its text, and the digest of every machine it
+   ran, in run order. *)
+let section f () =
+  let digests = ref [] in
+  let text = Report.text (fun b -> f b ~ran:(fun m -> digests := Machine.digest m :: !digests)) in
+  (text, List.rev !digests)
+
+let render texts =
+  Report.text (fun b ->
+      Report.header b "Ablations: the contribution of each design choice";
+      List.iter (Buffer.add_string b) texts)
+
+let plan ?quick:_ () = Plan.make ~jobs:(List.map section sections) ~render

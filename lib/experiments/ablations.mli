@@ -5,5 +5,4 @@
     link-contention network model. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
-(** The experiment as a {!Plan} — sweep experiments expose their points
-    as pool-schedulable jobs; bespoke ones stay serial. *)
+(** The experiment as a {!Plan}: one job per section. *)

@@ -1,5 +1,5 @@
 (* Shared machinery for Tables 1-4: run the B-tree under a list of
-   schemes and print measured throughput/bandwidth against the paper's
+   schemes and report measured throughput/bandwidth against the paper's
    published values. *)
 
 let all_schemes =
@@ -62,7 +62,9 @@ let config ~quick ~think =
 (* One job per scheme, in row order — submitted to the pool by the
    table plans rather than run inline. *)
 let jobs ~quick ~think schemes =
-  List.map (fun s () -> Btree_run.run s (config ~quick ~think)) schemes
+  List.map
+    (fun s () -> Plan.digested (Btree_run.run_with_machine s (config ~quick ~think)))
+    schemes
 
 let rows ~paper ~metric measurements =
   List.map

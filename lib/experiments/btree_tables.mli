@@ -15,7 +15,7 @@ val paper_bandwidth_t4 : Scheme.t -> float option
 val config : quick:bool -> think:int -> Btree_run.config
 (** The experiment configuration (reduced horizon when [quick]). *)
 
-val jobs : quick:bool -> think:int -> Scheme.t list -> Plan.job list
+val jobs : quick:bool -> think:int -> Scheme.t list -> Cm_workload.Metrics.t Plan.job list
 (** One sweep-point job per scheme, in row order; pair the results back
     with the schemes ([List.combine]) to feed {!rows}. *)
 

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 open Cm_engine
 open Cm_machine
 open Cm_apps
@@ -52,40 +50,46 @@ let measure ~quick mode workload =
   (* Preload outside the measurement window. *)
   Machine.spawn machine ~on:node_procs
     (Thread.repeat 500 (fun i -> Dht.put table ~key:(i * 7 mod 5000) ~value:i));
-  Cm_workload.Driver.run machine
-    {
-      Cm_workload.Driver.requesters;
-      first_proc = node_procs;
-      think = 0;
-      warmup = horizon / 5;
-      horizon;
-    }
-    (request table workload)
+  let metrics =
+    Cm_workload.Driver.run machine
+      {
+        Cm_workload.Driver.requesters;
+        first_proc = node_procs;
+        think = 0;
+        warmup = horizon / 5;
+        horizon;
+      }
+      (request table workload)
+  in
+  (machine, metrics)
 
 let workloads = [ Points; Scans; Mixed ]
 
 let jobs ~quick =
   List.concat_map
-    (fun workload -> List.map (fun mode () -> measure ~quick mode workload) modes)
+    (fun workload ->
+      List.map (fun mode () -> Plan.digested (measure ~quick mode workload)) modes)
     workloads
 
 let render results =
-  Report.print_header "Extension: distributed hash table across mechanisms";
-  List.iter2
-    (fun workload ms ->
-      Printf.printf "\n-- %s --\n" (workload_name workload);
+  Report.text (fun b ->
+      Report.header b "Extension: distributed hash table across mechanisms";
       List.iter2
-        (fun mode m ->
-          Printf.printf "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
-            (Dht.mode_name mode) m.Cm_workload.Metrics.throughput
-            m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
-        modes ms)
-    workloads
-    (Plan.chunk (List.length modes) results);
-  Report.print_note
-    "Point operations: RPC and migration tie (isolated accesses cost two messages";
-  Report.print_note
-    "either way); range scans: migration wins by chaining; the adaptive policy";
-  Report.print_note "tracks the better static choice on each workload."
+        (fun workload ms ->
+          Printf.bprintf b "\n-- %s --\n" (workload_name workload);
+          List.iter2
+            (fun mode m ->
+              Printf.bprintf b
+                "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
+                (Dht.mode_name mode) m.Cm_workload.Metrics.throughput
+                m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
+            modes ms)
+        workloads
+        (Plan.chunk (List.length modes) results);
+      Report.note b
+        "Point operations: RPC and migration tie (isolated accesses cost two messages";
+      Report.note b
+        "either way); range scans: migration wins by chaining; the adaptive policy";
+      Report.note b "tracks the better static choice on each workload.")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 open Cm_engine
 open Cm_machine
 open Cm_apps
@@ -59,11 +57,12 @@ let request table zipf _i =
     let key = Zipf.sample zipf r in
     if Rng.int r 10 < 8 then Dht.get table key c dropk else Dht.put table ~key ~value:key c k
 
-let measure ~quick mode skew =
+let machine ~quick =
   let sz = size ~quick in
-  let machine =
-    Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
-  in
+  Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
+
+let measure ~quick machine mode skew =
+  let sz = size ~quick in
   let env = Sysenv.make machine in
   let table =
     Dht.create env ~buckets:sz.buckets ~bucket_capacity ~mode
@@ -88,32 +87,41 @@ let measure ~quick mode skew =
     (request table zipf)
 
 let jobs ~quick =
-  List.concat_map (fun skew -> List.map (fun mode () -> measure ~quick mode skew) modes) skews
+  List.concat_map
+    (fun skew ->
+      List.map
+        (fun mode () ->
+          let machine = machine ~quick in
+          Plan.digested (machine, measure ~quick machine mode skew))
+        modes)
+    skews
 
 let render ~quick results =
   let sz = size ~quick in
-  Report.print_header "Extension: Zipf-skewed DHT traffic (hot keys at scale)";
-  Printf.printf "   %d keys, %d buckets, %d node procs, %d requesters\n" sz.keys sz.buckets
-    sz.node_procs sz.requesters;
-  List.iter2
-    (fun skew ms ->
-      let z = Zipf.create ~s:skew ~n:sz.keys in
-      Printf.printf "\n-- zipf s=%.2f (hottest key %.1f%% of traffic) --\n" skew
-        (100. *. Zipf.mass z 0);
+  Report.text (fun b ->
+      Report.header b "Extension: Zipf-skewed DHT traffic (hot keys at scale)";
+      Printf.bprintf b "   %d keys, %d buckets, %d node procs, %d requesters\n" sz.keys sz.buckets
+        sz.node_procs sz.requesters;
       List.iter2
-        (fun mode m ->
-          Printf.printf "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
-            (Dht.mode_name mode) m.Cm_workload.Metrics.throughput
-            m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
-        modes ms)
-    skews
-    (Plan.chunk (List.length modes) results);
-  Report.print_note
-    "Skew concentrates point accesses on a few home processors; both mechanisms";
-  Report.print_note
-    "pay the same two-message toll per isolated access, so the race is between";
-  Report.print_note
-    "occupancy at the hot homes.  The adaptive policy should track the better";
-  Report.print_note "static choice as skew rises."
+        (fun skew ms ->
+          let z = Zipf.create ~s:skew ~n:sz.keys in
+          Printf.bprintf b "\n-- zipf s=%.2f (hottest key %.1f%% of traffic) --\n" skew
+            (100. *. Zipf.mass z 0);
+          List.iter2
+            (fun mode m ->
+              Printf.bprintf b
+                "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
+                (Dht.mode_name mode) m.Cm_workload.Metrics.throughput
+                m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
+            modes ms)
+        skews
+        (Plan.chunk (List.length modes) results);
+      Report.note b
+        "Skew concentrates point accesses on a few home processors; both mechanisms";
+      Report.note b
+        "pay the same two-message toll per isolated access, so the race is between";
+      Report.note b
+        "occupancy at the hot homes.  The adaptive policy should track the better";
+      Report.note b "static choice as skew rises.")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render:(render ~quick)

@@ -24,8 +24,8 @@ let jobs ~quick =
     { base with Btree_run.fanout = 10; fill = 0.75 }
   in
   let config100 = Btree_tables.config ~quick ~think:0 in
-  List.map (fun s () -> Btree_run.run s config10) schemes
-  @ List.map (fun s () -> Btree_run.run s config100) schemes
+  let job config s () = Plan.digested (Btree_run.run_with_machine s config) in
+  List.map (job config10) schemes @ List.map (job config100) schemes
 
 let render results =
   let ms10, ms100 =
@@ -33,21 +33,22 @@ let render results =
     | [ a; b ] -> (a, b)
     | _ -> invalid_arg "fanout10: bad result shape"
   in
-  Report.print_header "Fanout-10 B-tree: relieving the below-root bottleneck (S4.2)";
-  Report.print_table ~metric:"ops/1000cyc"
-    (Btree_tables.rows ~paper ~metric:`Throughput (List.combine schemes ms10));
-  Report.print_note "For contrast, the same schemes at fanout 100:";
-  Report.print_table ~metric:"ops/1000cyc"
-    (List.map2
-       (fun s m ->
-         {
-           Report.label = Scheme.name s ^ " (fanout 100)";
-           paper = paper100 s;
-           measured = m.Cm_workload.Metrics.throughput;
-         })
-       schemes ms100);
-  Report.print_note
-    "Paper shape: small nodes narrow the SM advantage (2.427 vs 2.076, i.e. ~1.17x,";
-  Report.print_note "down from ~1.6x at fanout 100)."
+  Report.text (fun b ->
+      Report.header b "Fanout-10 B-tree: relieving the below-root bottleneck (S4.2)";
+      Report.table b ~metric:"ops/1000cyc"
+        (Btree_tables.rows ~paper ~metric:`Throughput (List.combine schemes ms10));
+      Report.note b "For contrast, the same schemes at fanout 100:";
+      Report.table b ~metric:"ops/1000cyc"
+        (List.map2
+           (fun s m ->
+             {
+               Report.label = Scheme.name s ^ " (fanout 100)";
+               paper = paper100 s;
+               measured = m.Cm_workload.Metrics.throughput;
+             })
+           schemes ms100);
+      Report.note b
+        "Paper shape: small nodes narrow the SM advantage (2.427 vs 2.076, i.e. ~1.17x,";
+      Report.note b "down from ~1.6x at fanout 100).")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render

@@ -1,13 +1,12 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 (* Figure 2: counting-network throughput (requests / 1000 cycles) as a
    function of the number of requester processes (8..64), under both
    think times (0 and 10 000 cycles), for the five schemes the paper
    plots: SM, CP w/HW, CP, RPC w/HW, RPC.
 
    The sweep is a Plan: every (scheme, requesters, think) cell is an
-   independent job and all printing happens in [render], so the cells
-   can run on pool domains without perturbing the output. *)
+   independent job and [render] builds the report from the results in
+   job order, so the cells can run on pool domains without perturbing
+   the output. *)
 
 let schemes =
   [
@@ -23,7 +22,7 @@ let requester_counts ~quick = if quick then [ 8; 32; 64 ] else [ 8; 16; 32; 48; 
 let thinks = [ 0; 10_000 ]
 
 (* Jobs in think-major, then scheme-major, then requester order — the
-   order [render] prints. *)
+   order [render] lays them out. *)
 let jobs ~quick =
   let horizon = if quick then 150_000 else 400_000 in
   List.concat_map
@@ -32,8 +31,9 @@ let jobs ~quick =
         (fun scheme ->
           List.map
             (fun requesters () ->
-              Counting_run.run scheme
-                { Counting_run.default with Counting_run.requesters; think; horizon })
+              Plan.digested
+                (Counting_run.run_with_machine scheme
+                   { Counting_run.default with Counting_run.requesters; think; horizon }))
             (requester_counts ~quick))
         schemes)
     thinks
@@ -52,16 +52,17 @@ let render ~quick results =
   let think0, think10k =
     match by_think with [ a; b ] -> (a, b) | _ -> invalid_arg "fig2: bad result shape"
   in
-  Report.print_header "Figure 2: counting-network throughput vs number of requesters";
-  Printf.printf "\n-- think time 0 cycles (high contention) --\n";
-  Report.print_series ~x_label:"total processes" ~metric:"requests/1000 cycles" ~xs
-    (series ~quick think0);
-  Report.print_note
-    "Paper shape: SM and CP w/HW on top and close together, then CP, RPC w/HW, RPC.";
-  Printf.printf "\n-- think time 10000 cycles (lower contention) --\n";
-  Report.print_series ~x_label:"total processes" ~metric:"requests/1000 cycles" ~xs
-    (series ~quick think10k);
-  Report.print_note
-    "Paper shape: curves rise with offered load; SM slightly ahead of CP w/HW; RPC lowest."
+  Report.text (fun b ->
+      Report.header b "Figure 2: counting-network throughput vs number of requesters";
+      Printf.bprintf b "\n-- think time 0 cycles (high contention) --\n";
+      Report.series b ~x_label:"total processes" ~metric:"requests/1000 cycles" ~xs
+        (series ~quick think0);
+      Report.note b
+        "Paper shape: SM and CP w/HW on top and close together, then CP, RPC w/HW, RPC.";
+      Printf.bprintf b "\n-- think time 10000 cycles (lower contention) --\n";
+      Report.series b ~x_label:"total processes" ~metric:"requests/1000 cycles" ~xs
+        (series ~quick think10k);
+      Report.note b
+        "Paper shape: curves rise with offered load; SM slightly ahead of CP w/HW; RPC lowest.")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render:(render ~quick)

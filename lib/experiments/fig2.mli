@@ -2,5 +2,4 @@
     the paper's five schemes at both think times. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
-(** The experiment as a {!Plan} — sweep experiments expose their points
-    as pool-schedulable jobs; bespoke ones stay serial. *)
+(** The experiment as a {!Plan}: one job per sweep point. *)

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 (* Figure 3: counting-network bandwidth (words sent / 10 cycles) vs the
    number of requesters, for RPC, shared memory, and computation
    migration, at both think times.  Structured as a Plan, like fig2. *)
@@ -23,8 +21,9 @@ let jobs ~quick =
         (fun scheme ->
           List.map
             (fun requesters () ->
-              Counting_run.run scheme
-                { Counting_run.default with Counting_run.requesters; think; horizon })
+              Plan.digested
+                (Counting_run.run_with_machine scheme
+                   { Counting_run.default with Counting_run.requesters; think; horizon }))
             (requester_counts ~quick))
         schemes)
     thinks
@@ -44,16 +43,17 @@ let render ~quick results =
     | [ a; b ] -> (a, b)
     | _ -> invalid_arg "fig3: bad result shape"
   in
-  Report.print_header "Figure 3: counting-network bandwidth vs number of requesters";
-  Printf.printf "\n-- think time 0 cycles --\n";
-  Report.print_series ~x_label:"total processes" ~metric:"words sent/10 cycles" ~xs
-    (series ~quick think0);
-  Printf.printf "\n-- think time 10000 cycles --\n";
-  Report.print_series ~x_label:"total processes" ~metric:"words sent/10 cycles" ~xs
-    (series ~quick think10k);
-  Report.print_note
-    "Paper shape: computation migration always needs the least bandwidth (about half";
-  Report.print_note
-    "of RPC's); shared memory's coherence traffic dominates under high contention."
+  Report.text (fun b ->
+      Report.header b "Figure 3: counting-network bandwidth vs number of requesters";
+      Printf.bprintf b "\n-- think time 0 cycles --\n";
+      Report.series b ~x_label:"total processes" ~metric:"words sent/10 cycles" ~xs
+        (series ~quick think0);
+      Printf.bprintf b "\n-- think time 10000 cycles --\n";
+      Report.series b ~x_label:"total processes" ~metric:"words sent/10 cycles" ~xs
+        (series ~quick think10k);
+      Report.note b
+        "Paper shape: computation migration always needs the least bandwidth (about half";
+      Report.note b
+        "of RPC's); shared memory's coherence traffic dominates under high contention.")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render:(render ~quick)

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 open Cm_machine
 open Cm_runtime
 open Thread.Infix
@@ -16,8 +14,8 @@ let policy_name = function
   | Obj_pull -> "object migration (pull)"
   | Stationary -> "stationary calls (RPC)"
 
-let report label machine finished =
-  Printf.printf "   %-26s messages=%-4d words=%-5d cycles=%d\n" label
+let line label machine finished =
+  Printf.sprintf "   %-26s messages=%-4d words=%-5d cycles=%d\n" label
     (Network.total_messages machine.Machine.net)
     (Network.total_words machine.Machine.net)
     finished
@@ -97,37 +95,48 @@ let write_shared policy =
   Machine.run machine;
   (machine, Machine.now machine)
 
-let run ?quick:_ () =
-  Report.print_header
-    "Extension: object migration (Emerald-style) vs computation migration (S4's missing comparison)";
-  Printf.printf "\n-- A: pointer chase, 3 accesses to each of 8 remote objects --\n";
-  List.iter
-    (fun p ->
-      let machine, t = chase p in
-      report (policy_name p) machine t)
-    [ Cp; Obj_pull; Stationary ];
-  Printf.printf "\n-- B: one thread, 20 accesses to one remote object --\n";
-  List.iter
-    (fun p ->
-      let machine, t = private_hot p in
-      report (policy_name p) machine t)
-    [ Cp; Obj_pull; Stationary ];
-  Printf.printf "\n-- C: write-shared object, 4 alternating writers --\n";
-  List.iter
-    (fun p ->
-      let machine, t = write_shared p in
-      report (policy_name p) machine t)
-    [ Cp; Obj_pull; Stationary ];
-  Report.print_note
-    "A and B: moving something once and staying is best - the activation (A) or the";
-  Report.print_note
-    "object (B); both beat stationary RPC.  C: the write-shared case - the object";
-  Report.print_note
-    "ping-pongs with its full state while computation migration ships only small";
-  Report.print_note "activations, the paper's S2.2 argument, now measured.";
-  Report.print_note
-    "(Counting-network/B-tree runs under full object migration are omitted: balancer";
-  Report.print_note
-    "and node objects are write-shared by many threads, which scenario C covers.)"
+let scenarios =
+  [
+    ("A: pointer chase, 3 accesses to each of 8 remote objects", chase);
+    ("B: one thread, 20 accesses to one remote object", private_hot);
+    ("C: write-shared object, 4 alternating writers", write_shared);
+  ]
 
-let plan ?(quick = false) () = Plan.serial (fun () -> run ~quick ())
+let policies = [ Cp; Obj_pull; Stationary ]
+
+(* One job per (scenario, policy) cell, scenario-major: its report line
+   and its machine's digest. *)
+let jobs =
+  List.concat_map
+    (fun (_, scenario) ->
+      List.map
+        (fun p () ->
+          let machine, t = scenario p in
+          Plan.digested (machine, line (policy_name p) machine t))
+        policies)
+    scenarios
+
+let render lines =
+  Report.text (fun b ->
+      Report.header b
+        "Extension: object migration (Emerald-style) vs computation migration (S4's missing \
+         comparison)";
+      List.iter2
+        (fun (title, _) cells ->
+          Printf.bprintf b "\n-- %s --\n" title;
+          List.iter (Buffer.add_string b) cells)
+        scenarios
+        (Plan.chunk (List.length policies) lines);
+      Report.note b
+        "A and B: moving something once and staying is best - the activation (A) or the";
+      Report.note b
+        "object (B); both beat stationary RPC.  C: the write-shared case - the object";
+      Report.note b
+        "ping-pongs with its full state while computation migration ships only small";
+      Report.note b "activations, the paper's S2.2 argument, now measured.";
+      Report.note b
+        "(Counting-network/B-tree runs under full object migration are omitted: balancer";
+      Report.note b
+        "and node objects are write-shared by many threads, which scenario C covers.)")
+
+let plan ?quick:_ () = Plan.make ~jobs ~render

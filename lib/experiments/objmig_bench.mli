@@ -11,5 +11,4 @@
     calls. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
-(** The experiment as a {!Plan} — sweep experiments expose their points
-    as pool-schedulable jobs; bespoke ones stay serial. *)
+(** The experiment as a {!Plan}: one job per (scenario, policy) cell. *)

@@ -1,23 +1,18 @@
-type job = unit -> Cm_workload.Metrics.t
+type 'r job = unit -> 'r * string list
 
-type t =
-  | Sweep of { jobs : job list; render : Cm_workload.Metrics.t list -> unit }
-  | Serial of (unit -> unit)
+type t = Plan : { jobs : 'r job list; render : 'r list -> string } -> t
 
-let sweep ~jobs ~render = Sweep { jobs; render }
+let make ~jobs ~render = Plan { jobs; render }
 
-let serial f = Serial f
+let digested (machine, r) = (r, [ Cm_machine.Machine.digest machine ])
 
-let execute ?pool t =
-  match t with
-  | Serial f -> f ()
-  | Sweep { jobs; render } ->
-    let results =
-      match pool with
-      | None -> List.map (fun job -> job ()) jobs
-      | Some p -> Cm_engine.Pool.run_all p jobs
-    in
-    render results
+let execute ?pool (Plan { jobs; render }) =
+  let results =
+    match pool with
+    | None -> List.map (fun job -> job ()) jobs
+    | Some p -> Cm_engine.Pool.run_all p jobs
+  in
+  (render (List.map fst results), List.concat_map snd results)
 
 let chunk n xs =
   if n <= 0 then invalid_arg "Plan.chunk: chunk size must be positive";

@@ -1,41 +1,35 @@
-(** An experiment as a schedulable plan.
+(** An experiment as a schedulable plan: a list of jobs and a render.
 
-    Every experiment used to be an opaque [run] procedure that
-    interleaved simulation and printing.  A plan splits it into the two
-    halves the parallel harness needs:
-
-    - [jobs]: the sweep points — pure, independent, deterministic
-      simulations, each a [unit -> Metrics.t] closure that builds its
-      own machine and returns its measurements without printing;
-    - [render]: the presentation — takes the results {e in job order}
-      and prints the tables/series on the calling domain.
+    - [jobs]: pure, independent, deterministic simulations.  Each builds
+      its own machines, runs them, and returns its result together with
+      the {!Cm_machine.Machine.digest} of every machine it ran, in run
+      order.  A result may be measurements or a piece of rendered text.
+    - [render]: a pure function from the results, {e in job order}, to
+      the experiment's report.
 
     [execute] runs the jobs (inline, or on a {!Cm_engine.Pool} when one
-    is given) and then renders.  Because jobs never print and results
-    are rendered in submission order, the output is byte-identical at
-    any [-j].
+    is given) and returns the report and the digests.  Nothing prints
+    and nothing is recorded on the side, so the report and the digests
+    are byte-identical at any [-j]. *)
 
-    Experiments whose structure is not a metrics sweep (fig1's message
-    counts, table5's single migration, the ablations) stay [Serial]:
-    one opaque procedure run on the calling domain. *)
+type 'r job = unit -> 'r * string list
+(** One job: its result and the digests of the machines it ran.  Must
+    not touch process-global mutable state: it may run on a pool
+    domain. *)
 
-type job = unit -> Cm_workload.Metrics.t
-(** One sweep point.  Must not print and must not touch process-global
-    mutable state: it may run on a pool domain. *)
+type t
 
-type t =
-  | Sweep of { jobs : job list; render : Cm_workload.Metrics.t list -> unit }
-  | Serial of (unit -> unit)
+val make : jobs:'r job list -> render:('r list -> string) -> t
 
-val sweep : jobs:job list -> render:(Cm_workload.Metrics.t list -> unit) -> t
+val digested : Cm_machine.Machine.t * 'r -> 'r * string list
+(** [digested (machine, r)] is a one-machine job's return: [r] and the
+    digest of the finished [machine]. *)
 
-val serial : (unit -> unit) -> t
-
-val execute : ?pool:Cm_engine.Pool.t -> t -> unit
+val execute : ?pool:Cm_engine.Pool.t -> t -> string * string list
 (** [execute ?pool plan] runs the plan's jobs — in order on the calling
     domain when [pool] is absent, fanned out over the pool's domains
-    when present — and then renders the results in job order.  [Serial]
-    plans ignore the pool. *)
+    when present — and returns [(report, digests)]: the render of the
+    results and every job's digests, both in job order. *)
 
 val chunk : int -> 'a list -> 'a list list
 (** [chunk n xs] splits [xs] into consecutive chunks of [n] (the last

@@ -33,5 +33,3 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 
 let run ?quick ?pool entry = Plan.execute ?pool (entry.plan ?quick ())
-
-let run_all ?quick ?pool () = List.iter (fun e -> run ?quick ?pool e) all

@@ -6,8 +6,8 @@ type entry = {
   id : string;  (** CLI name, e.g. ["fig2"], ["table1"] *)
   title : string;
   plan : ?quick:bool -> unit -> Plan.t;
-      (** Build the experiment's plan: sweep points as jobs plus a
-          render, or a serial procedure (see {!Plan}). *)
+      (** Build the experiment's plan: its jobs and its render (see
+          {!Plan}). *)
 }
 
 val all : entry list
@@ -17,10 +17,8 @@ val all : entry list
 val find : string -> entry option
 (** Look an experiment up by [id]. *)
 
-val run : ?quick:bool -> ?pool:Cm_engine.Pool.t -> entry -> unit
-(** [run ?quick ?pool entry] executes the entry's plan; sweep points
-    fan out over [pool] when one is given, and the printed output is
-    byte-identical either way. *)
-
-val run_all : ?quick:bool -> ?pool:Cm_engine.Pool.t -> unit -> unit
-(** Run every experiment in order (sharing [pool] across them). *)
+val run : ?quick:bool -> ?pool:Cm_engine.Pool.t -> entry -> string * string list
+(** [run ?quick ?pool entry] executes the entry's plan and returns its
+    report and the digests of the machines it ran (see
+    {!Plan.execute}); jobs fan out over [pool] when one is given, and
+    both are byte-identical either way. *)

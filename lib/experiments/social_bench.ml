@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 open Cm_engine
 open Cm_machine
 open Cm_apps
@@ -48,11 +46,12 @@ let request graph workload access _i =
     | Walk -> Social_graph.walk graph ~access ~start:u ~steps:walk_steps c dropk
     | Fof -> Social_graph.friends_of_friends graph ~access u c dropk
 
-let measure ~quick workload access =
+let machine ~quick =
   let sz = size ~quick in
-  let machine =
-    Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
-  in
+  Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
+
+let measure ~quick machine workload access =
+  let sz = size ~quick in
   let env = Sysenv.make machine in
   (* Built directly (not simulated): a million users register in real
      time, one flat-store index each. *)
@@ -75,31 +74,38 @@ let workloads = [ Walk; Fof ]
 
 let jobs ~quick =
   List.concat_map
-    (fun workload -> List.map (fun access () -> measure ~quick workload access) accesses)
+    (fun workload ->
+      List.map
+        (fun access () ->
+          let machine = machine ~quick in
+          Plan.digested (machine, measure ~quick machine workload access))
+        accesses)
     workloads
 
 let render ~quick results =
   let sz = size ~quick in
-  Report.print_header "Extension: social-graph traversal at scale";
-  Printf.printf "   %d users, avg degree %d, %d node procs, %d requesters\n" sz.users avg_degree
-    sz.node_procs sz.requesters;
-  List.iter2
-    (fun workload ms ->
-      Printf.printf "\n-- %s --\n" (workload_name workload);
+  Report.text (fun b ->
+      Report.header b "Extension: social-graph traversal at scale";
+      Printf.bprintf b "   %d users, avg degree %d, %d node procs, %d requesters\n" sz.users
+        avg_degree sz.node_procs sz.requesters;
       List.iter2
-        (fun access m ->
-          Printf.printf "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
-            (Cm_runtime.Runtime.access_name access) m.Cm_workload.Metrics.throughput
-            m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
-        accesses ms)
-    workloads
-    (Plan.chunk (List.length accesses) results);
-  Report.print_note
-    "Walks chain remote accesses along friend edges, so migration's one message";
-  Report.print_note
-    "per hop beats RPC's round trips; friends-of-friends returns to the same";
-  Report.print_note
-    "requester between visits, which cancels migration's advantage — the paper's";
-  Report.print_note "S1 claim (no mechanism wins everywhere) at graph scale."
+        (fun workload ms ->
+          Printf.bprintf b "\n-- %s --\n" (workload_name workload);
+          List.iter2
+            (fun access m ->
+              Printf.bprintf b
+                "   %-14s %8.3f ops/1000cyc  %8.2f words/10cyc  mean latency %6.0f\n"
+                (Cm_runtime.Runtime.access_name access) m.Cm_workload.Metrics.throughput
+                m.Cm_workload.Metrics.bandwidth m.Cm_workload.Metrics.mean_latency)
+            accesses ms)
+        workloads
+        (Plan.chunk (List.length accesses) results);
+      Report.note b
+        "Walks chain remote accesses along friend edges, so migration's one message";
+      Report.note b
+        "per hop beats RPC's round trips; friends-of-friends returns to the same";
+      Report.note b
+        "requester between visits, which cancels migration's advantage — the paper's";
+      Report.note b "S1 claim (no mechanism wins everywhere) at graph scale.")
 
-let plan ?(quick = false) () = Plan.sweep ~jobs:(jobs ~quick) ~render:(render ~quick)
+let plan ?(quick = false) () = Plan.make ~jobs:(jobs ~quick) ~render:(render ~quick)

@@ -4,7 +4,14 @@
 
 type workload = Walk | Fof
 
-val measure : quick:bool -> workload -> Cm_core.Prelude.access -> Cm_workload.Metrics.t
-(** [measure ~quick workload access] runs one sweep point. *)
+val machine : quick:bool -> Cm_machine.Machine.t
+(** A fresh machine sized for one sweep point. *)
+
+val measure :
+  quick:bool -> Cm_machine.Machine.t -> workload -> Cm_core.Prelude.access -> Cm_workload.Metrics.t
+(** [measure ~quick machine workload access] runs one sweep point on
+    [machine], a fresh {!machine}.  The caller owns the machine, so a
+    job can digest it after the run without the digest entering this
+    measured (allocation-pinned) run. *)
 
 val plan : ?quick:bool -> unit -> Plan.t

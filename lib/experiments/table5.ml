@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 (* Table 5: the cycle-cost breakdown of migrating one activation (the
    counting network's 32-byte activation) from one processor to another.
 
@@ -38,8 +36,9 @@ let paper_cycles = function
 (* One real migration between two processors two mesh hops apart,
    timed end to end (from issuing the annotated call to the completion
    of the 150-cycle method at the destination). *)
-let measure_one_migration () =
-  let machine = Machine.create ~seed:1 ~n_procs:9 ~costs:Costs.software () in
+let migration_machine () = Machine.create ~seed:1 ~n_procs:9 ~costs:Costs.software ()
+
+let measure_one_migration machine =
   let rt = Runtime.create machine in
   let started = ref 0 and finished = ref 0 in
   Machine.spawn machine ~on:0
@@ -54,28 +53,37 @@ let measure_one_migration () =
   Machine.run machine;
   !finished - !started
 
-let run ?quick:_ () =
-  Report.print_header "Table 5: cost breakdown of one activation migration (32-byte payload)";
+let job () =
+  let machine = migration_machine () in
+  Plan.digested (machine, measure_one_migration machine)
+
+let render results =
+  let measured =
+    match results with [ m ] -> m | _ -> invalid_arg "table5: bad result shape"
+  in
   let model = Costs.breakdown Costs.software ~words:8 ~hops:2 ~user_code:150 in
   let total = List.assoc "Total time" model in
-  Printf.printf "%-28s %8s %8s  %8s %8s\n" "category" "paper" "model" "paper %" "model %";
-  List.iter
-    (fun (label, cycles) ->
-      let pct = 100. *. float_of_int cycles /. float_of_int total in
-      match paper_cycles label with
-      | Some p ->
-        Printf.printf "%-28s %8.0f %8d  %7.0f%% %7.1f%%\n" label p cycles (100. *. p /. 651.) pct
-      | None -> Printf.printf "%-28s %8s %8d  %8s %7.1f%%\n" label "-" cycles "-" pct)
-    model;
-  let measured = measure_one_migration () in
-  Printf.printf "\nEnd-to-end migration measured in the simulator: %d cycles (model total %d)\n"
-    measured total;
-  Report.print_note
-    "The paper's sub-rows do not sum exactly to its subtotals (it calls the table";
-  Report.print_note
-    "'fairly accurate'); our categories sum exactly, so totals differ by a few percent.";
-  if measured <> total then
-    Report.print_note
-      (Printf.sprintf "NOTE: measured differs from model by %d cycles" (measured - total))
+  Report.text (fun b ->
+      Report.header b "Table 5: cost breakdown of one activation migration (32-byte payload)";
+      Printf.bprintf b "%-28s %8s %8s  %8s %8s\n" "category" "paper" "model" "paper %" "model %";
+      List.iter
+        (fun (label, cycles) ->
+          let pct = 100. *. float_of_int cycles /. float_of_int total in
+          match paper_cycles label with
+          | Some p ->
+            Printf.bprintf b "%-28s %8.0f %8d  %7.0f%% %7.1f%%\n" label p cycles
+              (100. *. p /. 651.) pct
+          | None -> Printf.bprintf b "%-28s %8s %8d  %8s %7.1f%%\n" label "-" cycles "-" pct)
+        model;
+      Printf.bprintf b
+        "\nEnd-to-end migration measured in the simulator: %d cycles (model total %d)\n" measured
+        total;
+      Report.note b
+        "The paper's sub-rows do not sum exactly to its subtotals (it calls the table";
+      Report.note b
+        "'fairly accurate'); our categories sum exactly, so totals differ by a few percent.";
+      if measured <> total then
+        Report.note b
+          (Printf.sprintf "NOTE: measured differs from model by %d cycles" (measured - total)))
 
-let plan ?(quick = false) () = Plan.serial (fun () -> run ~quick ())
+let plan ?quick:_ () = Plan.make ~jobs:[ job ] ~render

@@ -4,10 +4,14 @@
     experiment additionally measures a real migration end-to-end in the
     assembled runtime and checks it equals the model's total. *)
 
-val measure_one_migration : unit -> int
+val migration_machine : unit -> Cm_machine.Machine.t
+(** The fresh 3x3-mesh machine the measured migration runs on. *)
+
+val measure_one_migration : Cm_machine.Machine.t -> int
 (** End-to-end cycles for one 32-byte activation migration over two mesh
-    hops, including the 150-cycle method body. *)
+    hops on [machine], a fresh {!migration_machine}, including the
+    150-cycle method body.  The caller owns the machine, so a job can
+    digest it without the digest entering this allocation-pinned run. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
-(** The experiment as a {!Plan} — sweep experiments expose their points
-    as pool-schedulable jobs; bespoke ones stay serial. *)
+(** The experiment as a {!Plan}: one job, the measured migration. *)

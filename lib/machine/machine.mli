@@ -69,15 +69,18 @@ val transport : t -> Transport.t
     lint rule. *)
 
 val run : ?until:int -> t -> unit
-(** [run ?until t] drives the simulation (see {!Cm_engine.Sim.run}).
-    When {!Cm_engine.Check.Trail} recording is on, a digest of the
-    finished run is appended to the trail. *)
+(** [run ?until t] drives the simulation (see {!Cm_engine.Sim.run}). *)
 
 val digest : t -> string
 (** [digest t] is a hash of the machine's observable outcome — final
-    clock, events fired, and every statistic (see
-    {!Cm_engine.Check.Trail.digest_of_run}).  Two same-seed runs of a
-    deterministic workload must produce equal digests. *)
+    clock, events fired, and every statistic (see {!digest_of_run}).
+    Two same-seed runs of a deterministic workload must produce equal
+    digests; an experiment's jobs return the digest of every machine
+    they run (see [Cm_experiments.Plan]). *)
+
+val digest_of_run : clock:int -> fired:int -> stats:Cm_engine.Stats.t -> string
+(** The digest itself: an MD5 hex string over the final clock, the
+    event count, and every written counter, name-sorted. *)
 
 val now : t -> int
 (** Current cycle. *)

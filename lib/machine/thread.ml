@@ -86,7 +86,7 @@ and ctx = {
   mutable f_stk : int array;
   mutable f_sp : int;
   mutable thread_id : int;
-  mutable stream : Rng.t;
+  stream : Rng.t;
   mutable exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
   mutable run_exit : Obj.t -> unit;
 }

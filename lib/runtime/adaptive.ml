@@ -6,7 +6,6 @@ let alpha = 0.3
 
 type site_state = {
   name : string;
-  id : int;
   mutable estimate : float;  (* EWMA of calls following this site *)
   mutable samples : int;
   mutable explore_toggle : bool;  (* alternate mechanisms while exploring *)
@@ -19,7 +18,6 @@ type t = {
   threshold : float;
   explore : int;
   mutable sites : site_state list;
-  mutable next_site : int;
   (* Per running activation (keyed by thread id): the sites of the
      annotated calls made so far, most recent first. *)
   logs : (int, site_state list ref) Hashtbl.t;
@@ -32,12 +30,10 @@ let create rt ?(threshold = 1.0) ?(explore = 6) () =
     invalid_arg "Adaptive.create: threshold = nan, expected a number in [-inf, inf]";
   if explore < 0 then
     invalid_arg (Printf.sprintf "Adaptive.create: explore = %d, expected an integer >= 0" explore);
-  { rt; threshold; explore; sites = []; next_site = 0; logs = Hashtbl.create 16;
-    migrations = 0; rpcs = 0 }
+  { rt; threshold; explore; sites = []; logs = Hashtbl.create 16; migrations = 0; rpcs = 0 }
 
 let site t ~name =
-  let s = { name; id = t.next_site; estimate = nan; samples = 0; explore_toggle = false } in
-  t.next_site <- t.next_site + 1;
+  let s = { name; estimate = nan; samples = 0; explore_toggle = false } in
   t.sites <- s :: t.sites;
   s
 

@@ -1,5 +1,3 @@
-(* lint: allow-file printf — report/presentation layer: printing tables to stdout
-   is this module's purpose. *)
 open Cm_engine
 open Cm_machine
 
@@ -86,5 +84,3 @@ let pp ppf t =
     Format.fprintf ppf "  transport delivery:@\n";
     List.iter (fun (name, v) -> Format.fprintf ppf "    %-28s %d@\n" name v) t.transport
   end
-
-let print machine = Format.printf "%a@." pp (collect machine)

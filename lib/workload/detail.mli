@@ -28,6 +28,3 @@ val collect : Machine.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)
-
-val print : Machine.t -> unit
-(** [print machine] = collect + print to stdout. *)

@@ -32,12 +32,16 @@ let table1 () =
        { Btree_run.default with Btree_run.think = 0; horizon = 60_000; warmup = 10_000 })
 
 let dht_zipf () =
-  ignore (Dht_zipf.measure ~quick:true (Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) 1.3)
+  ignore
+    (Dht_zipf.measure ~quick:true (Dht_zipf.machine ~quick:true)
+       (Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) 1.3)
 
 let social_graph () =
-  ignore (Social_bench.measure ~quick:true Social_bench.Walk Cm_core.Prelude.Migrate)
+  ignore
+    (Social_bench.measure ~quick:true (Social_bench.machine ~quick:true) Social_bench.Walk
+       Cm_core.Prelude.Migrate)
 
-let table5 () = ignore (Table5.measure_one_migration ())
+let table5 () = ignore (Table5.measure_one_migration (Table5.migration_machine ()))
 
 (* (name, ceiling, run): the ceilings sit above the pinned figures by a
    wide margin; the golden diff is the exact check. *)

@@ -450,7 +450,7 @@ let test_stats_unwritten_unlisted () =
   Stats.add plain "a" 1;
   Stats.add resolved "a" 1;
   let c = Stats.counter resolved "b" in
-  let digest stats = Check.Trail.digest_of_run ~clock:7 ~fired:3 ~stats in
+  let digest stats = Cm_machine.Machine.digest_of_run ~clock:7 ~fired:3 ~stats in
   Alcotest.(check (list (pair string int))) "resolved unlisted" [ ("a", 1) ]
     (Stats.counters resolved);
   Alcotest.(check string) "digest as if never resolved" (digest plain) (digest resolved);

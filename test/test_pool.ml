@@ -2,10 +2,10 @@
 
    The deterministic-output contract is the whole point: for any job
    list, any domain count, and any completion order, [Pool.run_all]
-   returns results in submission order and the experiment layer prints
-   bytes identical to a sequential run.  The qcheck property at the
-   bottom checks that end-to-end (captured stdout + sanitizer digests of
-   real experiments at -j 2/4 vs. -j 1). *)
+   returns results in submission order and the experiment layer renders
+   reports identical to a sequential run.  The qcheck property at the
+   bottom checks that end to end: the reports and machine digests of
+   real experiments, under the sanitizers, at -j 2/4 vs. -j 1. *)
 
 open Cm_engine
 open Cm_experiments
@@ -72,68 +72,47 @@ let test_create_validates () =
 
 (* --- end-to-end determinism of the parallel sweep harness ---------- *)
 
-(* Capture everything [f] prints to stdout (the experiments print
-   through the C stdout fd, so shadowing the OCaml channel is not
-   enough — redirect the fd itself, as bin/repro's selfcheck does). *)
-let with_captured_stdout f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let tmp = Filename.temp_file "cm_test_pool" ".out" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  let result = try Ok (f ()) with e -> Error e in
-  flush stdout;
-  Unix.dup2 saved Unix.stdout;
-  Unix.close saved;
-  let ic = open_in_bin tmp in
-  let printed = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove tmp;
-  match result with Ok () -> printed | Error e -> raise e
-
-(* The cheap experiments (quick mode keeps each under a second); the
-   pool must reproduce serial plans (fig1, table5) untouched and sweep
-   plans (the rest) byte-for-byte. *)
-let cheap_experiments = [ "fig1"; "table3"; "table4"; "fanout10"; "table5" ]
+(* The cheap experiments (quick mode keeps each under a second).  Every
+   one is a list of pure jobs, fig1, table5, objmig and the ablations
+   included, so the pool must reproduce each report and its machine
+   digests byte for byte. *)
+let cheap_experiments = [ "fig1"; "table3"; "table4"; "fanout10"; "table5"; "objmig"; "ablations" ]
 
 let entry_of id =
   match Registry.find id with
   | Some e -> e
   | None -> Alcotest.failf "unknown experiment %s" id
 
-(* One sanitized run of a set of experiments: returns (stdout bytes,
-   machine digests from the Check trail). *)
+(* One sanitized run of a set of experiments: each one's report and the
+   digests of the machines it ran. *)
 let sanitized_runs ?pool ids =
   Check.set_enabled true;
   Check.reset ();
-  Check.Trail.set_recording true;
-  let printed =
-    with_captured_stdout (fun () ->
-        List.iter (fun id -> Registry.run ~quick:true ?pool (entry_of id)) ids)
-  in
-  let trail = Check.Trail.trail () in
-  Check.Trail.set_recording false;
-  Check.set_enabled false;
-  Check.reset ();
-  (printed, trail)
+  Fun.protect
+    ~finally:(fun () ->
+      Check.set_enabled false;
+      Check.reset ())
+    (fun () -> List.map (fun id -> Registry.run ~quick:true ?pool (entry_of id)) ids)
 
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"experiments at -j 2/4 are byte-identical to -j 1" ~count:3
-    QCheck.(pair (list_of_size Gen.(1 -- 3) (int_range 0 4)) (int_range 0 1))
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 3) (int_range 0 (List.length cheap_experiments - 1)))
+        (int_range 0 1))
     (fun (picks, j_pick) ->
       let ids = List.map (fun i -> List.nth cheap_experiments i) picks in
       let domains = if j_pick = 0 then 2 else 4 in
-      let base_out, base_trail = sanitized_runs ids in
-      let par_out, par_trail =
-        with_pool ~domains (fun pool -> sanitized_runs ~pool ids)
-      in
-      if not (String.equal base_out par_out) then
-        QCheck.Test.fail_reportf "stdout differs at -j %d for %s" domains
-          (String.concat "," ids);
-      if base_trail <> par_trail then
-        QCheck.Test.fail_reportf "machine digests differ at -j %d for %s (%d vs %d runs)"
-          domains (String.concat "," ids) (List.length base_trail) (List.length par_trail);
+      let base = sanitized_runs ids in
+      let par = with_pool ~domains (fun pool -> sanitized_runs ~pool ids) in
+      List.iter2
+        (fun id ((base_report, base_digests), (par_report, par_digests)) ->
+          if not (String.equal base_report par_report) then
+            QCheck.Test.fail_reportf "%s: report differs at -j %d" id domains;
+          if base_digests <> par_digests then
+            QCheck.Test.fail_reportf "%s: machine digests differ at -j %d (%d vs %d runs)" id
+              domains (List.length base_digests) (List.length par_digests))
+        ids (List.combine base par);
       true)
 
 let () =

@@ -175,14 +175,17 @@ let test_btree_shape () =
   Alcotest.(check bool) "sm bandwidth dominates" true Metrics.(sm.bandwidth > 5. *. cp.bandwidth)
 
 let test_fig1_functions_match_model () =
-  Alcotest.(check int) "rpc" 24 (Fig1.run_messaging ~access:Cm_runtime.Runtime.Rpc ~n:3 ~m:4);
-  Alcotest.(check int) "cp" 5 (Fig1.run_messaging ~access:Cm_runtime.Runtime.Migrate ~n:3 ~m:4);
-  Alcotest.(check int) "dm" 8 (Fig1.run_shmem ~n:3 ~m:4)
+  let messages m = Network.total_messages m.Machine.net in
+  Alcotest.(check int) "rpc" 24
+    (messages (Fig1.run_messaging ~access:Cm_runtime.Runtime.Rpc ~n:3 ~m:4));
+  Alcotest.(check int) "cp" 5
+    (messages (Fig1.run_messaging ~access:Cm_runtime.Runtime.Migrate ~n:3 ~m:4));
+  Alcotest.(check int) "dm" 8 (messages (Fig1.run_shmem ~n:3 ~m:4))
 
 let test_table5_measured_equals_model () =
   let model = Costs.breakdown Costs.software ~words:8 ~hops:2 ~user_code:150 in
   Alcotest.(check int) "end-to-end = model total" (List.assoc "Total time" model)
-    (Table5.measure_one_migration ())
+    (Table5.measure_one_migration (Table5.migration_machine ()))
 
 let test_detail_report () =
   let machine, _ =
